@@ -20,6 +20,7 @@ from .model import (
     ModelError,
     Structure,
     SuiteSpec,
+    UniverseTooLarge,
     Valuation,
     load_structure,
     load_valuation,
@@ -35,6 +36,7 @@ from .proof import (
     parse_proof,
 )
 from .semantics import (
+    SkeletonTooLarge,
     consequence,
     evaluate,
     fv_assignments,
@@ -499,12 +501,29 @@ def _add_json(p) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_suite(p) -> None:
     p.add_argument("--models", metavar="DIR", help="directory of structure JSON files")
-    p.add_argument("--max-size", type=int, default=2, help="largest universe (default 2)")
+    p.add_argument(
+        "--max-size", type=_at_least(1), default=2, help="largest universe (default 2)"
+    )
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument(
-        "--samples", type=int, default=100,
+        "--samples", type=_at_least(0), default=100,
         help="sampled structures of size three and up (default 100)",
     )
     p.add_argument(
@@ -614,7 +633,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ModelError, ProofSyntaxError) as exc:
+    except (
+        ParseError, ModelError, ProofSyntaxError, UniverseTooLarge, SkeletonTooLarge
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

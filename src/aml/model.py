@@ -16,6 +16,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -31,6 +32,7 @@ __all__ = [
     "UniverseTooLarge",
     "NonMonotoneDetected",
     "Structure",
+    "Kernel",
     "Valuation",
     "apply_sets",
     "subsets_of",
@@ -96,14 +98,70 @@ class Structure:
     def app_of(self, a: str, b: str) -> frozenset:
         return self.app.get((a, b), frozenset())
 
-    def sort_key(self, element: str) -> int:
-        return self.universe.index(element)
+    @cached_property
+    def kernel(self) -> "Kernel":
+        """The bitmask form used for evaluation, compiled on first use."""
+        return Kernel(self)
 
     def sorted_elements(self, subset) -> list[str]:
         return sorted(subset, key=self.universe.index)
 
     def format_subset(self, subset) -> str:
         return "{" + ", ".join(self.sorted_elements(subset)) + "}"
+
+
+class Kernel:
+    """A structure in bitmask form: element i of the universe is bit i, a
+    subset is an ``int``, and application is a table of per-cell masks."""
+
+    __slots__ = ("universe", "full", "bits", "singletons", "rows", "constants")
+
+    def __init__(self, s: Structure):
+        _check_cap(s.universe)
+        n = len(s.universe)
+        self.universe = s.universe
+        self.full = (1 << n) - 1
+        self.bits, self.singletons = _bit_tables(n)
+        index = s.universe.index
+        rows = [[0] * n for _ in range(n)]
+        for (a, b), val in s.app.items():
+            rows[index(a)][index(b)] = self.mask(val)
+        self.rows = tuple(map(tuple, rows))
+        self.constants = {name: self.mask(val) for name, val in s.constants.items()}
+
+    def mask(self, subset) -> int:
+        index = self.universe.index
+        out = 0
+        for a in subset:
+            out |= 1 << index(a)
+        return out
+
+    def element(self, mask: int) -> str:
+        """The element of a singleton mask."""
+        return self.universe[mask.bit_length() - 1]
+
+    def subset(self, mask: int) -> frozenset:
+        u = self.universe
+        return frozenset([u[i] for i in self.bits[mask]])
+
+    def apply(self, left: int, right: int) -> int:
+        """Pointwise application lifted to masks: the union of all cells."""
+        out = 0
+        if left and right:
+            right_bits = self.bits[right]
+            for i in self.bits[left]:
+                row = self.rows[i]
+                for j in right_bits:
+                    out |= row[j]
+        return out
+
+
+@lru_cache(maxsize=None)
+def _bit_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """For universes of size ``n``: the bit positions of every mask, and the
+    singleton masks in universe order."""
+    bits = tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
+    return bits, tuple(1 << i for i in range(n))
 
 
 def subsets_of(universe: Sequence[str]) -> Iterator[frozenset]:
@@ -225,11 +283,16 @@ def validate_structure(doc: dict, sig: Signature | None = None) -> Structure:
     known = set(universe)
 
     def check_element(e, where):
+        if not isinstance(e, str):
+            raise ModelError(f"{where}: element {e!r} must be a string")
         if e not in known:
             raise DanglingElement(f"{where}: element {e!r} is not in the universe")
 
+    app_doc = doc.get("app", [])
+    if not isinstance(app_doc, list):
+        raise ModelError("'app' must be a list")
     app: dict[tuple[str, str], frozenset] = {}
-    for row in doc.get("app", []):
+    for row in app_doc:
         if not isinstance(row, dict) or set(row) - {"left", "right", "result"}:
             raise ModelError(f"bad app row {row!r}")
         a, b = row.get("left"), row.get("right")
@@ -334,20 +397,29 @@ _SVAR_KEY = "X"
 def valuation_from_doc(doc: dict, structure: Structure) -> Valuation:
     if not isinstance(doc, dict) or set(doc) - {"element", "set"}:
         raise ModelError("valuation document must be {'element': ..., 'set': ...}")
+    element_doc, set_doc = doc.get("element", {}), doc.get("set", {})
+    if not isinstance(element_doc, dict) or not isinstance(set_doc, dict):
+        raise ModelError("valuation 'element' and 'set' must be objects")
+    carrier = structure.carrier
+
+    def check_element(key, e):
+        if not isinstance(e, str):
+            raise ModelError(f"valuation of {key}: element {e!r} must be a string")
+        if e not in carrier:
+            raise DanglingElement(f"valuation of {key}: {e!r} not in the universe")
+
     element: dict[int, str] = {}
-    for key, val in doc.get("element", {}).items():
+    for key, val in element_doc.items():
         index = _var_index(key, _EVAR_KEY)
-        if val not in structure.carrier:
-            raise DanglingElement(f"valuation of {key}: {val!r} not in the universe")
+        check_element(key, val)
         element[index] = val
     sets: dict[int, frozenset] = {}
-    for key, val in doc.get("set", {}).items():
+    for key, val in set_doc.items():
         index = _var_index(key, _SVAR_KEY)
         if not isinstance(val, list):
             raise ModelError(f"valuation of {key} must be a list")
         for e in val:
-            if e not in structure.carrier:
-                raise DanglingElement(f"valuation of {key}: {e!r} not in the universe")
+            check_element(key, e)
         sets[index] = frozenset(val)
     return Valuation(element, sets)
 

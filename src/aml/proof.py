@@ -41,6 +41,7 @@ from .syntax import (
     Pattern,
     Signature,
     free_vars,
+    is_positive_in,
 )
 
 __all__ = [
@@ -391,7 +392,7 @@ def check_axiom(p: Pattern, just: Justification):
             return _reject("prefix.shape", "right side must be a mu pattern")
         mu_pat = p.right
         v = VarRef.set(mu_pat.var)
-        if not _positive_in(mu_pat.body, mu_pat.var):
+        if not is_positive_in(mu_pat.body, mu_pat.var):
             return _reject(
                 "prefix.not-positive",
                 f"the body is not positive in X{mu_pat.var}",
@@ -419,12 +420,6 @@ def check_axiom(p: Pattern, just: Justification):
             "no pair of application contexts matches the declared variable and body",
         )
     raise ValueError(f"not an axiom kind: {kind!r}")
-
-
-def _positive_in(p: Pattern, var: int) -> bool:
-    from .syntax import is_positive_in
-
-    return is_positive_in(p, var)
 
 
 def check_rule(p: Pattern, just: Justification, premises: Mapping[int, Pattern]):

@@ -3,9 +3,17 @@
 Evaluation maps a pattern to the subset of the universe it stands for, given
 a structure and a valuation.  Implication is relative complement, the
 existential is a union over all reassignments of its variable, and ``mu`` is
-the intersection of all closed sets of the induced operator (no positivity
-is assumed at evaluation time; the fixpoint reading is only guaranteed for
-positive bodies).
+the intersection of all closed sets of the induced operator.  One evaluator
+serves every entry point; it works on the structure's bitmask `Kernel`
+(element i is bit i, a subset is an ``int``) and names elements only on the
+way in and out.
+
+A ``mu`` whose body is positive in its variable (checked once per ``mu``
+node per call) is evaluated by Kleene iteration from the empty set: a
+positive body is monotone, even through nested ``mu`` that are not positive,
+so the iteration reaches the least fixpoint, which is that intersection,
+within |A| + 1 steps.  Any other body gets the intersection itself, over all
+2^|A| subsets.  The canonical falsum ``mu X . X`` is the empty set at once.
 
 Consequence comes in three strengths and is always decided relative to an
 explicit suite of finite structures, so a "holds" verdict is an
@@ -21,7 +29,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from . import sugar
-from .model import Structure, Valuation, apply_sets, subsets_of, _check_cap
+from .model import Kernel, Structure, Valuation
 from .syntax import (
     Appl,
     Const,
@@ -33,6 +41,7 @@ from .syntax import (
     Pattern,
     SVar,
     free_vars,
+    is_positive_in,
 )
 
 __all__ = [
@@ -72,37 +81,82 @@ MAX_SKELETON_ATOMS = 20
 
 def evaluate(structure: Structure, valuation: Valuation, p: Pattern) -> frozenset:
     """The subset of the universe denoted by ``p``."""
-    _check_cap(structure.universe)
-    return _eval(structure, valuation, p)
+    k = structure.kernel
+    ev, sv = _env(k, valuation)
+    return k.subset(_ev(p, k, ev, sv, {}))
 
 
-def _eval(s: Structure, e: Valuation, p: Pattern) -> frozenset:
-    if isinstance(p, EVar):
-        return frozenset((e.element_of(p.index, s),))
-    if isinstance(p, SVar):
-        return e.set_of(p.index)
-    if isinstance(p, Const):
+def _env(k: Kernel, valuation: Valuation) -> tuple[dict, dict]:
+    """The valuation as masks: element variables to singletons, set
+    variables to subsets."""
+    ev = {i: k.mask((a,)) for i, a in valuation.element.items()}
+    sv = {i: k.mask(b) for i, b in valuation.sets.items()}
+    return ev, sv
+
+
+def _ev(p: Pattern, k: Kernel, ev: dict, sv: dict, pos: dict) -> int:
+    """The mask denoted by ``p``.  Binders rebind ``ev``/``sv`` in place and
+    restore them before returning; ``pos`` caches the positivity of each
+    ``Mu`` node's body for the duration of one top-level call."""
+    t = type(p)
+    if t is Imp:
+        left = _ev(p.left, k, ev, sv, pos)
+        return (k.full ^ left) | _ev(p.right, k, ev, sv, pos)
+    if t is SVar:
+        return sv.get(p.index, 0)
+    if t is EVar:
+        return ev.get(p.index, k.singletons[0])
+    if t is Appl:
+        left = _ev(p.left, k, ev, sv, pos)
+        return k.apply(left, _ev(p.right, k, ev, sv, pos))
+    if t is Const:
         try:
-            return s.constants[p.name]
+            return k.constants[p.name]
         except KeyError:
             raise UnassignedConstant(f"constant {p.name!r} has no denotation") from None
-    if isinstance(p, Appl):
-        return apply_sets(s, _eval(s, e, p.left), _eval(s, e, p.right))
-    if isinstance(p, Imp):
-        left = _eval(s, e, p.left)
-        right = _eval(s, e, p.right)
-        return (s.carrier - left) | right
-    if isinstance(p, Exists):
-        out = set()
-        for a in s.universe:
-            out |= _eval(s, e.with_element(p.var, a), p.body)
-        return frozenset(out)
-    # Mu: intersection of all closed sets of the induced operator.
-    acc = s.carrier
-    for b in subsets_of(s.universe):
-        if _eval(s, e.with_set(p.var, b), p.body) <= b:
-            acc &= b
+    var, body = p.var, p.body
+    if t is Exists:
+        old = ev.get(var)
+        out = 0
+        for bit in k.singletons:
+            ev[var] = bit
+            out |= _ev(body, k, ev, sv, pos)
+        _restore(ev, var, old)
+        return out
+    if type(body) is SVar and body.index == var:
+        # Falsum, under every negation: Kleene would reach 0 too, but only
+        # after a positivity check and one more step of evaluation.
+        return 0
+    positive = pos.get(id(p))
+    if positive is None:
+        positive = pos[id(p)] = is_positive_in(body, var)
+    old = sv.get(var)
+    if positive:
+        # A positive body is monotone, so iterating from the empty set
+        # reaches the least fixpoint within |A| + 1 steps.
+        acc = 0
+        while True:
+            sv[var] = acc
+            nxt = _ev(body, k, ev, sv, pos)
+            if nxt == acc:
+                break
+            acc = nxt
+    else:
+        # Otherwise: the intersection of all closed sets.
+        acc = k.full
+        for b in range(k.full + 1):
+            sv[var] = b
+            if not _ev(body, k, ev, sv, pos) & ~b:
+                acc &= b
+    _restore(sv, var, old)
     return acc
+
+
+def _restore(env: dict, var: int, old) -> None:
+    if old is None:
+        del env[var]
+    else:
+        env[var] = old
 
 
 def evaluate_nu_direct(
@@ -112,17 +166,22 @@ def evaluate_nu_direct(
     contained in the operator applied to B.  Must agree with evaluating the
     negation-based expansion of ``nu``; the tests hold both against each
     other."""
-    _check_cap(structure.universe)
-    acc = frozenset()
-    for b in subsets_of(structure.universe):
-        if b <= _eval(structure, valuation.with_set(var, b), body):
+    k = structure.kernel
+    ev, sv = _env(k, valuation)
+    pos: dict = {}
+    acc = 0
+    for b in range(k.full + 1):
+        sv[var] = b
+        if not b & ~_ev(body, k, ev, sv, pos):
             acc |= b
-    return acc
+    return k.subset(acc)
 
 
 def satisfies(structure: Structure, valuation: Valuation, p: Pattern) -> bool:
     """The pattern denotes the whole universe under this valuation."""
-    return evaluate(structure, valuation, p) == structure.carrier
+    k = structure.kernel
+    ev, sv = _env(k, valuation)
+    return _ev(p, k, ev, sv, {}) == k.full
 
 
 def fv_assignments(
@@ -130,36 +189,62 @@ def fv_assignments(
 ) -> Iterator[Valuation]:
     """Every assignment of the free variables of ``patterns``, in a fixed
     deterministic order.  Variables outside the domain keep their defaults."""
+    k = structure.kernel
+    for ev, sv in _assignments(k, _free_lists(patterns)):
+        yield _valuation(k, ev, sv)
+
+
+def _free_lists(patterns: Iterable[Pattern]) -> tuple[list, list]:
+    """Sorted free element and set variable indices of ``patterns``."""
     evars: set = set()
     svars: set = set()
     for p in patterns:
         fe, fs = free_vars(p)
         evars |= fe
         svars |= fs
-    e_list = sorted(evars)
-    s_list = sorted(svars)
-    subsets = list(subsets_of(structure.universe))
-    for elems in itertools.product(structure.universe, repeat=len(e_list)):
-        base = dict(zip(e_list, elems))
+    return sorted(evars), sorted(svars)
+
+
+def _assignments(k: Kernel, free: tuple[list, list]) -> Iterator[tuple[dict, dict]]:
+    """Every assignment of the given free variables in mask form: element
+    variables vary slowest, each over the universe in order, then set
+    variables over the subsets in bitmask order.  The dicts are shared
+    between steps, so a caller must copy what it keeps."""
+    e_list, s_list = free
+    subsets = range(k.full + 1)
+    for elems in itertools.product(k.singletons, repeat=len(e_list)):
+        ev = dict(zip(e_list, elems))
         for sets in itertools.product(subsets, repeat=len(s_list)):
-            yield Valuation(base, dict(zip(s_list, sets)))
+            yield ev, dict(zip(s_list, sets))
+
+
+def _valuation(k: Kernel, ev: dict, sv: dict) -> Valuation:
+    """The name-based valuation of one mask assignment."""
+    return Valuation(
+        {i: k.element(m) for i, m in ev.items()},
+        {i: k.subset(m) for i, m in sv.items()},
+    )
+
+
+def _valid(k: Kernel, p: Pattern, free: tuple[list, list], pos: dict) -> bool:
+    full = k.full
+    return all(_ev(p, k, ev, sv, pos) == full for ev, sv in _assignments(k, free))
 
 
 def models(structure: Structure, p: Pattern) -> bool:
     """Validity in the structure: satisfied under every assignment of the
     pattern's free variables."""
-    return all(
-        satisfies(structure, v, p) for v in fv_assignments(structure, [p])
-    )
+    return _valid(structure.kernel, p, _free_lists([p]), {})
 
 
 def is_predicate(structure: Structure, p: Pattern) -> bool:
     """The pattern denotes either nothing or everything, under every
     assignment of its free variables."""
-    full = structure.carrier
-    for v in fv_assignments(structure, [p]):
-        val = evaluate(structure, v, p)
-        if val and val != full:
+    k = structure.kernel
+    pos: dict = {}
+    for ev, sv in _assignments(k, _free_lists([p])):
+        val = _ev(p, k, ev, sv, pos)
+        if val and val != k.full:
             return False
     return True
 
@@ -263,40 +348,46 @@ def consequence(
     kind = ConsequenceKind(kind)
     gamma = list(gamma)
     delta = list(delta)
+    pos: dict = {}
+    if kind is ConsequenceKind.GLOBAL:
+        gamma_free = [_free_lists([g]) for g in gamma]
+        delta_free = [_free_lists([p]) for p in delta]
+    else:
+        free = _free_lists(gamma + delta)
     checked = 0
     for s in suite:
         checked += 1
+        k = s.kernel
+        full = k.full
         if kind is ConsequenceKind.GLOBAL:
-            if not all(models(s, g) for g in gamma):
+            if not all(_valid(k, g, f, pos) for g, f in zip(gamma, gamma_free)):
                 continue
-            for p in delta:
-                for v in fv_assignments(s, [p]):
-                    if not satisfies(s, v, p):
+            for p, f in zip(delta, delta_free):
+                for ev, sv in _assignments(k, f):
+                    if _ev(p, k, ev, sv, pos) != full:
                         return Verdict(
-                            False, kind, checked, s, v, p,
+                            False, kind, checked, s, _valuation(k, ev, sv), p,
                             "hypotheses are valid here but the conclusion is not",
                         )
         elif kind is ConsequenceKind.LOCAL:
-            everything = gamma + delta
-            for v in fv_assignments(s, everything):
-                if not all(satisfies(s, v, g) for g in gamma):
+            for ev, sv in _assignments(k, free):
+                if not all(_ev(g, k, ev, sv, pos) == full for g in gamma):
                     continue
                 for p in delta:
-                    if not satisfies(s, v, p):
+                    if _ev(p, k, ev, sv, pos) != full:
                         return Verdict(
-                            False, kind, checked, s, v, p,
+                            False, kind, checked, s, _valuation(k, ev, sv), p,
                             "hypotheses are satisfied here but the conclusion is not",
                         )
         else:
-            everything = gamma + delta
-            for v in fv_assignments(s, everything):
-                common = s.carrier
+            for ev, sv in _assignments(k, free):
+                common = full
                 for g in gamma:
-                    common &= evaluate(s, v, g)
+                    common &= _ev(g, k, ev, sv, pos)
                 for p in delta:
-                    if not common <= evaluate(s, v, p):
+                    if common & ~_ev(p, k, ev, sv, pos):
                         return Verdict(
-                            False, kind, checked, s, v, p,
+                            False, kind, checked, s, _valuation(k, ev, sv), p,
                             "the conclusion's value does not cover the "
                             "hypotheses' common value",
                         )
@@ -321,41 +412,35 @@ def eval_definedness(
     """
     if DEFINEDNESS not in structure.constants:
         raise NotADefinednessStructure("the structure does not interpret 'def'")
-    full = structure.carrier
-    empty = frozenset()
+    k = structure.kernel
+    ev, sv = _env(k, valuation)
+    pos: dict = {}
+
+    def value(p: Pattern) -> int:
+        return _ev(p, k, ev, sv, pos)
+
+    full = k.full
     if op == "ceil":
         (phi,) = args
         desugared = sugar.ceil(phi)
-        closed = full if evaluate(structure, valuation, phi) else empty
+        closed = full if value(phi) else 0
     elif op == "floor":
         (phi,) = args
         desugared = sugar.floor(phi)
-        closed = (
-            full if evaluate(structure, valuation, phi) == full else empty
-        )
+        closed = full if value(phi) == full else 0
     elif op == "eq":
         phi, psi = args
         desugared = sugar.eq(phi, psi)
-        closed = (
-            full
-            if evaluate(structure, valuation, phi)
-            == evaluate(structure, valuation, psi)
-            else empty
-        )
+        closed = full if value(phi) == value(psi) else 0
     elif op == "mem":
         var, phi = args
         desugared = sugar.mem(var, phi)
-        closed = (
-            full
-            if valuation.element_of(var, structure)
-            in evaluate(structure, valuation, phi)
-            else empty
-        )
+        closed = full if ev.get(var, k.singletons[0]) & value(phi) else 0
     else:
         raise ValueError(f"unknown definedness operator {op!r}")
-    direct = evaluate(structure, valuation, desugared)
+    direct = value(desugared)
     if direct != closed:
         raise RuntimeError(
             f"definedness closed form for {op} disagrees with evaluation"
         )
-    return direct
+    return k.subset(direct)

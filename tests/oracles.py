@@ -3,7 +3,9 @@
 Everything here is deliberately slow and structured differently from the
 code under test: scope boundaries come from re-parsing token slices,
 polarity from a recursion over the tree instead of left-operand counting,
-tautology from evaluation in genuine powerset structures.
+tautology from evaluation in genuine powerset structures, evaluation and
+consequence from the original frozenset evaluator, which meets every ``mu``
+with the intersection of all closed sets.
 """
 
 from __future__ import annotations
@@ -258,3 +260,104 @@ def tautology_by_evaluation(p: Pattern) -> bool:
             if evaluate(structure, valuation, p) != carrier:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Evaluation and consequence as first written: subsets are frozensets of
+# element names, and every ``mu`` walks all subsets of the universe.
+
+
+def eval_frozenset(s, e, p: Pattern) -> frozenset:
+    """The subset denoted by ``p``, with ``mu`` as the intersection of all
+    closed sets of the induced operator."""
+    from aml.model import apply_sets, subsets_of
+    from aml.semantics import UnassignedConstant
+
+    if isinstance(p, EVar):
+        return frozenset((e.element_of(p.index, s),))
+    if isinstance(p, SVar):
+        return e.set_of(p.index)
+    if isinstance(p, Const):
+        try:
+            return s.constants[p.name]
+        except KeyError:
+            raise UnassignedConstant(f"constant {p.name!r} has no denotation") from None
+    if isinstance(p, Appl):
+        return apply_sets(s, eval_frozenset(s, e, p.left), eval_frozenset(s, e, p.right))
+    if isinstance(p, Imp):
+        left = eval_frozenset(s, e, p.left)
+        right = eval_frozenset(s, e, p.right)
+        return (s.carrier - left) | right
+    if isinstance(p, Exists):
+        out = set()
+        for a in s.universe:
+            out |= eval_frozenset(s, e.with_element(p.var, a), p.body)
+        return frozenset(out)
+    acc = s.carrier
+    for b in subsets_of(s.universe):
+        if eval_frozenset(s, e.with_set(p.var, b), p.body) <= b:
+            acc &= b
+    return acc
+
+
+def fv_assignments(s, patterns):
+    """Every assignment of the free variables of ``patterns``: element
+    variables vary slowest, each over the universe in order, then set
+    variables over the subsets in bitmask order."""
+    from aml.model import Valuation, subsets_of
+    from aml.syntax import free_vars
+
+    evars, svars = set(), set()
+    for p in patterns:
+        fe, fs = free_vars(p)
+        evars |= fe
+        svars |= fs
+    e_list, s_list = sorted(evars), sorted(svars)
+    subsets = list(subsets_of(s.universe))
+    for elems in itertools.product(s.universe, repeat=len(e_list)):
+        base = dict(zip(e_list, elems))
+        for sets in itertools.product(subsets, repeat=len(s_list)):
+            yield Valuation(base, dict(zip(s_list, sets)))
+
+
+def consequence_by_frozensets(kind, gamma, delta, suite):
+    """`aml.semantics.consequence` over `eval_frozenset` and the name-based
+    `fv_assignments` above."""
+    from aml.semantics import ConsequenceKind, Verdict
+
+    kind = ConsequenceKind(kind)
+    gamma = list(gamma)
+    delta = list(delta)
+
+    def sat(s, v, p):
+        return eval_frozenset(s, v, p) == s.carrier
+
+    def valid(s, p):
+        return all(sat(s, v, p) for v in fv_assignments(s, [p]))
+
+    checked = 0
+    for s in suite:
+        checked += 1
+        if kind is ConsequenceKind.GLOBAL:
+            if not all(valid(s, g) for g in gamma):
+                continue
+            for p in delta:
+                for v in fv_assignments(s, [p]):
+                    if not sat(s, v, p):
+                        return Verdict(False, kind, checked, s, v, p)
+        elif kind is ConsequenceKind.LOCAL:
+            for v in fv_assignments(s, gamma + delta):
+                if not all(sat(s, v, g) for g in gamma):
+                    continue
+                for p in delta:
+                    if not sat(s, v, p):
+                        return Verdict(False, kind, checked, s, v, p)
+        else:
+            for v in fv_assignments(s, gamma + delta):
+                common = s.carrier
+                for g in gamma:
+                    common &= eval_frozenset(s, v, g)
+                for p in delta:
+                    if not common <= eval_frozenset(s, v, p):
+                        return Verdict(False, kind, checked, s, v, p)
+    return Verdict(True, kind, checked)

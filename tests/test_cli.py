@@ -294,3 +294,100 @@ class TestDeterminism:
         first = capsys.readouterr().out
         main(["analyze", "--sig", sig_file, "--json", pats])
         assert capsys.readouterr().out == first
+
+
+class TestLimits:
+    def test_eval_on_a_universe_over_the_cap(self, tmp_path, capsys):
+        doc = {"universe": [str(i) for i in range(13)], "app": [], "constants": {}}
+        model = write(tmp_path, "big.json", json.dumps(doc))
+        pats = write(tmp_path, "p.pat", "x0\n")
+        assert main(["eval", "--model", model, pats]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "enumeration cap 12" in err
+
+    def test_consequence_suite_over_the_cap(self, tmp_path, sig_file, capsys):
+        pats = write(tmp_path, "p.pat", "c\n")
+        code = main(["consequence", "--sig", sig_file, "--max-size", "13", pats])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "enumeration cap 12" in err
+
+    def test_taut_over_the_atom_limit(self, tmp_path, sig_file, capsys):
+        chain = " -> ".join(f"x{i}" for i in range(22))
+        pats = write(tmp_path, "p.pat", chain + "\n")
+        assert main(["taut", "--sig", sig_file, pats]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "22 distinct atoms" in err
+
+
+class TestJsonNames:
+    """A JSON value of the wrong type where an element name belongs is a
+    model error (exit 2), not a crash."""
+
+    def _eval(self, tmp_path, doc, valuation=None):
+        model = write(tmp_path, "m.json", json.dumps(doc))
+        pats = write(tmp_path, "p.pat", "x0\n")
+        argv = ["eval", "--model", model, pats]
+        if valuation is not None:
+            argv[3:3] = ["--valuation", write(tmp_path, "v.json", json.dumps(valuation))]
+        return main(argv)
+
+    def _model(self, row=None, constant=None):
+        return {
+            "universe": ["0", "1"],
+            "app": [row or {"left": "0", "right": "1", "result": ["1"]}],
+            "constants": {"c": constant or ["0"]},
+        }
+
+    def _assert_named(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be a string" in err
+
+    def test_app_left(self, tmp_path, capsys):
+        doc = self._model(row={"left": ["0"], "right": "1", "result": []})
+        assert self._eval(tmp_path, doc) == 2
+        self._assert_named(capsys)
+
+    def test_app_right(self, tmp_path, capsys):
+        doc = self._model(row={"left": "0", "right": {"a": 1}, "result": []})
+        assert self._eval(tmp_path, doc) == 2
+        self._assert_named(capsys)
+
+    def test_constant_denotation_element(self, tmp_path, capsys):
+        assert self._eval(tmp_path, self._model(constant=[["0"]])) == 2
+        self._assert_named(capsys)
+
+    def test_valuation_element(self, tmp_path, capsys):
+        valuation = {"element": {"x0": ["0"]}, "set": {}}
+        assert self._eval(tmp_path, self._model(), valuation) == 2
+        self._assert_named(capsys)
+
+    def test_valuation_set_entry(self, tmp_path, capsys):
+        valuation = {"element": {}, "set": {"X0": ["0", ["1"]]}}
+        assert self._eval(tmp_path, self._model(), valuation) == 2
+        self._assert_named(capsys)
+
+    def test_containers_of_the_wrong_type(self, tmp_path, capsys):
+        doc = dict(self._model(), app=7)
+        assert self._eval(tmp_path, doc) == 2
+        assert "'app' must be a list" in capsys.readouterr().err
+        valuation = {"element": ["x0", "0"]}
+        assert self._eval(tmp_path, self._model(), valuation) == 2
+        assert "must be objects" in capsys.readouterr().err
+
+
+class TestSuiteFlags:
+    @pytest.mark.parametrize(
+        "flags", [("--samples", "-1"), ("--max-size", "0"), ("--max-size", "-3")]
+    )
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, sig_file, capsys, flags):
+        pats = write(tmp_path, "p.pat", "c\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["consequence", "--sig", sig_file, "--max-size", "3", *flags, pats])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_boundary_values_are_accepted(self, tmp_path, sig_file, capsys):
+        pats = write(tmp_path, "p.pat", "c -> c\n")
+        argv = ["consequence", "--sig", sig_file, "--max-size", "1", "--samples", "0", pats]
+        assert main(argv) == 0
