@@ -24,6 +24,7 @@ from .model import (
     Valuation,
     load_structure,
     load_valuation,
+    save_structure,
     structure_to_doc,
     valuation_to_doc,
 )
@@ -147,9 +148,7 @@ def _write_counterexample(
     gamma: list[Pattern] | None = None,
 ) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "structure.json").write_text(
-        json.dumps(structure_to_doc(structure), indent=2, sort_keys=True) + "\n"
-    )
+    save_structure(structure, outdir / "structure.json")
     if valuation is not None:
         (outdir / "valuation.json").write_text(
             json.dumps(valuation_to_doc(valuation, structure), indent=2, sort_keys=True)
@@ -395,8 +394,6 @@ def _cmd_consequence(args) -> int:
 
 
 def _cmd_proof(args) -> int:
-    if args.action != "check":
-        raise CliError(f"unknown proof action {args.action!r}")
     sig = _load_sig(args)
     try:
         text = Path(args.script).read_text()
@@ -464,8 +461,7 @@ def _cmd_gen_models(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     count = 0
     for i, s in enumerate(spec.structures()):
-        path = outdir / f"structure-{i:04d}.json"
-        path.write_text(json.dumps(structure_to_doc(s), indent=2, sort_keys=True) + "\n")
+        save_structure(s, outdir / f"structure-{i:04d}.json")
         count += 1
     manifest = {
         "constants": list(sig.constants),
@@ -606,9 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_file", help="conclusion patterns")
     p.set_defaults(fn=_cmd_consequence)
 
-    p = sub.add_parser("proof", help="check a proof script")
+    # No abbreviated options here: "--mode", which proof scripts never had
+    # use for, would otherwise be taken as "--models".
+    p = sub.add_parser("proof", help="check a proof script", allow_abbrev=False)
     p.add_argument("action", choices=("check",))
-    _add_mode(p)
     _add_sig(p)
     _add_json(p)
     _add_suite(p)

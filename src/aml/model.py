@@ -1,4 +1,4 @@
-"""Finite applicative structures, valuations, and set-function fixpoints.
+"""Finite applicative structures, valuations, and model suites.
 
 A structure is a nonempty finite universe, a binary application map sending
 each pair of elements to a subset, and a denotation subset per constant.
@@ -15,12 +15,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .syntax import DEFINEDNESS, Signature
+from .syntax import DEFINEDNESS, EVAR_TOKEN, SVAR_TOKEN, Signature
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -30,18 +31,11 @@ __all__ = [
     "MissingConstant",
     "DefinednessViolated",
     "UniverseTooLarge",
-    "NonMonotoneDetected",
     "Structure",
     "Kernel",
     "Valuation",
     "apply_sets",
     "subsets_of",
-    "kt_lfp",
-    "kt_gfp",
-    "exact_lfp",
-    "exact_gfp",
-    "kleene_lfp",
-    "is_monotone",
     "validate_structure",
     "structure_to_doc",
     "load_structure",
@@ -79,10 +73,6 @@ class DefinednessViolated(ModelError):
 
 class UniverseTooLarge(ValueError):
     pass
-
-
-class NonMonotoneDetected(ValueError):
-    """Iteration decreased somewhere, so the operator is not monotone."""
 
 
 @dataclass(frozen=True)
@@ -186,83 +176,6 @@ def _check_cap(universe: Sequence[str]) -> None:
             f"universe of size {len(universe)} exceeds the enumeration cap "
             f"{ENUMERATION_CAP}"
         )
-
-
-def kt_lfp(fn: Callable[[frozenset], frozenset], universe: Sequence[str]) -> frozenset:
-    """Least fixpoint of a monotone set operator, by the intersection of all
-    closed sets (sets B with fn(B) contained in B)."""
-    _check_cap(universe)
-    acc = frozenset(universe)
-    for b in subsets_of(universe):
-        if fn(b) <= b:
-            acc &= b
-    return acc
-
-
-def kt_gfp(fn: Callable[[frozenset], frozenset], universe: Sequence[str]) -> frozenset:
-    """Greatest fixpoint, by the union of all sets B contained in fn(B)."""
-    _check_cap(universe)
-    acc = frozenset()
-    for b in subsets_of(universe):
-        if b <= fn(b):
-            acc |= b
-    return acc
-
-
-def exact_lfp(fn: Callable[[frozenset], frozenset], universe: Sequence[str]) -> frozenset:
-    """Intersection of the exact fixpoints only; for monotone operators this
-    coincides with `kt_lfp`, which the test suite exercises."""
-    _check_cap(universe)
-    acc = frozenset(universe)
-    for b in subsets_of(universe):
-        if fn(b) == b:
-            acc &= b
-    return acc
-
-
-def exact_gfp(fn: Callable[[frozenset], frozenset], universe: Sequence[str]) -> frozenset:
-    _check_cap(universe)
-    acc = frozenset()
-    for b in subsets_of(universe):
-        if fn(b) == b:
-            acc |= b
-    return acc
-
-
-def kleene_lfp(fn: Callable[[frozenset], frozenset], universe: Sequence[str]) -> frozenset:
-    """Iterate fn from the empty set until stable.
-
-    On a finite universe a monotone operator stabilises within |A| + 1 steps;
-    a shrinking step means fn was not monotone after all.
-    """
-    _check_cap(universe)
-    current = frozenset()
-    for _ in range(len(universe) + 1):
-        nxt = fn(current)
-        if not current <= nxt:
-            raise NonMonotoneDetected(
-                f"iterate dropped from {sorted(current)} to {sorted(nxt)}"
-            )
-        if nxt == current:
-            return current
-        current = nxt
-    nxt = fn(current)
-    if nxt != current:
-        raise NonMonotoneDetected("iteration failed to stabilise within |A|+1 steps")
-    return current
-
-
-def is_monotone(fn: Callable[[frozenset], frozenset], universe: Sequence[str]) -> bool:
-    """Check fn(B) is contained in fn(C) for every B contained in C."""
-    _check_cap(universe)
-    subs = list(subsets_of(universe))
-    values = {b: fn(b) for b in subs}
-    for b, c in itertools.combinations(subs, 2):
-        if b <= c and not values[b] <= values[c]:
-            return False
-        if c <= b and not values[c] <= values[b]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +303,6 @@ class Valuation:
         return Valuation(self.element, new)
 
 
-_EVAR_KEY = "x"
-_SVAR_KEY = "X"
-
-
 def valuation_from_doc(doc: dict, structure: Structure) -> Valuation:
     if not isinstance(doc, dict) or set(doc) - {"element", "set"}:
         raise ModelError("valuation document must be {'element': ..., 'set': ...}")
@@ -410,12 +319,12 @@ def valuation_from_doc(doc: dict, structure: Structure) -> Valuation:
 
     element: dict[int, str] = {}
     for key, val in element_doc.items():
-        index = _var_index(key, _EVAR_KEY)
+        index = _var_index(key, EVAR_TOKEN)
         check_element(key, val)
         element[index] = val
     sets: dict[int, frozenset] = {}
     for key, val in set_doc.items():
-        index = _var_index(key, _SVAR_KEY)
+        index = _var_index(key, SVAR_TOKEN)
         if not isinstance(val, list):
             raise ModelError(f"valuation of {key} must be a list")
         for e in val:
@@ -424,10 +333,11 @@ def valuation_from_doc(doc: dict, structure: Structure) -> Valuation:
     return Valuation(element, sets)
 
 
-def _var_index(key: str, prefix: str) -> int:
-    if isinstance(key, str) and key.startswith(prefix) and key[len(prefix):].isdigit():
-        return int(key[len(prefix):])
-    raise ModelError(f"bad variable key {key!r}")
+def _var_index(key: str, token: re.Pattern) -> int:
+    m = token.match(key) if isinstance(key, str) else None
+    if m is None:
+        raise ModelError(f"bad variable key {key!r}")
+    return int(m.group(1))
 
 
 def valuation_to_doc(v: Valuation, structure: Structure) -> dict:

@@ -17,7 +17,6 @@ comes with a replayable counterexample.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -33,12 +32,14 @@ from .semantics import (
 from .substitution import VarRef, is_free_for, subst_free
 from .syntax import (
     Appl,
+    EVAR_TOKEN,
     EVar,
     Exists,
     Imp,
     Mu,
     ParseError,
     Pattern,
+    SVAR_TOKEN,
     Signature,
     free_vars,
     is_positive_in,
@@ -147,9 +148,6 @@ RULE_KINDS = frozenset(
 _LOCAL_KINDS = frozenset({"frame.l", "frame.r", "kt"})
 _GLOBAL_KINDS = frozenset({"gen.exists", "subst.set"})
 
-_EVAR_TOKEN = re.compile(r"\Ax([0-9]+)\Z")
-_SVAR_TOKEN = re.compile(r"\AX([0-9]+)\Z")
-
 
 # ---------------------------------------------------------------------------
 # Parsing.
@@ -182,7 +180,7 @@ def parse_proof(text: str, sig: Signature) -> ProofScript:
             hypotheses[name] = _parse_pattern(pat_text, sig, lineno)
             continue
         num_text, sep, rest = stripped.partition(":")
-        if not sep or not num_text.strip().isdigit():
+        if not sep or not _is_number(num_text.strip()):
             raise ProofSyntaxError(
                 lineno, "expected '<number>: <pattern> ; <justification>'"
             )
@@ -199,6 +197,11 @@ def parse_proof(text: str, sig: Signature) -> ProofScript:
         lines.append(ProofLine(number, pattern, just))
         expected += 1
     return ProofScript(hypotheses, tuple(lines))
+
+
+def _is_number(text: str) -> bool:
+    """ASCII digits only: `str.isdigit` also accepts digits `int` rejects."""
+    return text.isascii() and text.isdigit()
 
 
 def _parse_pattern(text: str, sig: Signature, lineno: int) -> Pattern:
@@ -225,7 +228,7 @@ def _parse_justification(
             )
 
     def ref(tok: str) -> int:
-        if not tok.isdigit() or int(tok) < 1:
+        if not _is_number(tok) or int(tok) < 1:
             raise ProofSyntaxError(lineno, f"bad line reference {tok!r}")
         value = int(tok)
         if value >= number:
@@ -235,13 +238,13 @@ def _parse_justification(
         return value
 
     def evar(tok: str) -> int:
-        m = _EVAR_TOKEN.match(tok)
+        m = EVAR_TOKEN.match(tok)
         if not m:
             raise ProofSyntaxError(lineno, f"expected an element variable, got {tok!r}")
         return int(m.group(1))
 
     def svar(tok: str) -> int:
-        m = _SVAR_TOKEN.match(tok)
+        m = SVAR_TOKEN.match(tok)
         if not m:
             raise ProofSyntaxError(lineno, f"expected a set variable, got {tok!r}")
         return int(m.group(1))

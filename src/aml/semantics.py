@@ -50,7 +50,6 @@ __all__ = [
     "NotADefinednessStructure",
     "MAX_SKELETON_ATOMS",
     "evaluate",
-    "evaluate_nu_direct",
     "satisfies",
     "models",
     "is_predicate",
@@ -157,24 +156,6 @@ def _restore(env: dict, var: int, old) -> None:
         del env[var]
     else:
         env[var] = old
-
-
-def evaluate_nu_direct(
-    structure: Structure, valuation: Valuation, var: int, body: Pattern
-) -> frozenset:
-    """Greatest fixpoint value computed directly: the union of all sets B
-    contained in the operator applied to B.  Must agree with evaluating the
-    negation-based expansion of ``nu``; the tests hold both against each
-    other."""
-    k = structure.kernel
-    ev, sv = _env(k, valuation)
-    pos: dict = {}
-    acc = 0
-    for b in range(k.full + 1):
-        sv[var] = b
-        if not b & ~_ev(body, k, ev, sv, pos):
-            acc |= b
-    return k.subset(acc)
 
 
 def satisfies(structure: Structure, valuation: Valuation, p: Pattern) -> bool:

@@ -21,7 +21,6 @@ from .syntax import (
     Mu,
     Pattern,
     SVar,
-    all_variable_indices,
     bound_binder_indices,
     free_vars,
 )
@@ -69,36 +68,30 @@ def is_free_for(v: VarRef, delta: Pattern, phi: Pattern) -> bool:
     """No free occurrence of ``v`` in ``phi`` sits under a binder on a free
     variable of ``delta``; substituting ``delta`` there captures nothing."""
     de, ds = free_vars(delta)
-    return _free_for(v, de, ds, phi)
+    return _free_for(v, de, ds, phi, False)
 
 
-def _free_for(v: VarRef, delta_e, delta_s, phi: Pattern) -> bool:
-    if isinstance(phi, (EVar, SVar, Const)):
+def _free_for(v: VarRef, delta_e, delta_s, phi: Pattern, captured: bool) -> bool:
+    """One walk; ``captured`` says a binder above ``phi`` binds a free
+    variable of ``delta``."""
+    if isinstance(phi, EVar):
+        return not (captured and v.kind == "element" and phi.index == v.index)
+    if isinstance(phi, SVar):
+        return not (captured and v.kind == "set" and phi.index == v.index)
+    if isinstance(phi, Const):
         return True
     if isinstance(phi, (Appl, Imp)):
-        return _free_for(v, delta_e, delta_s, phi.left) and _free_for(
-            v, delta_e, delta_s, phi.right
+        return _free_for(v, delta_e, delta_s, phi.left, captured) and _free_for(
+            v, delta_e, delta_s, phi.right, captured
         )
     if isinstance(phi, Exists):
         if v.kind == "element" and v.index == phi.var:
             return True
-        fe, fs = free_vars(phi)
-        free_here = v.index in (fe if v.kind == "element" else fs)
-        if not free_here:
-            return True
-        if phi.var in delta_e:
-            return False
-        return _free_for(v, delta_e, delta_s, phi.body)
+        return _free_for(v, delta_e, delta_s, phi.body, captured or phi.var in delta_e)
     # Mu
     if v.kind == "set" and v.index == phi.var:
         return True
-    fe, fs = free_vars(phi)
-    free_here = v.index in (fe if v.kind == "element" else fs)
-    if not free_here:
-        return True
-    if phi.var in delta_s:
-        return False
-    return _free_for(v, delta_e, delta_s, phi.body)
+    return _free_for(v, delta_e, delta_s, phi.body, captured or phi.var in delta_s)
 
 
 def subst_free(phi: Pattern, v: VarRef, delta: Pattern) -> Pattern:
@@ -165,16 +158,6 @@ def fresh_variables(used_max: int, count: int, kind: Kind) -> list[VarRef]:
     return [VarRef(kind, used_max + 1 + i) for i in range(count)]
 
 
-def _max_index(kind: Kind, *patterns: Pattern) -> int:
-    top = -1
-    for p in patterns:
-        es, ss = all_variable_indices(p)
-        pool = es if kind == "element" else ss
-        if pool:
-            top = max(top, max(pool))
-    return top
-
-
 def subst_capture_avoiding(phi: Pattern, v: VarRef, delta: Pattern) -> Pattern:
     """Substitute ``delta`` for free ``v`` in ``phi``, renaming first.
 
@@ -184,14 +167,20 @@ def subst_capture_avoiding(phi: Pattern, v: VarRef, delta: Pattern) -> Pattern:
     kind), element renamings innermost, and the plain substitution is applied
     to the renamed pattern.
     """
-    if is_free_for(v, delta, phi):
+    delta_e, delta_s = free_vars(delta)
+    if _free_for(v, delta_e, delta_s, phi, False):
         return subst_free(phi, v, delta)
+    # Free indices and binder heads together are every variable occurring.
     bound_e, bound_s = bound_binder_indices(phi)
-    occ_e, occ_s = all_variable_indices(delta)
+    free_e, free_s = free_vars(phi)
+    delta_bound_e, delta_bound_s = bound_binder_indices(delta)
+    occ_e, occ_s = delta_e | delta_bound_e, delta_s | delta_bound_s
     clash_e = sorted(bound_e & occ_e)
     clash_s = sorted(bound_s & occ_s)
-    fresh_e = fresh_variables(_max_index("element", phi, delta), len(clash_e), "element")
-    fresh_s = fresh_variables(_max_index("set", phi, delta), len(clash_s), "set")
+    used_e = max(bound_e | free_e | occ_e, default=-1)
+    used_s = max(bound_s | free_s | occ_s, default=-1)
+    fresh_e = fresh_variables(used_e, len(clash_e), "element")
+    fresh_s = fresh_variables(used_s, len(clash_s), "set")
     theta = phi
     for old, new in reversed(list(zip(clash_e, fresh_e))):
         theta = subst_bound(theta, VarRef.element(old), new)

@@ -32,15 +32,20 @@ from .syntax import (
     ArityError,
     Const,
     DEFINEDNESS,
+    EVAR_TOKEN,
     EVar,
     Exists,
     Imp,
+    MAX_DEPTH,
     Malformed,
     Mu,
     Pattern,
+    SVAR_TOKEN,
     SVar,
     Signature,
+    TooDeep,
     UnknownSymbol,
+    check_depth,
     parse_core,
     render_core,
 )
@@ -200,14 +205,11 @@ def match_or_shape(p: Pattern):
     return None
 
 
-_match_or_any = match_or_shape
-
-
 def match_and(p: Pattern):
     body = match_neg(p)
     if body is None:
         return None
-    m = _match_or_any(body)
+    m = match_or_shape(body)
     if m is None:
         return None
     na, nb = m
@@ -308,8 +310,6 @@ def match_mem(p: Pattern):
 
 _TOKEN = re.compile(r"<->|->|/\\|\\/|\[\]|[().!=]|[A-Za-z_][A-Za-z0-9_]*")
 _WS = re.compile(r"\s*")
-_EVAR = re.compile(r"\Ax([0-9]+)\Z")
-_SVAR = re.compile(r"\AX([0-9]+)\Z")
 
 _KEYWORDS = frozenset(
     {"bot", "top", "exists", "forall", "mu", "nu", "in", "ceil", "floor"}
@@ -338,6 +338,7 @@ class _Parser:
         self.sig = sig
         self.allow_hole = allow_hole
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -354,6 +355,16 @@ class _Parser:
         if t != tok:
             raise Malformed(f"expected {tok!r}, got {t!r}")
 
+    def nested(self) -> Pattern:
+        """A pattern inside parentheses or a binder body: the only place the
+        parser recurses, so the only place its own depth can grow."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise TooDeep(f"parentheses and binders nest deeper than {MAX_DEPTH} levels")
+        p = self.pattern()
+        self.depth -= 1
+        return p
+
     # grammar, loosest level first
     def pattern(self) -> Pattern:
         left = self.imp()
@@ -363,11 +374,14 @@ class _Parser:
         return left
 
     def imp(self) -> Pattern:
-        left = self.or_()
-        if self.peek() == "->":
+        operands = [self.or_()]
+        while self.peek() == "->":
             self.take()
-            return Imp(left, self.imp())
-        return left
+            operands.append(self.or_())
+        acc = operands.pop()
+        while operands:
+            acc = Imp(operands.pop(), acc)
+        return acc
 
     def or_(self) -> Pattern:
         acc = self.and_()
@@ -402,10 +416,14 @@ class _Parser:
         return left
 
     def neg(self) -> Pattern:
-        if self.peek() == "!":
+        count = 0
+        while self.peek() == "!":
             self.take()
-            return neg(self.neg())
-        return self.app()
+            count += 1
+        acc = self.app()
+        for _ in range(count):
+            acc = neg(acc)
+        return acc
 
     def app(self) -> Pattern:
         acc = self.atom()
@@ -421,7 +439,7 @@ class _Parser:
     def atom(self) -> Pattern:
         t = self.take()
         if t == "(":
-            p = self.pattern()
+            p = self.nested()
             self.expect(")")
             return p
         if t == "[]":
@@ -433,25 +451,26 @@ class _Parser:
         if t == "top":
             return TOP
         if t in ("exists", "forall"):
-            var = self._binder_var(_EVAR, "an element variable", t)
+            var = self._binder_var(EVAR_TOKEN, "an element variable", t)
             self.expect(".")
-            body = self.pattern()
+            body = self.nested()
             return Exists(var, body) if t == "exists" else forall(var, body)
         if t in ("mu", "nu"):
-            var = self._binder_var(_SVAR, "a set variable", t)
+            var = self._binder_var(SVAR_TOKEN, "a set variable", t)
             self.expect(".")
-            body = self.pattern()
-            return Mu(var, body) if t == "mu" else nu(var, body)
+            body = self.nested()
+            # Check before nu's substitution walks the body.
+            return Mu(var, body) if t == "mu" else nu(var, check_depth(body))
         if t in ("ceil", "floor"):
             self._need_def(t)
             self.expect("(")
-            p = self.pattern()
+            p = self.nested()
             self.expect(")")
             return ceil(p) if t == "ceil" else floor(p)
-        m = _EVAR.match(t)
+        m = EVAR_TOKEN.match(t)
         if m:
             return EVar(int(m.group(1)))
-        m = _SVAR.match(t)
+        m = SVAR_TOKEN.match(t)
         if m:
             return SVar(int(m.group(1)))
         if t in self.sig:
@@ -487,7 +506,7 @@ def parse_sugar(text: str, sig: Signature, allow_hole: bool = False) -> Pattern:
             f"pattern complete but {len(toks) - parser.pos} token(s) remain, "
             f"starting at {toks[parser.pos]!r}"
         )
-    return p
+    return check_depth(p)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ operator keywords ``appl``, ``imp``, ``exists``, ``mu``.  Polish form needs no
 parentheses and is uniquely readable: a token string renders at most one
 pattern, and no proper prefix of a pattern's token string is itself a pattern.
 The positional analyses in this module (binder scopes, occurrence
-classification, the left-implication counter used for polarity) all lean on
-that property, and the test suite re-checks it against brute-force oracles.
+classification, the left-implication counter `n_left` that defines polarity)
+all lean on that property, and the test suite re-checks it against
+brute-force oracles.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ __all__ = [
     "UnknownSymbol",
     "Malformed",
     "ArityError",
+    "TooDeep",
+    "MAX_DEPTH",
     "NotABinder",
     "NotABinary",
     "OutOfRange",
@@ -46,7 +49,6 @@ __all__ = [
     "render_core",
     "subpatterns",
     "free_vars",
-    "all_variable_indices",
     "bound_binder_indices",
     "binder_scope",
     "binary_scopes",
@@ -76,6 +78,10 @@ class ArityError(ParseError):
     """An operator or binder ran out of operands."""
 
 
+class TooDeep(ParseError):
+    """The pattern nests deeper than `MAX_DEPTH` levels."""
+
+
 class NotABinder(ValueError):
     """The addressed token position does not start a binder."""
 
@@ -98,8 +104,15 @@ RESERVED = frozenset(CORE_KEYWORDS) | frozenset(SUGAR_KEYWORDS)
 # notation expands through it.
 DEFINEDNESS = "def"
 
-_EVAR_TOKEN = re.compile(r"\Ax([0-9]+)\Z")
-_SVAR_TOKEN = re.compile(r"\AX([0-9]+)\Z")
+# The deepest nesting either parser accepts, in tree levels below the root;
+# sugar text also counts parentheses and binder bodies.  Every later layer
+# (rendering, analysis, substitution, evaluation) recurses a few frames per
+# level, so this keeps them all well inside the default recursion limit.
+MAX_DEPTH = 64
+
+# The variable token families; index digits are ASCII only.
+EVAR_TOKEN = re.compile(r"\Ax([0-9]+)\Z")
+SVAR_TOKEN = re.compile(r"\AX([0-9]+)\Z")
 _NAME = re.compile(r"\A[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -120,8 +133,8 @@ class Signature:
             if (
                 not _NAME.match(name)
                 or name in RESERVED
-                or _EVAR_TOKEN.match(name)
-                or _SVAR_TOKEN.match(name)
+                or EVAR_TOKEN.match(name)
+                or SVAR_TOKEN.match(name)
             ):
                 raise ValueError(f"illegal constant name {name!r}")
             if name in seen:
@@ -235,7 +248,7 @@ def parse_core(text: str, sig: Signature) -> Pattern:
     toks = text.split()
     if not toks:
         raise Malformed("empty input")
-    p, end = _parse_at(toks, 0, sig)
+    p, end = _parse_at(toks, 0, sig, 0)
     if end != len(toks):
         raise Malformed(
             f"pattern complete at token {end} but {len(toks) - end} token(s) remain"
@@ -243,35 +256,37 @@ def parse_core(text: str, sig: Signature) -> Pattern:
     return p
 
 
-def _parse_at(toks: list[str], i: int, sig: Signature) -> tuple[Pattern, int]:
+def _parse_at(toks: list[str], i: int, sig: Signature, depth: int) -> tuple[Pattern, int]:
     if i >= len(toks):
         raise ArityError("pattern truncated, operand missing")
+    if depth > MAX_DEPTH:
+        raise TooDeep(f"token {i}: pattern nests deeper than {MAX_DEPTH} levels")
     t = toks[i]
     if t in ("appl", "imp"):
-        left, j = _parse_at(toks, i + 1, sig)
-        right, k = _parse_at(toks, j, sig)
+        left, j = _parse_at(toks, i + 1, sig, depth + 1)
+        right, k = _parse_at(toks, j, sig, depth + 1)
         node = Appl(left, right) if t == "appl" else Imp(left, right)
         return node, k
     if t == "exists":
         if i + 1 >= len(toks):
             raise ArityError("exists is missing its variable")
-        m = _EVAR_TOKEN.match(toks[i + 1])
+        m = EVAR_TOKEN.match(toks[i + 1])
         if not m:
             raise Malformed(f"exists must bind an element variable, got {toks[i + 1]!r}")
-        body, k = _parse_at(toks, i + 2, sig)
+        body, k = _parse_at(toks, i + 2, sig, depth + 1)
         return Exists(int(m.group(1)), body), k
     if t == "mu":
         if i + 1 >= len(toks):
             raise ArityError("mu is missing its variable")
-        m = _SVAR_TOKEN.match(toks[i + 1])
+        m = SVAR_TOKEN.match(toks[i + 1])
         if not m:
             raise Malformed(f"mu must bind a set variable, got {toks[i + 1]!r}")
-        body, k = _parse_at(toks, i + 2, sig)
+        body, k = _parse_at(toks, i + 2, sig, depth + 1)
         return Mu(int(m.group(1)), body), k
-    m = _EVAR_TOKEN.match(t)
+    m = EVAR_TOKEN.match(t)
     if m:
         return EVar(int(m.group(1))), i + 1
-    m = _SVAR_TOKEN.match(t)
+    m = SVAR_TOKEN.match(t)
     if m:
         return SVar(int(m.group(1))), i + 1
     if t in sig:
@@ -279,6 +294,25 @@ def _parse_at(toks: list[str], i: int, sig: Signature) -> tuple[Pattern, int]:
     raise UnknownSymbol(
         f"token {i}: {t!r} is not a variable, a keyword, or a declared constant"
     )
+
+
+def check_depth(p: Pattern) -> Pattern:
+    """``p`` itself, or `TooDeep` if it nests more than `MAX_DEPTH` levels."""
+    if _deeper_than(p, MAX_DEPTH):
+        raise TooDeep(f"pattern nests deeper than {MAX_DEPTH} levels")
+    return p
+
+
+def _deeper_than(p: Pattern, levels: int) -> bool:
+    # Recurses at most ``levels`` + 1 deep, however deep ``p`` is.
+    t = type(p)
+    if t is Appl or t is Imp:
+        return levels == 0 or _deeper_than(p.left, levels - 1) or _deeper_than(
+            p.right, levels - 1
+        )
+    if t is Exists or t is Mu:
+        return levels == 0 or _deeper_than(p.body, levels - 1)
+    return False
 
 
 def subpatterns(p: Pattern) -> frozenset:
@@ -309,26 +343,11 @@ def free_vars(p: Pattern) -> tuple[frozenset, frozenset]:
     return be, bs - {p.var}
 
 
-def all_variable_indices(p: Pattern) -> tuple[frozenset, frozenset]:
-    """Indices of every occurring variable, free or bound, binder heads included."""
-    if isinstance(p, EVar):
-        return frozenset((p.index,)), frozenset()
-    if isinstance(p, SVar):
-        return frozenset(), frozenset((p.index,))
-    if isinstance(p, Const):
-        return frozenset(), frozenset()
-    if isinstance(p, (Appl, Imp)):
-        le, ls = all_variable_indices(p.left)
-        re_, rs = all_variable_indices(p.right)
-        return le | re_, ls | rs
-    be, bs = all_variable_indices(p.body)
-    if isinstance(p, Exists):
-        return be | {p.var}, bs
-    return be, bs | {p.var}
-
-
 def bound_binder_indices(p: Pattern) -> tuple[frozenset, frozenset]:
-    """Variables with at least one bound occurrence, i.e. the binder heads."""
+    """Variables with at least one bound occurrence, i.e. the binder heads.
+
+    Every bound occurrence's index is the head of the binder that binds it,
+    so this and `free_vars` together cover every variable in ``p``."""
     if isinstance(p, (EVar, SVar, Const)):
         return frozenset(), frozenset()
     if isinstance(p, (Appl, Imp)):
@@ -469,39 +488,28 @@ def n_left(p: Pattern, set_index: int, k: int) -> int:
     return n_left(p.body, set_index, k - 2) if k >= 2 else 0
 
 
-def _n_left_vector(p: Pattern, set_index: int) -> list[int]:
-    if isinstance(p, (EVar, SVar, Const)):
-        return [0]
-    if isinstance(p, (Appl, Imp)):
-        lv = _n_left_vector(p.left, set_index)
-        rv = _n_left_vector(p.right, set_index)
-        if isinstance(p, Imp):
-            lv = [v + 1 for v in lv]
-        return [0, *lv, *rv]
-    if isinstance(p, Mu) and p.var == set_index:
-        return [0] * token_len(p)
-    return [0, 0, *_n_left_vector(p.body, set_index)]
-
-
-def _free_set_positions(p: Pattern, set_index: int) -> list[int]:
-    toks = tokens(p)
-    kinds = occurrence_kinds(p)
-    want = f"X{set_index}"
-    return [
-        k
-        for k, (t, kind) in enumerate(zip(toks, kinds))
-        if t == want and kind is OccurrenceKind.FREE_SET
-    ]
-
-
 def is_positive_in(p: Pattern, set_index: int) -> bool:
     """Every free occurrence of ``X<set_index>`` sits under an even number of
     implication left operands.  Vacuously true when the variable is not free."""
-    vec = _n_left_vector(p, set_index)
-    return all(vec[k] % 2 == 0 for k in _free_set_positions(p, set_index))
+    return _n_left_parity(p, set_index, False)
 
 
 def is_negative_in(p: Pattern, set_index: int) -> bool:
     """Dual of :func:`is_positive_in`: every free occurrence under an odd count."""
-    vec = _n_left_vector(p, set_index)
-    return all(vec[k] % 2 == 1 for k in _free_set_positions(p, set_index))
+    return _n_left_parity(p, set_index, True)
+
+
+def _n_left_parity(p: Pattern, set_index: int, odd: bool) -> bool:
+    """Every free occurrence of ``X<set_index>`` in ``p`` has an `n_left`
+    count of parity ``odd``, counted from the root of ``p``.  One top-down
+    walk: an implication's left operand flips the parity wanted below it."""
+    t = type(p)
+    if t is SVar:
+        return not odd or p.index != set_index
+    if t is Appl or t is Imp:
+        return _n_left_parity(p.left, set_index, odd ^ (t is Imp)) and _n_left_parity(
+            p.right, set_index, odd
+        )
+    if t is Exists or (t is Mu and p.var != set_index):
+        return _n_left_parity(p.body, set_index, odd)
+    return True

@@ -5,7 +5,9 @@ code under test: scope boundaries come from re-parsing token slices,
 polarity from a recursion over the tree instead of left-operand counting,
 tautology from evaluation in genuine powerset structures, evaluation and
 consequence from the original frozenset evaluator, which meets every ``mu``
-with the intersection of all closed sets.
+with the intersection of all closed sets, and fixpoints of arbitrary set
+operators by Knaster-Tarski enumeration, exact-fixpoint enumeration and
+Kleene iteration.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from aml.model import ENUMERATION_CAP, UniverseTooLarge, subsets_of
 from aml.syntax import (
     Appl,
     Const,
@@ -361,3 +364,97 @@ def consequence_by_frozensets(kind, gamma, delta, suite):
                     if not common <= eval_frozenset(s, v, p):
                         return Verdict(False, kind, checked, s, v, p)
     return Verdict(True, kind, checked)
+
+
+# ---------------------------------------------------------------------------
+# Fixpoints of set operators on a finite universe, computed by brute force
+# over every subset.  The package computes ``mu`` only inside evaluation;
+# these take the operator as a plain function, so the tests can hold
+# evaluation against the lattice-theoretic definitions.
+
+
+class NonMonotoneDetected(ValueError):
+    """Iteration decreased somewhere, so the operator is not monotone."""
+
+
+def _subsets(universe):
+    """Every subset, refusing a universe over the package's cap as the
+    package does."""
+    if len(universe) > ENUMERATION_CAP:
+        raise UniverseTooLarge(
+            f"universe of size {len(universe)} exceeds the enumeration cap "
+            f"{ENUMERATION_CAP}"
+        )
+    return subsets_of(universe)
+
+
+def kt_lfp(fn, universe) -> frozenset:
+    """Least fixpoint of a monotone set operator, by the intersection of all
+    closed sets (sets B with fn(B) contained in B)."""
+    acc = frozenset(universe)
+    for b in _subsets(universe):
+        if fn(b) <= b:
+            acc &= b
+    return acc
+
+
+def kt_gfp(fn, universe) -> frozenset:
+    """Greatest fixpoint, by the union of all sets B contained in fn(B)."""
+    acc = frozenset()
+    for b in _subsets(universe):
+        if b <= fn(b):
+            acc |= b
+    return acc
+
+
+def exact_lfp(fn, universe) -> frozenset:
+    """Intersection of the exact fixpoints only; for monotone operators this
+    coincides with `kt_lfp`."""
+    acc = frozenset(universe)
+    for b in _subsets(universe):
+        if fn(b) == b:
+            acc &= b
+    return acc
+
+
+def exact_gfp(fn, universe) -> frozenset:
+    acc = frozenset()
+    for b in _subsets(universe):
+        if fn(b) == b:
+            acc |= b
+    return acc
+
+
+def kleene_lfp(fn, universe) -> frozenset:
+    """Iterate fn from the empty set until stable.
+
+    On a finite universe a monotone operator stabilises within |A| + 1 steps;
+    a shrinking step means fn was not monotone after all.
+    """
+    _subsets(universe)  # for the cap check alone
+    current = frozenset()
+    for _ in range(len(universe) + 1):
+        nxt = fn(current)
+        if not current <= nxt:
+            raise NonMonotoneDetected(
+                f"iterate dropped from {sorted(current)} to {sorted(nxt)}"
+            )
+        if nxt == current:
+            return current
+        current = nxt
+    nxt = fn(current)
+    if nxt != current:
+        raise NonMonotoneDetected("iteration failed to stabilise within |A|+1 steps")
+    return current
+
+
+def is_monotone(fn, universe) -> bool:
+    """Check fn(B) is contained in fn(C) for every B contained in C."""
+    subs = list(_subsets(universe))
+    values = {b: fn(b) for b in subs}
+    for b, c in itertools.combinations(subs, 2):
+        if b <= c and not values[b] <= values[c]:
+            return False
+        if c <= b and not values[c] <= values[b]:
+            return False
+    return True

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from aml.cli import main
+from aml.substitution import VarRef, subst_capture_avoiding
+from aml.sugar import parse, render
+from aml.syntax import MAX_DEPTH, Signature
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -286,6 +289,15 @@ class TestProof:
         assert main(["proof", "check", "--sig", sig, bad]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_mode_is_not_an_option(self, capsys):
+        """Proof scripts are always sugar, so there is no ``--mode``."""
+        script = str(CORPUS / "proofs" / "positive" / "s01-excluded-middle.prf")
+        sig = str(CORPUS / "sig.txt")
+        with pytest.raises(SystemExit) as exc:
+            main(["proof", "check", "--mode", "core", "--sig", sig, script])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_identical_runs_print_identical_bytes(self, tmp_path, sig_file, capsys):
@@ -391,3 +403,84 @@ class TestSuiteFlags:
         pats = write(tmp_path, "p.pat", "c -> c\n")
         argv = ["consequence", "--sig", sig_file, "--max-size", "1", "--samples", "0", pats]
         assert main(argv) == 0
+
+
+class TestNonAsciiDigits:
+    """`str.isdigit` accepts digits such as ``²`` that `int` rejects; variable
+    indices and line numbers take ASCII digits only."""
+
+    def _assert_usage_error(self, code, capsys, words):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and words in err
+
+    def test_valuation_key(self, tmp_path, model_file, capsys):
+        pats = write(tmp_path, "p.pat", "x0\n")
+        valuation = write(tmp_path, "v.json", json.dumps({"element": {"x\u00b2": "0"}}))
+        code = main(["eval", "--model", model_file, "--valuation", valuation, pats])
+        self._assert_usage_error(code, capsys, "bad variable key")
+
+    def test_proof_line_reference(self, tmp_path, capsys):
+        script = write(tmp_path, "s.prf", "1: c -> c ; taut\n2: c -> c ; mp \u00b2 1\n")
+        code = main(["proof", "check", "--sig", str(CORPUS / "sig.txt"), script])
+        self._assert_usage_error(code, capsys, "bad line reference")
+
+    def test_proof_line_number(self, tmp_path, capsys):
+        script = write(tmp_path, "s.prf", "\u00b2: c -> c ; taut\n")
+        code = main(["proof", "check", "--sig", str(CORPUS / "sig.txt"), script])
+        self._assert_usage_error(code, capsys, "expected '<number>:")
+
+
+def nested(construct: str, levels: int) -> str:
+    """Pattern text nesting one construct around ``c``, ``levels`` deep:
+    in parentheses, or in levels of the pattern tree."""
+    if construct == "parentheses":
+        return "(" * levels + "c" + ")" * levels
+    if construct == "implications":
+        return "c -> (" * (levels - 1) + "c -> c" + ")" * (levels - 1)
+    if construct == "negations":
+        # Each `!` is a level, and the last one's `bot` is one more.
+        return "!" * (levels - 1) + "c"
+    return "imp c " * levels + "c"
+
+
+class TestNestingDepth:
+    """Patterns nested `MAX_DEPTH` levels deep parse, and every later layer
+    runs on them; any deeper nesting is a usage error, not a crash."""
+
+    CONSTRUCTS = ("parentheses", "implications", "negations", "core")
+
+    @pytest.mark.parametrize("construct", CONSTRUCTS)
+    def test_at_the_limit_every_layer_runs(
+        self, tmp_path, sig_file, model_file, capsys, construct
+    ):
+        mode = "core" if construct == "core" else "sugar"
+        text = nested(construct, MAX_DEPTH)
+        pats = write(tmp_path, "p.pat", text + "\n")
+        for emit in ("core", "sugar"):
+            argv = ["parse", "--sig", sig_file, "--mode", mode, "--emit", emit, pats]
+            assert main(argv) == 0
+        assert main(["analyze", "--sig", sig_file, "--mode", mode, pats]) == 0
+        argv = ["eval", "--sig", sig_file, "--mode", mode, "--model", model_file, pats]
+        assert main(argv) in (0, 1)
+        sig = Signature(("c", "d"))
+        p = parse(text, sig, mode)
+        for out in ("core", "sugar"):
+            assert parse(render(p, out), sig, out) == p
+        assert subst_capture_avoiding(p, VarRef.set(0), p) == p
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3000])
+    @pytest.mark.parametrize("construct", CONSTRUCTS)
+    def test_deeper_is_a_usage_error(self, tmp_path, sig_file, capsys, construct, levels):
+        mode = "core" if construct == "core" else "sugar"
+        pats = write(tmp_path, "p.pat", nested(construct, levels) + "\n")
+        assert main(["parse", "--sig", sig_file, "--mode", mode, pats]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"deeper than {MAX_DEPTH} levels" in err
+
+    @pytest.mark.parametrize("text", [" /\\ ".join(["c"] * 600), " ".join(["c"] * 1200)])
+    def test_long_chains_are_usage_errors(self, tmp_path, sig_file, capsys, text):
+        """Chains parse by loops, but their trees nest a level or more per link."""
+        pats = write(tmp_path, "p.pat", text + "\n")
+        assert main(["parse", "--sig", sig_file, "--emit", "sugar", pats]) == 2
+        assert f"deeper than {MAX_DEPTH} levels" in capsys.readouterr().err

@@ -6,6 +6,15 @@ import json
 import pytest
 from hypothesis import given, settings
 
+from oracles import (
+    NonMonotoneDetected,
+    exact_gfp,
+    exact_lfp,
+    is_monotone,
+    kleene_lfp,
+    kt_gfp,
+    kt_lfp,
+)
 from strategies import structures
 from aml.model import (
     ENUMERATION_CAP,
@@ -14,19 +23,12 @@ from aml.model import (
     EmptyUniverse,
     MissingConstant,
     ModelError,
-    NonMonotoneDetected,
     Structure,
     SuiteSpec,
     UniverseTooLarge,
     Valuation,
     apply_sets,
     enumerate_structures,
-    exact_gfp,
-    exact_lfp,
-    is_monotone,
-    kleene_lfp,
-    kt_gfp,
-    kt_lfp,
     structure_to_doc,
     subsets_of,
     validate_structure,

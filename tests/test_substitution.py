@@ -68,6 +68,12 @@ class TestFreeFor:
         p = Exists(1, EVar(0))
         assert not is_free_for(x0, EVar(1), p)
 
+    def test_capture_survives_an_inner_binder(self):
+        """A capturing binder stays capturing below a harmless one."""
+        p = Exists(1, Exists(2, EVar(0)))
+        assert not is_free_for(x0, EVar(1), p)
+        assert not is_free_for(X0, SVar(1), Mu(1, Mu(2, SVar(0))))
+
     def test_shadowed_occurrences_do_not_count(self):
         """Occurrences under a binder on the variable itself are not free."""
         p = Exists(1, Exists(0, EVar(0)))
@@ -148,6 +154,14 @@ class TestCaptureAvoiding:
         p = Exists(1, Appl(EVar(0), EVar(1)))
         got = subst_capture_avoiding(p, x0, EVar(1))
         assert got == Exists(2, Appl(EVar(1), EVar(2)))
+
+    def test_bound_variables_of_delta_also_clash(self):
+        """Every variable of ``delta``, bound ones included, counts as in use:
+        x2 is bound in both inputs and is renamed along with x1."""
+        p = Exists(2, Exists(1, EVar(0)))
+        delta = Appl(EVar(1), Exists(2, EVar(2)))
+        got = subst_capture_avoiding(p, x0, delta)
+        assert got == Exists(4, Exists(3, delta))
 
     def test_result_never_captures(self):
         p = Exists(1, Mu(0, Appl(EVar(0), Appl(EVar(1), SVar(0)))))

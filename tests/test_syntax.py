@@ -235,3 +235,18 @@ class TestPolarity:
         for v in range(3):
             assert is_positive_in(p, v) == oracles.positive_rec(p, v)
             assert is_negative_in(p, v) == oracles.negative_rec(p, v)
+
+    @given(patterns())
+    @settings(max_examples=300)
+    def test_polarity_is_the_parity_of_n_left(self, p):
+        """Positive means an even `n_left` at every free ``X<i>`` position,
+        negative an odd one; the positions come from the token string."""
+        toks, kinds = tokens(p), occurrence_kinds(p)
+        for i in range(3):
+            counts = [
+                n_left(p, i, k)
+                for k, (t, kind) in enumerate(zip(toks, kinds))
+                if t == f"X{i}" and kind is OccurrenceKind.FREE_SET
+            ]
+            assert is_positive_in(p, i) == all(n % 2 == 0 for n in counts)
+            assert is_negative_in(p, i) == all(n % 2 == 1 for n in counts)
