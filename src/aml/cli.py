@@ -5,8 +5,10 @@ a check comes back negative (not valid, not a tautology, consequence fails,
 proof rejected, audit violation), 2 on usage or file-format errors.  Output
 is deterministic for identical inputs and seeds; JSON output is sorted-key.
 
-Every failing verdict is also written out as replayable counterexample
-files under the ``--out`` directory, in the formats `eval` reads back.
+A failing verdict is also written out as replayable counterexample files
+under the ``--out`` directory, in the formats `eval` reads back: the first
+counterexample of `check` and `consequence`, and every audit violation of
+`proof check`, with or without ``--json``.
 """
 
 from __future__ import annotations
@@ -83,14 +85,17 @@ def _load_sig(args, fallback: tuple[str, ...] = ()) -> Signature:
         raise CliError(str(exc)) from exc
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def _read_patterns(path: str, sig: Signature, mode: str) -> list[Pattern]:
     """A pattern file: one pattern per line, ``#`` comments."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(str(exc)) from exc
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -106,7 +111,7 @@ def _read_patterns(path: str, sig: Signature, mode: str) -> list[Pattern]:
 def _load_model(path: str, sig: Signature | None) -> Structure:
     try:
         return load_structure(path, sig)
-    except (OSError, json.JSONDecodeError, ModelError) as exc:
+    except (OSError, ModelError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -263,7 +268,7 @@ def _cmd_eval(args) -> int:
     if args.valuation:
         try:
             valuation = load_valuation(args.valuation, structure)
-        except (OSError, json.JSONDecodeError, ModelError) as exc:
+        except (OSError, ModelError) as exc:
             raise CliError(f"{args.valuation}: {exc}") from exc
     else:
         valuation = Valuation()
@@ -305,19 +310,23 @@ def _cmd_check(args) -> int:
                 witness = valuation
                 break
         valid = witness is None
+        first_failure = all_valid and not valid
         all_valid = all_valid and valid
         if args.json:
             doc = {"pattern": render_pattern(p, "sugar"), "valid": valid}
             if witness is not None:
                 doc["counter_valuation"] = valuation_to_doc(witness, structure)
             docs.append(doc)
-            continue
-        print(f"{render_pattern(p, 'sugar')}\n  valid: {'yes' if valid else 'no'}")
-        if witness is not None:
-            for line in _verdict_lines(structure, witness, p):
-                print(line)
+        else:
+            print(f"{render_pattern(p, 'sugar')}\n  valid: {'yes' if valid else 'no'}")
+            if witness is not None:
+                for line in _verdict_lines(structure, witness, p):
+                    print(line)
+        # Like `consequence`, keep the first counterexample, in either mode.
+        if first_failure:
             _write_counterexample(Path(args.out), structure, witness, p)
-            print(f"  counterexample written to {args.out}/")
+            if not args.json:
+                print(f"  counterexample written to {args.out}/")
     if args.json:
         print(json.dumps({"results": docs, "all_valid": all_valid}, indent=2, sort_keys=True))
     return 0 if all_valid else 1
@@ -396,11 +405,7 @@ def _cmd_consequence(args) -> int:
 def _cmd_proof(args) -> int:
     sig = _load_sig(args)
     try:
-        text = Path(args.script).read_text()
-    except OSError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        script = parse_proof(text, sig)
+        script = parse_proof(_read_text(args.script), sig)
     except ProofSyntaxError as exc:
         raise CliError(f"{args.script}: {exc}") from exc
     report = check_proof(script)
@@ -535,8 +540,17 @@ def _add_out(p) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Options are spelled in full: with abbreviations, a mistyped or
+    retired option such as ``--mode`` would pass as a prefix of another
+    (``--models``).  Subparsers are made with the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="aml",
         description="Workbench for applicative matching logic over finite structures.",
     )
@@ -602,9 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_file", help="conclusion patterns")
     p.set_defaults(fn=_cmd_consequence)
 
-    # No abbreviated options here: "--mode", which proof scripts never had
-    # use for, would otherwise be taken as "--models".
-    p = sub.add_parser("proof", help="check a proof script", allow_abbrev=False)
+    p = sub.add_parser("proof", help="check a proof script")
     p.add_argument("action", choices=("check",))
     _add_sig(p)
     _add_json(p)
@@ -627,11 +639,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
-        ParseError, ModelError, ProofSyntaxError, UniverseTooLarge, SkeletonTooLarge
+        CliError, OSError, ParseError, ModelError, ProofSyntaxError,
+        UniverseTooLarge, SkeletonTooLarge,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -265,12 +265,19 @@ def structure_to_doc(s: Structure) -> dict:
     }
 
 
-def load_structure(path: str | Path, sig: Signature | None = None) -> Structure:
+def _read_json(path: str | Path):
+    """The document in a JSON file; bad JSON, bytes that are not UTF-8 and
+    nesting too deep for the decoder are all a `ModelError`."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
         raise ModelError(f"{path}: not valid JSON ({exc})") from exc
-    return validate_structure(doc, sig)
+    except RecursionError:
+        raise ModelError(f"{path}: not valid JSON (nested too deeply)") from None
+
+
+def load_structure(path: str | Path, sig: Signature | None = None) -> Structure:
+    return validate_structure(_read_json(path), sig)
 
 
 def save_structure(s: Structure, path: str | Path) -> None:
@@ -350,11 +357,7 @@ def valuation_to_doc(v: Valuation, structure: Structure) -> dict:
 
 
 def load_valuation(path: str | Path, structure: Structure) -> Valuation:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{path}: not valid JSON ({exc})") from exc
-    return valuation_from_doc(doc, structure)
+    return valuation_from_doc(_read_json(path), structure)
 
 
 # ---------------------------------------------------------------------------

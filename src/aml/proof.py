@@ -18,7 +18,7 @@ comes with a replayable counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import sugar
 from .context import match_singleton
@@ -127,26 +127,39 @@ class CheckReport:
     ok: bool
 
 
-AXIOM_KINDS = frozenset(
-    {
-        "taut",
-        "ax.exists",
-        "ax.prop-bot-l",
-        "ax.prop-bot-r",
-        "ax.prop-or-l",
-        "ax.prop-or-r",
-        "ax.prop-exists-l",
-        "ax.prop-exists-r",
-        "ax.prefix",
-        "ax.existence",
-        "ax.singleton",
-    }
-)
-RULE_KINDS = frozenset(
-    {"mp", "gen.exists", "frame.l", "frame.r", "subst.set", "kt"}
-)
-_LOCAL_KINDS = frozenset({"frame.l", "frame.r", "kt"})
-_GLOBAL_KINDS = frozenset({"gen.exists", "subst.set"})
+class _Kind(NamedTuple):
+    """How a justification kind is written and what it preserves."""
+
+    words: tuple[str, ...] = ()  # the Justification field each argument fills
+    aux: bool = False  # takes '; <pattern>', read into Justification.aux
+    level: str = "strong"  # the strongest consequence level it preserves
+
+
+_KINDS = {
+    "hyp": _Kind(("name",)),
+    "taut": _Kind(),
+    "ax.exists": _Kind(("x", "y")),
+    "ax.prop-bot-l": _Kind(),
+    "ax.prop-bot-r": _Kind(),
+    "ax.prop-or-l": _Kind(),
+    "ax.prop-or-r": _Kind(),
+    "ax.prop-exists-l": _Kind(),
+    "ax.prop-exists-r": _Kind(),
+    "ax.prefix": _Kind(),
+    "ax.existence": _Kind(),
+    "ax.singleton": _Kind(("x",), aux=True),
+    "mp": _Kind(("refs", "refs")),
+    "gen.exists": _Kind(("refs",), level="global"),
+    "frame.l": _Kind(("refs",), level="local"),
+    "frame.r": _Kind(("refs",), level="local"),
+    "subst.set": _Kind(("refs", "set_var"), aux=True, level="global"),
+    "kt": _Kind(("refs",), level="local"),
+}
+_LEVELS = ("strong", "local", "global")
+
+# Rules cite earlier lines; axiom schemes cite neither lines nor hypotheses.
+RULE_KINDS = frozenset(k for k, spec in _KINDS.items() if "refs" in spec.words)
+AXIOM_KINDS = frozenset(_KINDS) - RULE_KINDS - {"hyp"}
 
 
 # ---------------------------------------------------------------------------
@@ -218,80 +231,40 @@ def _parse_justification(
     words = head.split()
     if not words:
         raise ProofSyntaxError(lineno, "empty justification")
-    kind = words[0]
-    args = words[1:]
-
-    def want(n: int) -> None:
-        if len(args) != n:
-            raise ProofSyntaxError(
-                lineno, f"{kind} takes {n} argument(s), got {len(args)}"
-            )
-
-    def ref(tok: str) -> int:
-        if not _is_number(tok) or int(tok) < 1:
-            raise ProofSyntaxError(lineno, f"bad line reference {tok!r}")
-        value = int(tok)
-        if value >= number:
-            raise ForwardReference(
-                lineno, f"line {number} cannot cite line {value}"
-            )
-        return value
-
-    def evar(tok: str) -> int:
-        m = EVAR_TOKEN.match(tok)
-        if not m:
-            raise ProofSyntaxError(lineno, f"expected an element variable, got {tok!r}")
-        return int(m.group(1))
-
-    def svar(tok: str) -> int:
-        m = SVAR_TOKEN.match(tok)
-        if not m:
-            raise ProofSyntaxError(lineno, f"expected a set variable, got {tok!r}")
-        return int(m.group(1))
-
-    def aux_pattern() -> Pattern:
-        if not sep or not extra.strip():
-            raise ProofSyntaxError(lineno, f"{kind} needs '; <pattern>'")
-        return _parse_pattern(extra, sig, lineno)
-
-    if sep and kind not in ("ax.singleton", "subst.set"):
+    kind, args = words[0], words[1:]
+    spec = _KINDS.get(kind)
+    if sep and not (spec and spec.aux):
         raise ProofSyntaxError(lineno, f"{kind} takes no auxiliary pattern")
-
-    if kind == "taut" or kind in (
-        "ax.prop-bot-l",
-        "ax.prop-bot-r",
-        "ax.prop-or-l",
-        "ax.prop-or-r",
-        "ax.prop-exists-l",
-        "ax.prop-exists-r",
-        "ax.prefix",
-        "ax.existence",
-    ):
-        want(0)
-        return Justification(kind)
-    if kind == "hyp":
-        want(1)
-        if args[0] not in hypotheses:
-            raise UnknownHypothesis(lineno, f"no hypothesis named {args[0]!r}")
-        return Justification(kind, name=args[0])
-    if kind == "ax.exists":
-        want(2)
-        return Justification(kind, x=evar(args[0]), y=evar(args[1]))
-    if kind == "ax.singleton":
-        want(1)
-        return Justification(kind, x=evar(args[0]), aux=aux_pattern())
-    if kind == "mp":
-        want(2)
-        return Justification(kind, refs=(ref(args[0]), ref(args[1])))
-    if kind in ("gen.exists", "frame.l", "frame.r", "kt"):
-        want(1)
-        return Justification(kind, refs=(ref(args[0]),))
-    if kind == "subst.set":
-        want(2)
-        return Justification(
-            kind, refs=(ref(args[0]),), set_var=svar(args[1]), aux=aux_pattern()
+    if spec is None:
+        raise ProofSyntaxError(lineno, f"unknown justification {kind!r}")
+    if len(args) != len(spec.words):
+        raise ProofSyntaxError(
+            lineno, f"{kind} takes {len(spec.words)} argument(s), got {len(args)}"
         )
-    raise ProofSyntaxError(lineno, f"unknown justification {kind!r}")
+    fields: dict = {"refs": ()}
+    for word, tok in zip(spec.words, args):
+        if word == "refs":
+            if not _is_number(tok) or int(tok) < 1:
+                raise ProofSyntaxError(lineno, f"bad line reference {tok!r}")
+            if int(tok) >= number:
+                raise ForwardReference(lineno, f"line {number} cannot cite line {int(tok)}")
+            fields["refs"] += (int(tok),)
+        elif word == "name":
+            if tok not in hypotheses:
+                raise UnknownHypothesis(lineno, f"no hypothesis named {tok!r}")
+            fields["name"] = tok
+        else:
+            is_set = word == "set_var"
+            m = (SVAR_TOKEN if is_set else EVAR_TOKEN).match(tok)
+            what = "a set" if is_set else "an element"
+            if not m:
+                raise ProofSyntaxError(lineno, f"expected {what} variable, got {tok!r}")
+            fields[word] = int(m.group(1))
+    if spec.aux:
+        if not extra.strip():
+            raise ProofSyntaxError(lineno, f"{kind} needs '; <pattern>'")
+        fields["aux"] = _parse_pattern(extra, sig, lineno)
+    return Justification(kind, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -352,33 +325,26 @@ def check_axiom(p: Pattern, just: Justification):
         return _OK
     if kind in ("ax.prop-or-l", "ax.prop-or-r"):
         if isinstance(p, Imp) and isinstance(p.left, Appl):
-            if kind.endswith("l"):
-                m = sugar.match_or_shape(p.left.left)
-                if m is not None:
-                    a, b = m
-                    chi = p.left.right
-                    if p.right == sugar.or_(Appl(a, chi), Appl(b, chi)):
-                        return _OK
-            else:
-                m = sugar.match_or_shape(p.left.right)
-                if m is not None:
-                    a, b = m
-                    chi = p.left.left
-                    if p.right == sugar.or_(Appl(chi, a), Appl(chi, b)):
-                        return _OK
+            left = kind.endswith("l")
+            disjunction = p.left.left if left else p.left.right
+            chi = p.left.right if left else p.left.left
+            m = sugar.match_or_shape(disjunction)
+            if m is not None:
+                a, b = (Appl(q, chi) if left else Appl(chi, q) for q in m)
+                if p.right == sugar.or_(a, b):
+                    return _OK
         return _reject(
             "prop-or.shape",
             "conclusion does not distribute an application over a disjunction",
         )
     if kind in ("ax.prop-exists-l", "ax.prop-exists-r"):
         if isinstance(p, Imp) and isinstance(p.left, Appl):
-            binder = p.left.left if kind.endswith("l") else p.left.right
-            other = p.left.right if kind.endswith("l") else p.left.left
+            left = kind.endswith("l")
+            binder = p.left.left if left else p.left.right
+            other = p.left.right if left else p.left.left
             if isinstance(binder, Exists):
                 x, phi = binder.var, binder.body
-                inner = (
-                    Appl(phi, other) if kind.endswith("l") else Appl(other, phi)
-                )
+                inner = Appl(phi, other) if left else Appl(other, phi)
                 if p.right == Exists(x, inner):
                     if x in free_vars(other)[0]:
                         return _reject(
@@ -518,12 +484,10 @@ def check_rule(p: Pattern, just: Justification, premises: Mapping[int, Pattern])
 
 
 def classify_level(kinds: Iterable[str]) -> str:
-    kinds = set(kinds)
-    if kinds & _GLOBAL_KINDS:
-        return "global"
-    if kinds & _LOCAL_KINDS:
-        return "local"
-    return "strong"
+    """The strongest consequence level every kind preserves; a kind the
+    table does not know counts as strong."""
+    rank = max((_LEVELS.index(_KINDS[k].level) for k in kinds if k in _KINDS), default=0)
+    return _LEVELS[rank]
 
 
 def check_proof(script: ProofScript) -> CheckReport:
@@ -600,13 +564,6 @@ def derived_taut_equiv(script: ProofScript, line: int, replacement: Pattern) -> 
 # Soundness audit.
 
 
-_LEVEL_TO_KIND = {
-    "strong": ConsequenceKind.STRONG,
-    "local": ConsequenceKind.LOCAL,
-    "global": ConsequenceKind.GLOBAL,
-}
-
-
 @dataclass(frozen=True)
 class AuditViolation:
     line: int
@@ -638,7 +595,7 @@ def audit_soundness(
     if report is None:
         report = check_proof(script)
     suite = list(suite)
-    kind = _LEVEL_TO_KIND[report.level]
+    kind = ConsequenceKind(report.level)
     gamma = list(script.hypotheses.values())
     violations = []
     audited = 0

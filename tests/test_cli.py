@@ -1,14 +1,22 @@
 """End-to-end runs of the command line front end, in process."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aml.cli import main
 from aml.substitution import VarRef, subst_capture_avoiding
 from aml.sugar import parse, render
+from aml.model import structure_to_doc
 from aml.syntax import MAX_DEPTH, Signature
+
+from strategies import patterns, structures
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -159,6 +167,31 @@ class TestCheck:
         assert code == 1
         assert "satisfied: no" in capsys.readouterr().out
 
+    # On `model_file`, `x0 c` and the `mu` pattern fail; the first is kept.
+    SEVERAL = "c -> c c\nX0 -> c\nx0 c\nmu X1 . X0 -> X1\n"
+
+    def test_the_first_counterexample_is_kept(self, tmp_path, model_file, capsys):
+        pats = write(tmp_path, "p.pat", self.SEVERAL)
+        outdir = tmp_path / "cex"
+        assert main(["check", "--model", model_file, "--out", str(outdir), pats]) == 1
+        out = capsys.readouterr().out
+        assert out.count("valid: no") == 2
+        assert out.count("written to") == 1
+        # The line follows the first failing pattern's verdict.
+        assert out.index("written to") < out.index("mu X1 . X0 -> X1")
+        assert (outdir / "conclusion.pat").read_text() == "x0 c\n"
+
+    def test_json_writes_the_first_counterexample(self, tmp_path, model_file, capsys):
+        pats = write(tmp_path, "p.pat", self.SEVERAL)
+        outdir = tmp_path / "cex"
+        argv = ["check", "--model", model_file, "--json", "--out", str(outdir), pats]
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["valid"] for r in doc["results"]] == [True, True, False, False]
+        for name in ("structure.json", "valuation.json", "conclusion.pat", "replay.txt"):
+            assert (outdir / name).exists()
+        assert (outdir / "conclusion.pat").read_text() == "x0 c\n"
+
 
 class TestTaut:
     def test_mixed_verdicts(self, tmp_path, sig_file, capsys):
@@ -297,6 +330,26 @@ class TestProof:
             main(["proof", "check", "--mode", "core", "--sig", sig, script])
         assert exc.value.code == 2
         assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+class TestNoAbbreviations:
+    """Options are spelled in full on every subcommand, so a prefix of one
+    option is not silently taken for it."""
+
+    def _assert_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_gen_models_mode_is_not_models(self, tmp_path, capsys):
+        argv = ["gen-models", "--mode", "core", "--max-size", "1", "--samples", "0"]
+        self._assert_unrecognized(argv + ["--out", str(tmp_path / "gmx")], capsys)
+        assert not (tmp_path / "gmx").exists()
+
+    def test_consequence_max_is_not_max_size(self, tmp_path, sig_file, capsys):
+        pats = write(tmp_path, "p.pat", "c -> c\n")
+        self._assert_unrecognized(["consequence", "--sig", sig_file, "--max", "3", pats], capsys)
 
 
 class TestDeterminism:
@@ -484,3 +537,171 @@ class TestNestingDepth:
         pats = write(tmp_path, "p.pat", text + "\n")
         assert main(["parse", "--sig", sig_file, "--emit", "sugar", pats]) == 2
         assert f"deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
+
+
+class TestUnreadableFiles:
+    """Undecodable bytes, JSON nested past the decoder and an ``--out`` that
+    names a regular file are usage errors naming the file, not tracebacks."""
+
+    def _assert_usage_error(self, argv, capsys, words):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and words in err
+
+    def _bytes(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return str(path)
+
+    def test_pattern_file_not_utf8(self, tmp_path, sig_file, capsys):
+        pats = self._bytes(tmp_path, "p.pat", b"c \xff\n")
+        self._assert_usage_error(["parse", "--sig", sig_file, pats], capsys, pats)
+
+    def test_structure_file_not_utf8(self, tmp_path, capsys):
+        model = self._bytes(tmp_path, "m.json", b'{"universe": ["\xff"]}')
+        pats = write(tmp_path, "p.pat", "c\n")
+        self._assert_usage_error(["eval", "--model", model, pats], capsys, model)
+
+    def test_proof_script_not_utf8(self, tmp_path, capsys):
+        script = self._bytes(tmp_path, "s.prf", b"1: c -> c ; taut \xff\n")
+        argv = ["proof", "check", "--sig", str(CORPUS / "sig.txt"), script]
+        self._assert_usage_error(argv, capsys, script)
+
+    def test_structure_nested_too_deeply(self, tmp_path, capsys):
+        model = write(tmp_path, "m.json", "[" * 100_000)
+        pats = write(tmp_path, "p.pat", "c\n")
+        self._assert_usage_error(["eval", "--model", model, pats], capsys, "nested too deeply")
+
+    def test_valuation_nested_too_deeply(self, tmp_path, model_file, capsys):
+        valuation = write(tmp_path, "v.json", "[" * 100_000)
+        pats = write(tmp_path, "p.pat", "x0\n")
+        argv = ["eval", "--model", model_file, "--valuation", valuation, pats]
+        self._assert_usage_error(argv, capsys, "nested too deeply")
+
+    def test_gen_models_out_is_a_file(self, tmp_path, capsys):
+        out = write(tmp_path, "taken", "")
+        argv = ["gen-models", "--max-size", "1", "--samples", "0", "--out", out]
+        self._assert_usage_error(argv, capsys, "File exists")
+
+    def test_check_out_is_a_file(self, tmp_path, model_file, capsys):
+        out = write(tmp_path, "taken", "")
+        pats = write(tmp_path, "p.pat", "x0\n")
+        argv = ["check", "--model", model_file, "--out", out, pats]
+        self._assert_usage_error(argv, capsys, "File exists")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: no input file makes the front end raise.
+
+_WORDS = (
+    "c", "d", "def", "x0", "x1", "X0", "X1", "bot", "top", "!", "->", "<->", "/\\",
+    "\\/", "=", "in", "(", ")", ".", "exists", "forall", "mu", "nu", "ceil", "floor",
+    "appl", "imp", "x\u00b2", ";", ":=", "#",
+)
+_AXIOMS = ("taut", "ax.exists x0 x1", "ax.singleton x0 ; c", "ax.prefix", "ax.prop-or-l")
+_RULES = ("subst.set 1 X0 ; c", "gen.exists 1", "frame.l 1", "frame.r 1", "kt 1")
+_MALFORMED_JUSTIFICATIONS = ("because", "mp 1", "kt \u00b2", "", "taut ; c", "ax.exists X0 x1")
+_KEYS = (
+    "universe", "app", "constants", "left", "right", "result", "c", "d", "def",
+    "element", "set", "x0", "X0", "x\u00b2", "0", "1",
+)
+
+_soup = st.lists(st.sampled_from(_WORDS), max_size=7).map(" ".join)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(("0", "1", "2", "c")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+_valuation_doc = st.fixed_dictionaries(
+    {
+        "element": st.dictionaries(st.sampled_from(("x0", "x1")), st.just("0")),
+        "set": st.dictionaries(st.sampled_from(("X0", "X1")), st.lists(st.just("0"))),
+    }
+)
+
+
+def _sometimes(good, bad):
+    """Mostly well-formed input, one time in four malformed."""
+    return st.integers(0, 3).flatmap(lambda roll: bad if roll == 0 else good)
+
+
+@st.composite
+def _structure_doc(draw):
+    doc = structure_to_doc(draw(structures(max_size=3)))
+    return draw(_sometimes(st.just(doc), _json_values.map(lambda v: {**doc, "app": v})))
+
+
+def _pattern(mode):
+    return _sometimes(patterns(max_leaves=6).map(lambda p: render(p, mode)), _soup)
+
+
+@st.composite
+def _proof_text(draw):
+    hyp = draw(st.booleans())
+    lines = [f"hyp h := {draw(_pattern('sugar'))}"] if hyp else []
+    for n in range(1, draw(st.integers(1, 3)) + 1):
+        cited = _RULES * (n > 1) + ("mp 1 2",) * (n > 2) + ("hyp h",) * hyp
+        good = st.sampled_from(_AXIOMS + cited)
+        just = draw(_sometimes(good, st.sampled_from(_MALFORMED_JUSTIFICATIONS)))
+        lines.append(f"{n}: {draw(_pattern('sugar'))} ; {just}")
+    return "\n".join(lines) + "\n"
+
+
+def _encoded(texts):
+    """Text as UTF-8, one time in ten followed by a byte that is not UTF-8."""
+    return st.tuples(texts, st.integers(0, 9)).map(
+        lambda t: t[0].encode() + (b"\xff\n" if t[1] == 0 else b"")
+    )
+
+
+@st.composite
+def _cases(draw):
+    mode = draw(st.sampled_from(("core", "sugar")))
+    files = {
+        "sig.txt": _sometimes(st.just("c\nd\ndef\n"), st.sampled_from(("c\nc\n", "appl\n"))),
+        "m.json": _sometimes(_structure_doc().map(json.dumps), _soup),
+        "v.json": _sometimes(_valuation_doc, _json_values).map(json.dumps),
+        "p.pat": st.lists(_pattern(mode), min_size=1, max_size=2).map("\n".join),
+        "s.prf": _proof_text(),
+    }
+    return mode, {name: draw(_encoded(texts)) for name, texts in files.items()}
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=_cases(), as_json=st.booleans())
+def test_no_input_raises(case, as_json):
+    """Every command exits 0, 1 or 2 (argparse's own usage exit counts) on
+    well-formed and malformed files alike; no other exception escapes."""
+    mode, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {}
+        for name, data in files.items():
+            path[name] = str(Path(tmp) / name)
+            Path(path[name]).write_bytes(data)
+        sig = ["--sig", path["sig.txt"]]
+        opts = ["--json"] * as_json + ["--out", str(Path(tmp) / "out")]
+        suite = ["--max-size", "1", "--samples", "0"]
+        pats = ["--mode", mode, path["p.pat"]]
+        runs = [
+            ["parse", *sig, *pats],
+            ["analyze", *sig, *pats],
+            ["eval", "--model", path["m.json"], "--valuation", path["v.json"], *pats],
+            ["check", "--model", path["m.json"], *opts, *pats],
+            ["taut", *sig, *pats],
+            ["consequence", *sig, *suite, *opts, *pats],
+            ["proof", "check", "--audit", *sig, *suite, *opts, path["s.prf"]],
+        ]
+        for argv in runs:
+            quiet = io.StringIO()
+            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2), argv

@@ -95,6 +95,123 @@ class TestParsing:
         assert str(err) == "line 7: boom"
 
 
+# Every justification below sits on proof line 3 (text line 4), after the
+# hypothesis h and two earlier lines, so lines 1 and 2 are citable.
+PREAMBLE = "hyp h := c\n1: c ; taut\n2: c ; taut\n3: c ; "
+
+WELL_FORMED = {
+    "taut": Justification("taut"),
+    "hyp h": Justification("hyp", name="h"),
+    "ax.exists x0 x1": Justification("ax.exists", x=0, y=1),
+    "ax.prop-bot-l": Justification("ax.prop-bot-l"),
+    "ax.prop-bot-r": Justification("ax.prop-bot-r"),
+    "ax.prop-or-l": Justification("ax.prop-or-l"),
+    "ax.prop-or-r": Justification("ax.prop-or-r"),
+    "ax.prop-exists-l": Justification("ax.prop-exists-l"),
+    "ax.prop-exists-r": Justification("ax.prop-exists-r"),
+    "ax.prefix": Justification("ax.prefix"),
+    "ax.existence": Justification("ax.existence"),
+    "ax.singleton x2 ; c": Justification("ax.singleton", x=2, aux=Const("c")),
+    "mp 1 2": Justification("mp", refs=(1, 2)),
+    "gen.exists 2": Justification("gen.exists", refs=(2,)),
+    "frame.l 1": Justification("frame.l", refs=(1,)),
+    "frame.r 2": Justification("frame.r", refs=(2,)),
+    "subst.set 1 X3 ; c -> c": Justification(
+        "subst.set", refs=(1,), set_var=3, aux=Imp(Const("c"), Const("c"))
+    ),
+    "kt 1": Justification("kt", refs=(1,)),
+}
+
+MALFORMED = {
+    # One argument too many.
+    "taut 1": "taut takes 0 argument(s), got 1",
+    "hyp h h": "hyp takes 1 argument(s), got 2",
+    "ax.exists x0 x1 x2": "ax.exists takes 2 argument(s), got 3",
+    "ax.prop-bot-l x0": "ax.prop-bot-l takes 0 argument(s), got 1",
+    "ax.prop-bot-r x0": "ax.prop-bot-r takes 0 argument(s), got 1",
+    "ax.prop-or-l 1": "ax.prop-or-l takes 0 argument(s), got 1",
+    "ax.prop-or-r 1": "ax.prop-or-r takes 0 argument(s), got 1",
+    "ax.prop-exists-l x0": "ax.prop-exists-l takes 0 argument(s), got 1",
+    "ax.prop-exists-r x0": "ax.prop-exists-r takes 0 argument(s), got 1",
+    "ax.prefix X0": "ax.prefix takes 0 argument(s), got 1",
+    "ax.existence x0": "ax.existence takes 0 argument(s), got 1",
+    "ax.singleton x0 x1 ; c": "ax.singleton takes 1 argument(s), got 2",
+    "mp 1 2 2": "mp takes 2 argument(s), got 3",
+    "gen.exists 1 2": "gen.exists takes 1 argument(s), got 2",
+    "frame.l 1 2": "frame.l takes 1 argument(s), got 2",
+    "frame.r 1 2": "frame.r takes 1 argument(s), got 2",
+    "subst.set 1 X0 X1 ; c": "subst.set takes 2 argument(s), got 3",
+    "kt 1 2": "kt takes 1 argument(s), got 2",
+    # Too few, and none.
+    "mp 1": "mp takes 2 argument(s), got 1",
+    "hyp": "hyp takes 1 argument(s), got 0",
+    "": "empty justification",
+    "because": "unknown justification 'because'",
+    # An auxiliary pattern where none belongs; checked before the kind.
+    "taut ; c": "taut takes no auxiliary pattern",
+    "hyp h ; c": "hyp takes no auxiliary pattern",
+    "mp 1 2 ; c": "mp takes no auxiliary pattern",
+    "ax.exists x0 x1 ; c": "ax.exists takes no auxiliary pattern",
+    "kt 1 ;": "kt takes no auxiliary pattern",
+    "because ; c": "because takes no auxiliary pattern",
+    # A missing auxiliary pattern.
+    "ax.singleton x0": "ax.singleton needs '; <pattern>'",
+    "ax.singleton x0 ;  ": "ax.singleton needs '; <pattern>'",
+    "subst.set 1 X0": "subst.set needs '; <pattern>'",
+    "subst.set 1 X0 ;": "subst.set needs '; <pattern>'",
+    # Line references.
+    "mp a 1": "bad line reference 'a'",
+    "mp 1 0": "bad line reference '0'",
+    "kt \u00b2": "bad line reference '\u00b2'",
+    "frame.l -1": "bad line reference '-1'",
+    "mp 9 a": "line 3 cannot cite line 9",
+    "kt 3": "line 3 cannot cite line 3",
+    "subst.set 04 x0 ; c": "line 3 cannot cite line 4",
+    # Element and set variables swapped.
+    "ax.exists X0 x1": "expected an element variable, got 'X0'",
+    "ax.exists x0 X1": "expected an element variable, got 'X1'",
+    "ax.singleton X0 ; c": "expected an element variable, got 'X0'",
+    "ax.singleton c": "expected an element variable, got 'c'",
+    "subst.set 1 x0 ; c": "expected a set variable, got 'x0'",
+    "subst.set 1 x0": "expected a set variable, got 'x0'",
+    "subst.set x0 X0 ; c": "bad line reference 'x0'",
+    # Hypothesis names.
+    "hyp ghost": "no hypothesis named 'ghost'",
+}
+
+MALFORMED_TYPES = {"hyp ghost": UnknownHypothesis}
+MALFORMED_TYPES.update(
+    {text: ForwardReference for text, message in MALFORMED.items() if "cannot cite" in message}
+)
+
+
+class TestJustifications:
+    def test_every_kind_has_a_well_formed_case(self):
+        kinds = {j.kind for j in WELL_FORMED.values()}
+        assert kinds == AXIOM_KINDS | RULE_KINDS | {"hyp"}
+
+    def test_axiom_and_rule_kinds(self):
+        assert RULE_KINDS == {"mp", "gen.exists", "frame.l", "frame.r", "subst.set", "kt"}
+        assert AXIOM_KINDS == {
+            "taut", "ax.exists", "ax.prop-bot-l", "ax.prop-bot-r", "ax.prop-or-l",
+            "ax.prop-or-r", "ax.prop-exists-l", "ax.prop-exists-r", "ax.prefix",
+            "ax.existence", "ax.singleton",
+        }
+
+    @pytest.mark.parametrize("text", sorted(WELL_FORMED))
+    def test_well_formed(self, text):
+        script = parse_proof(PREAMBLE + text + "\n", SIG)
+        assert script.lines[2].justification == WELL_FORMED[text]
+
+    @pytest.mark.parametrize("text", sorted(MALFORMED))
+    def test_malformed(self, text):
+        with pytest.raises(ProofSyntaxError) as err:
+            parse_proof(PREAMBLE + text + "\n", SIG)
+        assert type(err.value) is MALFORMED_TYPES.get(text, ProofSyntaxError)
+        assert str(err.value) == f"line 4: {MALFORMED[text]}"
+        assert err.value.line == 4
+
+
 class TestCorpus:
     def test_corpus_is_populated(self):
         assert len(POSITIVE) >= 15
@@ -146,6 +263,8 @@ class TestChecking:
         assert classify_level(["taut", "frame.l"]) == "local"
         assert classify_level(["kt", "gen.exists"]) == "global"
         assert classify_level(["subst.set"]) == "global"
+        assert classify_level(["hyp", "frame.r", "because"]) == "local"
+        assert classify_level(["because"]) == "strong"
 
     def test_format_report_layout(self):
         text = "1: c \\/ c ; taut\n2: c -> c ; taut\n"
