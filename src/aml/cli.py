@@ -42,9 +42,7 @@ from .semantics import (
     SkeletonTooLarge,
     consequence,
     evaluate,
-    fv_assignments,
     is_tautology,
-    satisfies,
 )
 from .sugar import parse as parse_pattern
 from .sugar import render as render_pattern
@@ -77,7 +75,7 @@ def _load_sig(args, fallback: tuple[str, ...] = ()) -> Signature:
     if getattr(args, "sig", None):
         try:
             return load_signature(args.sig)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"{args.sig}: {exc}") from exc
     try:
         return Signature(tuple(sorted(fallback)))
@@ -111,7 +109,7 @@ def _read_patterns(path: str, sig: Signature, mode: str) -> list[Pattern]:
 def _load_model(path: str, sig: Signature | None) -> Structure:
     try:
         return load_structure(path, sig)
-    except (OSError, ModelError) as exc:
+    except ModelError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -123,9 +121,13 @@ def _load_model_dir(path: str, sig: Signature | None) -> list[Structure]:
     return [_load_model(str(f), sig) for f in files]
 
 
-def _suite(args, sig: Signature) -> tuple[list[Structure], str]:
+def _suite(
+    args, sig: Signature, loaded: list[Structure] | None = None
+) -> tuple[list[Structure], str]:
+    """The suite the arguments name; ``loaded`` is the ``--models``
+    directory's structures when the caller has read them already."""
     if getattr(args, "models", None):
-        suite = _load_model_dir(args.models, None)
+        suite = loaded if loaded is not None else _load_model_dir(args.models, None)
         return suite, f"directory {args.models}"
     spec = SuiteSpec(
         sig=sig,
@@ -268,7 +270,7 @@ def _cmd_eval(args) -> int:
     if args.valuation:
         try:
             valuation = load_valuation(args.valuation, structure)
-        except (OSError, ModelError) as exc:
+        except ModelError as exc:
             raise CliError(f"{args.valuation}: {exc}") from exc
     else:
         valuation = Valuation()
@@ -304,12 +306,9 @@ def _cmd_check(args) -> int:
     all_valid = True
     docs = []
     for p in pats:
-        witness = None
-        for valuation in fv_assignments(structure, [p]):
-            if not satisfies(structure, valuation, p):
-                witness = valuation
-                break
-        valid = witness is None
+        verdict = consequence("global", [], [p], [structure])
+        witness = verdict.valuation
+        valid = verdict.holds
         first_failure = all_valid and not valid
         all_valid = all_valid and valid
         if args.json:
@@ -350,21 +349,16 @@ def _cmd_taut(args) -> int:
 
 
 def _cmd_consequence(args) -> int:
-    suite_sig_names: tuple[str, ...] = ()
-    if args.models:
-        probe = _load_model_dir(args.models, None)
-        names = set()
-        for s in probe:
-            names |= set(s.constants)
-        suite_sig_names = tuple(sorted(names))
-    sig = _load_sig(args, suite_sig_names)
+    loaded = _load_model_dir(args.models, None) if args.models else None
+    names = {c for s in loaded or () for c in s.constants}
+    sig = _load_sig(args, tuple(sorted(names)))
     if args.defined and "def" not in sig and not args.sig and not args.models:
         sig = Signature(tuple(sorted((*sig.constants, "def"))))
     gamma: list[Pattern] = []
     for path in args.gamma or []:
         gamma.extend(_read_patterns(path, sig, args.mode))
     delta = _read_patterns(args.pattern_file, sig, args.mode)
-    suite, origin = _suite(args, sig)
+    suite, origin = _suite(args, sig, loaded)
     verdict = consequence(args.kind, gamma, delta, suite)
     if args.json:
         doc = {

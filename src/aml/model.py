@@ -267,13 +267,14 @@ def structure_to_doc(s: Structure) -> dict:
 
 def _read_json(path: str | Path):
     """The document in a JSON file; bad JSON, bytes that are not UTF-8 and
-    nesting too deep for the decoder are all a `ModelError`."""
+    nesting too deep for the decoder are all a `ModelError`, whose message
+    leaves the path to the caller."""
     try:
         return json.loads(Path(path).read_text())
     except ValueError as exc:
-        raise ModelError(f"{path}: not valid JSON ({exc})") from exc
+        raise ModelError(f"not valid JSON ({exc})") from exc
     except RecursionError:
-        raise ModelError(f"{path}: not valid JSON (nested too deeply)") from None
+        raise ModelError("not valid JSON (nested too deeply)") from None
 
 
 def load_structure(path: str | Path, sig: Signature | None = None) -> Structure:
@@ -450,7 +451,6 @@ def _exhaustive(size: int, names: list[str], defined: bool) -> Iterator[Structur
         for cell, val in zip(free_cells, app_choice):
             if val:
                 app[cell] = val
-        app = {cell: val for cell, val in app.items() if val}
         for const_choice in itertools.product(subsets, repeat=len(free_names)):
             constants = dict(forced_consts)
             constants.update(zip(free_names, const_choice))

@@ -222,9 +222,11 @@ def match_and(p: Pattern):
 
 def match_iff(p: Pattern):
     m = match_and(p)
-    if m is None:
-        return None
-    u, v = m
+    return None if m is None else _iff_sides(*m)
+
+
+def _iff_sides(u: Pattern, v: Pattern):
+    """``(a, b)`` when the conjuncts ``u``, ``v`` are ``a -> b`` and ``b -> a``."""
     if (
         isinstance(u, Imp)
         and isinstance(v, Imp)
@@ -311,9 +313,8 @@ def match_mem(p: Pattern):
 _TOKEN = re.compile(r"<->|->|/\\|\\/|\[\]|[().!=]|[A-Za-z_][A-Za-z0-9_]*")
 _WS = re.compile(r"\s*")
 
-_KEYWORDS = frozenset(
-    {"bot", "top", "exists", "forall", "mu", "nu", "in", "ceil", "floor"}
-)
+# Tokens that end an application: none of them can start an atom.
+_NOT_ATOM = frozenset({")", ".", "<->", "->", "\\/", "/\\", "=", "in", "!"})
 
 
 def _lex(text: str) -> list[str]:
@@ -432,9 +433,7 @@ class _Parser:
         return acc
 
     def _starts_atom(self, t) -> bool:
-        if t is None or t in (")", ".", "<->", "->", "\\/", "/\\", "=", "in", "!"):
-            return False
-        return True
+        return t is not None and t not in _NOT_ATOM
 
     def atom(self) -> Pattern:
         t = self.take()
@@ -475,7 +474,7 @@ class _Parser:
             return SVar(int(m.group(1)))
         if t in self.sig:
             return Const(t)
-        if t in ("<->", "->", "\\/", "/\\", "in", "(", ")", ".", "=", "!"):
+        if t in _NOT_ATOM:
             raise Malformed(f"unexpected {t!r}")
         raise UnknownSymbol(
             f"{t!r} is not a variable, a keyword, or a declared constant"
@@ -510,10 +509,18 @@ def parse_sugar(text: str, sig: Signature, allow_hole: bool = False) -> Pattern:
 
 
 # ---------------------------------------------------------------------------
-# Renderer.  Each node is classified into a display shape, then printed with
-# parentheses driven by the precedence table.  Binders count as level 0 and
-# are left bare exactly in trailing positions, where the grammar would give
+# Renderer.  `_shape` maps a node to its display level and its pieces: literal
+# text, or an operand with the level it requires and its trailing position
+# (None inherits the node's own, False never takes it, True always does).
+# `_render` wraps a node in parentheses when its level is below what its
+# slot requires, then joins the pieces.  Binders count as level 0 and are
+# left bare exactly in trailing positions, where the grammar would give
 # them maximal scope anyway.
+#
+# Every derived form except disjunction is a negation, and the type of the
+# negated operand says which one it can be: an application gives `=` or
+# `floor`, an implication `<->` or `/\`, an existential `forall`, a fixpoint
+# `nu`; whatever does not match prints as `!`.
 
 _LVL_BINDER = 0
 _LVL_IFF = 1
@@ -527,52 +534,58 @@ _LVL_APP = 8
 _LVL_ATOM = 9
 
 
-def _classify(p: Pattern):
-    if p == BOT:
-        return "bot", (), _LVL_ATOM
-    if p == TOP:
-        return "top", (), _LVL_ATOM
-    if isinstance(p, EVar):
-        return "evar", (p.index,), _LVL_ATOM
-    if isinstance(p, SVar):
-        return "svar", (p.index,), _LVL_ATOM
-    if isinstance(p, Const):
-        return "const", (p.name,), _LVL_ATOM
+def _shape(p: Pattern):
     if isinstance(p, Imp):
-        m = match_eq(p)
-        if m is not None:
-            return "eq", m, _LVL_EQ
-        if match_floor(p) is not None:
-            return "floor", (match_floor(p),), _LVL_ATOM
-        m = match_iff(p)
-        if m is not None:
-            return "iff", m, _LVL_IFF
-        m = match_and(p)
-        if m is not None:
-            return "and", m, _LVL_AND
-        m = match_forall(p)
-        if m is not None:
-            return "forall", m, _LVL_BINDER
-        m = match_nu(p)
-        if m is not None:
-            return "nu", m, _LVL_BINDER
-        inner = match_neg(p)
-        if inner is not None:
-            return "neg", (inner,), _LVL_NEG
-        m = match_or(p)
-        if m is not None:
-            return "or", m, _LVL_OR
-        return "imp", (p.left, p.right), _LVL_IMP
+        if p.right != BOT:
+            a = match_neg(p.left)
+            if a is None:
+                return _LVL_IMP, ((p.left, _LVL_OR, False), " -> ", (p.right, _LVL_IMP, None))
+            return _LVL_OR, ((a, _LVL_OR, False), " \\/ ", (p.right, _LVL_AND, None))
+        q = p.left
+        if isinstance(q, Appl):
+            f = match_floor(p)
+            if f is not None:
+                m = match_iff(f)
+                if m is not None:
+                    return _LVL_EQ, ((m[0], _LVL_MEM, False), " = ", (m[1], _LVL_MEM, None))
+                return _LVL_ATOM, ("floor(", (f, 0, True), ")")
+        elif isinstance(q, Imp):
+            m = match_and(p)
+            if m is not None:
+                e = _iff_sides(*m)
+                if e is not None:
+                    return _LVL_IFF, ((e[0], _LVL_IMP, False), " <-> ", (e[1], _LVL_IMP, None))
+                return _LVL_AND, ((m[0], _LVL_AND, False), " /\\ ", (m[1], _LVL_EQ, None))
+        elif isinstance(q, Exists):
+            m = match_forall(p)
+            if m is not None:
+                return _LVL_BINDER, (f"forall x{m[0]} . ", (m[1], 0, True))
+        elif isinstance(q, Mu):
+            if q == BOT:
+                return _LVL_ATOM, ("top",)
+            m = match_nu(p)
+            if m is not None:
+                return _LVL_BINDER, (f"nu X{m[0]} . ", (m[1], 0, True))
+        return _LVL_NEG, ("!", (q, _LVL_NEG, None))
     if isinstance(p, Appl):
+        arg = match_ceil(p)
+        if arg is None:
+            return _LVL_APP, ((p.left, _LVL_APP, False), " ", (p.right, _LVL_ATOM, False))
         m = match_mem(p)
         if m is not None:
-            return "mem", m, _LVL_MEM
-        if match_ceil(p) is not None:
-            return "ceil", (match_ceil(p),), _LVL_ATOM
-        return "app", (p.left, p.right), _LVL_APP
+            return _LVL_MEM, (f"x{m[0]} in ", (m[1], _LVL_NEG, None))
+        return _LVL_ATOM, ("ceil(", (arg, 0, True), ")")
     if isinstance(p, Exists):
-        return "exists", (p.var, p.body), _LVL_BINDER
-    return "mu", (p.var, p.body), _LVL_BINDER
+        return _LVL_BINDER, (f"exists x{p.var} . ", (p.body, 0, True))
+    if isinstance(p, Mu):
+        if p == BOT:
+            return _LVL_ATOM, ("bot",)
+        return _LVL_BINDER, (f"mu X{p.var} . ", (p.body, 0, True))
+    if isinstance(p, EVar):
+        return _LVL_ATOM, (f"x{p.index}",)
+    if isinstance(p, SVar):
+        return _LVL_ATOM, (f"X{p.index}",)
+    return _LVL_ATOM, (p.name,)
 
 
 def render_sugar(p: Pattern) -> str:
@@ -580,61 +593,18 @@ def render_sugar(p: Pattern) -> str:
 
 
 def _render(p: Pattern, require: int, tail: bool) -> str:
-    kind, parts, level = _classify(p)
+    level, pieces = _shape(p)
     if level == _LVL_BINDER:
         wrap = require > 0 and not tail
     else:
         wrap = level < require
     inner_tail = True if wrap else tail
-    s = _emit(kind, parts, inner_tail)
+    s = "".join(
+        piece if isinstance(piece, str)
+        else _render(piece[0], piece[1], inner_tail if piece[2] is None else piece[2])
+        for piece in pieces
+    )
     return f"({s})" if wrap else s
-
-
-def _emit(kind: str, parts, tail: bool) -> str:
-    if kind == "bot":
-        return "bot"
-    if kind == "top":
-        return "top"
-    if kind == "evar":
-        return f"x{parts[0]}"
-    if kind == "svar":
-        return f"X{parts[0]}"
-    if kind == "const":
-        return parts[0]
-    if kind == "iff":
-        a, b = parts
-        return f"{_render(a, _LVL_IMP, False)} <-> {_render(b, _LVL_IMP, tail)}"
-    if kind == "imp":
-        a, b = parts
-        return f"{_render(a, _LVL_OR, False)} -> {_render(b, _LVL_IMP, tail)}"
-    if kind == "or":
-        a, b = parts
-        return f"{_render(a, _LVL_OR, False)} \\/ {_render(b, _LVL_AND, tail)}"
-    if kind == "and":
-        a, b = parts
-        return f"{_render(a, _LVL_AND, False)} /\\ {_render(b, _LVL_EQ, tail)}"
-    if kind == "eq":
-        a, b = parts
-        return f"{_render(a, _LVL_MEM, False)} = {_render(b, _LVL_MEM, tail)}"
-    if kind == "mem":
-        var, b = parts
-        return f"x{var} in {_render(b, _LVL_NEG, tail)}"
-    if kind == "neg":
-        return "!" + _render(parts[0], _LVL_NEG, tail)
-    if kind == "app":
-        a, b = parts
-        return f"{_render(a, _LVL_APP, False)} {_render(b, _LVL_ATOM, False)}"
-    if kind in ("exists", "forall"):
-        var, body = parts
-        return f"{kind} x{var} . {_render(body, 0, True)}"
-    if kind in ("mu", "nu"):
-        var, body = parts
-        return f"{kind} X{var} . {_render(body, 0, True)}"
-    if kind == "ceil":
-        return f"ceil({_render(parts[0], 0, True)})"
-    if kind == "floor":
-        return f"floor({_render(parts[0], 0, True)})"
-    raise AssertionError(kind)
 
 
 # ---------------------------------------------------------------------------

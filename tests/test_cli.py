@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import aml.cli
 from aml.cli import main
 from aml.substitution import VarRef, subst_capture_avoiding
 from aml.sugar import parse, render
@@ -588,6 +589,89 @@ class TestUnreadableFiles:
         pats = write(tmp_path, "p.pat", "x0\n")
         argv = ["check", "--model", model_file, "--out", out, pats]
         self._assert_usage_error(argv, capsys, "File exists")
+
+
+class TestFileErrorsNameThePathOnce:
+    """A file the CLI cannot use is named exactly once in the error."""
+
+    def _assert_named_once(self, argv, path, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count(path) == 1, err
+
+    def test_model_not_json(self, tmp_path, capsys):
+        bad = write(tmp_path, "bad.json", "nope")
+        pats = write(tmp_path, "c.pat", "c\n")
+        self._assert_named_once(["eval", "--model", bad, pats], bad, capsys)
+
+    def test_valuation_not_json(self, tmp_path, model_file, capsys):
+        bad = write(tmp_path, "bad.json", "nope")
+        pats = write(tmp_path, "c.pat", "c\n")
+        argv = ["eval", "--model", model_file, "--valuation", bad, pats]
+        self._assert_named_once(argv, bad, capsys)
+
+    def test_missing_model(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        pats = write(tmp_path, "c.pat", "c\n")
+        self._assert_named_once(["eval", "--model", missing, pats], missing, capsys)
+
+    def test_missing_valuation(self, tmp_path, model_file, capsys):
+        missing = str(tmp_path / "nope.json")
+        pats = write(tmp_path, "c.pat", "c\n")
+        argv = ["eval", "--model", model_file, "--valuation", missing, pats]
+        self._assert_named_once(argv, missing, capsys)
+
+    def test_missing_signature(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.txt")
+        pats = write(tmp_path, "c.pat", "c\n")
+        self._assert_named_once(["parse", "--sig", missing, pats], missing, capsys)
+
+
+class TestEachFileReadOnce:
+    def test_consequence_reads_the_models_directory_once(self, tmp_path, monkeypatch, capsys):
+        suite_dir = tmp_path / "suite"
+        argv = ["gen-models", "--max-size", "1", "--samples", "0", "--out", str(suite_dir)]
+        assert main(argv) == 0
+        for extra in sorted(suite_dir.glob("structure-*.json"))[2:]:
+            extra.unlink()
+        capsys.readouterr()
+        loads = []
+        real = aml.cli.load_structure
+
+        def counting(path, sig=None):
+            loads.append(Path(path).name)
+            return real(path, sig)
+
+        monkeypatch.setattr(aml.cli, "load_structure", counting)
+        delta = write(tmp_path, "d.pat", "x0\n")
+        assert main(["consequence", "--models", str(suite_dir), delta]) == 0
+        assert sorted(loads) == ["structure-0000.json", "structure-0001.json"]
+        assert capsys.readouterr().out == (
+            f"global consequence over 2 structure(s) (directory {suite_dir}): holds\n"
+        )
+
+
+class TestCheckDecidesByConsequence:
+    def test_one_global_consequence_per_pattern(self, tmp_path, model_file, monkeypatch, capsys):
+        calls = []
+        real = aml.cli.consequence
+
+        def counting(kind, gamma, delta, suite):
+            calls.append((kind, list(gamma), list(delta)))
+            return real(kind, gamma, delta, suite)
+
+        monkeypatch.setattr(aml.cli, "consequence", counting)
+        pats = write(tmp_path, "p.pat", TestCheck.SEVERAL)
+        outdir = tmp_path / "cex"
+        assert main(["check", "--model", model_file, "--out", str(outdir), pats]) == 1
+        assert [(kind, gamma, len(delta)) for kind, gamma, delta in calls] == [
+            ("global", [], 1)
+        ] * 4
+        out = capsys.readouterr().out
+        assert out.count("valid: no") == 2
+        # The first failing assignment in enumeration order is the witness.
+        assert '  valuation: {"element": {"x0": "1"}, "set": {}}\n' in out
+        assert '  valuation: {"element": {}, "set": {"X0": ["0"]}}\n' in out
 
 
 # ---------------------------------------------------------------------------

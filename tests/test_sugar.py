@@ -227,6 +227,98 @@ class TestRendering:
             render(C, "latex")
 
 
+# Every display form, alone and in each position an operand can take: the
+# renderer's precedence and trailing-binder rules, pinned to exact strings.
+_FORMS = {
+    "bot": BOT,
+    "top": TOP,
+    "!": neg(C),
+    "\\/": or_(C, D),
+    "/\\": and_(C, D),
+    "<->": iff(C, D),
+    "=": eq(C, D),
+    "in": mem(0, C),
+    "ceil": ceil(C),
+    "floor": floor(C),
+    "forall": forall(0, C),
+    "nu": nu(0, SVar(0)),
+    "exists": Exists(0, C),
+    "mu": Mu(0, Appl(C, SVar(0))),
+    "app": Appl(C, D),
+    "->": Imp(C, D),
+}
+
+_CONTEXTS = (
+    lambda f: f,
+    lambda f: Imp(f, C),
+    lambda f: Imp(C, f),
+    lambda f: and_(f, C),
+    lambda f: and_(C, f),
+    neg,
+    lambda f: Appl(f, C),
+    lambda f: Appl(C, f),
+    lambda f: Exists(1, f),
+)
+
+# Columns follow _CONTEXTS: alone, left and right of ->, left and right of
+# /\, under !, function, argument, binder body.  A negation on the left of
+# -> makes a disjunction, and bot on its right a negation, so those columns
+# show the parts of the disjunction or the negated operand.
+_PINNED = {
+    "bot": ("bot", "bot -> c", "!c", "bot /\\ c", "c /\\ bot", "top", "bot c", "c bot", "exists x1 . bot"),
+    "top": ("top", "bot \\/ c", "c -> top", "top /\\ c", "c /\\ top", "!top", "top c", "c top", "exists x1 . top"),
+    "!": ("!c", "c \\/ c", "c -> !c", "!c /\\ c", "c /\\ !c", "!!c", "(!c) c", "c (!c)", "exists x1 . !c"),
+    "\\/": ("c \\/ d", "c \\/ d -> c", "c -> c \\/ d", "(c \\/ d) /\\ c", "c /\\ (c \\/ d)", "!(c \\/ d)", "(c \\/ d) c", "c (c \\/ d)", "exists x1 . c \\/ d"),
+    "/\\": ("c /\\ d", "!c \\/ !d \\/ c", "c -> c /\\ d", "c /\\ d /\\ c", "c /\\ (c /\\ d)", "!(c /\\ d)", "(c /\\ d) c", "c (c /\\ d)", "exists x1 . c /\\ d"),
+    "<->": ("c <-> d", "!(c -> d) \\/ !(d -> c) \\/ c", "c -> (c <-> d)", "(c <-> d) /\\ c", "c /\\ (c <-> d)", "!(c <-> d)", "(c <-> d) c", "c (c <-> d)", "exists x1 . c <-> d"),
+    "=": ("c = d", "ceil(!(c <-> d)) \\/ c", "c -> c = d", "c = d /\\ c", "c /\\ c = d", "!(c = d)", "(c = d) c", "c (c = d)", "exists x1 . c = d"),
+    "in": ("x0 in c", "x0 in c -> c", "c -> x0 in c", "x0 in c /\\ c", "c /\\ x0 in c", "floor(!x0 \\/ !c)", "(x0 in c) c", "c (x0 in c)", "exists x1 . x0 in c"),
+    "ceil": ("ceil(c)", "ceil(c) -> c", "c -> ceil(c)", "ceil(c) /\\ c", "c /\\ ceil(c)", "!ceil(c)", "ceil(c) c", "c ceil(c)", "exists x1 . ceil(c)"),
+    "floor": ("floor(c)", "ceil(!c) \\/ c", "c -> floor(c)", "floor(c) /\\ c", "c /\\ floor(c)", "!floor(c)", "floor(c) c", "c floor(c)", "exists x1 . floor(c)"),
+    "forall": ("forall x0 . c", "(exists x0 . !c) \\/ c", "c -> forall x0 . c", "(forall x0 . c) /\\ c", "c /\\ forall x0 . c", "!forall x0 . c", "(forall x0 . c) c", "c (forall x0 . c)", "exists x1 . forall x0 . c"),
+    "nu": ("nu X0 . X0", "(mu X0 . !!X0) \\/ c", "c -> nu X0 . X0", "(nu X0 . X0) /\\ c", "c /\\ nu X0 . X0", "!nu X0 . X0", "(nu X0 . X0) c", "c (nu X0 . X0)", "exists x1 . nu X0 . X0"),
+    "exists": ("exists x0 . c", "(exists x0 . c) -> c", "c -> exists x0 . c", "(exists x0 . c) /\\ c", "c /\\ exists x0 . c", "!exists x0 . c", "(exists x0 . c) c", "c (exists x0 . c)", "exists x1 . exists x0 . c"),
+    "mu": ("mu X0 . c X0", "(mu X0 . c X0) -> c", "c -> mu X0 . c X0", "(mu X0 . c X0) /\\ c", "c /\\ mu X0 . c X0", "!mu X0 . c X0", "(mu X0 . c X0) c", "c (mu X0 . c X0)", "exists x1 . mu X0 . c X0"),
+    "app": ("c d", "c d -> c", "c -> c d", "c d /\\ c", "c /\\ c d", "!c d", "c d c", "c (c d)", "exists x1 . c d"),
+    "->": ("c -> d", "(c -> d) -> c", "c -> c -> d", "(c -> d) /\\ c", "c /\\ (c -> d)", "!(c -> d)", "(c -> d) c", "c (c -> d)", "exists x1 . c -> d"),
+}
+
+# Shapes one step away from a derived form: they print as what they are.
+_NEAR_MISSES = [
+    (neg(Mu(0, Appl(C, SVar(0)))), "!mu X0 . c X0"),
+    (neg(Mu(0, neg(Appl(C, SVar(0))))), "!mu X0 . !c X0"),
+    (neg(Exists(0, C)), "!exists x0 . c"),
+    (neg(ceil(C)), "!ceil(c)"),
+    (neg(Imp(C, D)), "!(c -> d)"),
+    (neg(or_(C, D)), "!(c \\/ d)"),
+    (neg(or_(neg(C), D)), "!(!c \\/ d)"),
+    (and_(Imp(C, D), Imp(C, D)), "(c -> d) /\\ (c -> d)"),
+    (floor(and_(C, D)), "floor(c /\\ d)"),
+    (ceil(and_(C, EVar(0))), "ceil(c /\\ x0)"),
+    (Imp(C, Mu(1, SVar(1))), "c -> mu X1 . X1"),
+    (Imp(neg(C), Mu(1, SVar(1))), "c \\/ mu X1 . X1"),
+]
+
+
+class TestRenderPins:
+    @pytest.mark.parametrize("form", sorted(_FORMS))
+    def test_form_in_every_position(self, form):
+        got = tuple(render_sugar(ctx(_FORMS[form])) for ctx in _CONTEXTS)
+        assert got == _PINNED[form]
+
+    @pytest.mark.parametrize("p, want", _NEAR_MISSES)
+    def test_near_miss_prints_plainly(self, p, want):
+        assert render_sugar(p) == want
+
+    def test_pins_read_back(self):
+        """Each pinned string parses to the pattern it was printed from."""
+        for form, row in _PINNED.items():
+            for ctx, text in zip(_CONTEXTS, row):
+                assert parse_sugar(text, DSIG) == ctx(_FORMS[form]), text
+        for p, text in _NEAR_MISSES:
+            assert parse_sugar(text, DSIG) == p, text
+
+
 class TestDefinednessRendering:
     def test_definedness_round_trip(self):
         for p in (ceil(C), floor(neg(C)), eq(EVar(0), EVar(1)), mem(2, or_(C, D))):
