@@ -40,6 +40,7 @@ from .proof import (
 )
 from .semantics import (
     SkeletonTooLarge,
+    UnassignedConstant,
     consequence,
     evaluate,
     is_tautology,
@@ -635,7 +636,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (
         CliError, OSError, ParseError, ModelError, ProofSyntaxError,
-        UniverseTooLarge, SkeletonTooLarge,
+        UniverseTooLarge, SkeletonTooLarge, UnassignedConstant,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

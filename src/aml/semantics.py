@@ -54,7 +54,6 @@ __all__ = [
     "models",
     "is_predicate",
     "fv_assignments",
-    "propositional_skeleton",
     "is_tautology",
     "ConsequenceKind",
     "Verdict",
@@ -240,48 +239,47 @@ def is_predicate(structure: Structure, p: Pattern) -> bool:
 # realises any two-valued assignment (its subsets are just false and true).
 # Hence: a pattern denotes everything under every interpretation of its
 # atoms if and only if its skeleton is a propositional tautology, which a
-# truth table decides.  The acceptance suite cross-checks this against brute
-# force over one- and two-element powerset algebras.
-
-
-def propositional_skeleton(p: Pattern):
-    """Implication tree over atom indices: ``("bot",)``, ``("imp", l, r)`` or
-    ``("atom", i)``, plus the atom table.  Any ``mu X . X`` counts as falsum,
-    canonical or not."""
-    atoms: dict[Pattern, int] = {}
-
-    def walk(q: Pattern):
-        if sugar.is_bot_like(q):
-            return ("bot",)
-        if isinstance(q, Imp):
-            left = walk(q.left)
-            right = walk(q.right)
-            return ("imp", left, right)
-        index = atoms.setdefault(q, len(atoms))
-        return ("atom", index)
-
-    tree = walk(p)
-    return tree, list(atoms)
+# truth table decides.  The table is evaluated over all rows at once: bit r
+# of a value is its truth in row r, atom i is true in the rows whose index
+# has bit i set, and implication is the kernel's ``full ^ left | right``.
+# The acceptance suite cross-checks this against brute force over one- and
+# two-element powerset algebras.
 
 
 def is_tautology(p: Pattern, max_atoms: int = MAX_SKELETON_ATOMS) -> bool:
-    tree, atoms = propositional_skeleton(p)
+    """The skeleton over maximal non-implication subpatterns (equal ones
+    share a column) is a tautology; any ``mu X . X`` is falsum."""
+    atoms: dict[Pattern, int] = {}
+    leaves: list = []  # each leaf's atom index, or None for falsum
+
+    def name(q: Pattern) -> None:
+        if type(q) is Imp:
+            name(q.left)
+            name(q.right)
+        elif sugar.is_bot_like(q):
+            leaves.append(None)
+        else:
+            leaves.append(atoms.setdefault(q, len(atoms)))
+
+    name(p)
     if len(atoms) > max_atoms:
         raise SkeletonTooLarge(
             f"{len(atoms)} distinct atoms exceed the limit of {max_atoms}"
         )
+    rows, columns = 1, []
+    for _ in atoms:
+        columns = [c | c << rows for c in columns] + [((1 << rows) - 1) << rows]
+        rows *= 2
+    full = (1 << rows) - 1
+    values = iter([0 if i is None else columns[i] for i in leaves])
 
-    def run(node, row) -> bool:
-        if node[0] == "bot":
-            return False
-        if node[0] == "atom":
-            return row[node[1]]
-        return (not run(node[1], row)) or run(node[2], row)
+    def value(q: Pattern) -> int:
+        if type(q) is Imp:
+            left = value(q.left)
+            return full ^ left | value(q.right)
+        return next(values)
 
-    for row in itertools.product((False, True), repeat=len(atoms)):
-        if not run(tree, row):
-            return False
-    return True
+    return value(p) == full
 
 
 # ---------------------------------------------------------------------------

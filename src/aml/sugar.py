@@ -70,7 +70,6 @@ __all__ = [
     "EmptyList",
     "is_bot_like",
     "match_neg",
-    "match_or",
     "match_or_shape",
     "match_and",
     "match_iff",
@@ -186,18 +185,11 @@ def match_neg(p: Pattern):
     return None
 
 
-def match_or(p: Pattern):
-    if isinstance(p, Imp):
-        inner = match_neg(p.left)
-        if inner is not None and p.right != BOT:
-            return inner, p.right
-    return None
-
-
 def match_or_shape(p: Pattern):
-    """Structural disjunction match with no aesthetic exclusions; the
-    renderer's `match_or` refuses a falsum right operand so that double
-    negation prints as such, but axiom matching must not."""
+    """Structural disjunction match with no aesthetic exclusions: a falsum
+    right operand is accepted, so double negation matches too.  The renderer
+    prints that case as double negation itself; axiom matching must not
+    refuse it."""
     if isinstance(p, Imp):
         inner = match_neg(p.left)
         if inner is not None:

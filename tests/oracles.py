@@ -3,7 +3,8 @@
 Everything here is deliberately slow and structured differently from the
 code under test: scope boundaries come from re-parsing token slices,
 polarity from a recursion over the tree instead of left-operand counting,
-tautology from evaluation in genuine powerset structures, evaluation and
+tautology from evaluation in genuine powerset structures and from a
+row-by-row truth table over a skeleton tree, evaluation and
 consequence from the original frozenset evaluator, which meets every ``mu``
 with the intersection of all closed sets, and fixpoints of arbitrary set
 operators by Knaster-Tarski enumeration, exact-fixpoint enumeration and
@@ -263,6 +264,35 @@ def tautology_by_evaluation(p: Pattern) -> bool:
             if evaluate(structure, valuation, p) != carrier:
                 return False
     return True
+
+
+def tautology_by_rows(p: Pattern) -> bool:
+    """The truth table of the propositional skeleton, one row at a time:
+    the skeleton is a tuple tree ``("bot",)``, ``("imp", l, r)`` or
+    ``("atom", i)`` over the maximal non-implication subpatterns, and it is
+    walked again for each row.  Any ``mu X . X`` counts as falsum."""
+    from aml.sugar import is_bot_like
+
+    atoms: dict = {}
+
+    def skeleton(q: Pattern):
+        if is_bot_like(q):
+            return ("bot",)
+        if isinstance(q, Imp):
+            return ("imp", skeleton(q.left), skeleton(q.right))
+        return ("atom", atoms.setdefault(q, len(atoms)))
+
+    def run(node, row) -> bool:
+        if node[0] == "bot":
+            return False
+        if node[0] == "atom":
+            return row[node[1]]
+        return (not run(node[1], row)) or run(node[2], row)
+
+    tree = skeleton(p)
+    return all(
+        run(tree, row) for row in itertools.product((False, True), repeat=len(atoms))
+    )
 
 
 # ---------------------------------------------------------------------------

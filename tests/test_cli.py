@@ -386,6 +386,45 @@ class TestLimits:
         assert err.startswith("error:") and "22 distinct atoms" in err
 
 
+class TestUnassignedConstant:
+    """A signature constant that the structure does not interpret is a named
+    error with exit 2, on every command that evaluates."""
+
+    ERROR = "error: constant 'd' has no denotation\n"
+
+    @pytest.fixture
+    def files(self, tmp_path, sig_file):
+        models = tmp_path / "models"
+        models.mkdir()
+        doc = json.dumps({"universe": ["a"], "constants": {"c": ["a"]}})
+        (models / "m.json").write_text(doc)
+        return {
+            "sig": sig_file,
+            "models": str(models),
+            "model": str(models / "m.json"),
+            "pat": write(tmp_path, "p.pat", "d\n"),
+            "script": write(tmp_path, "s.prf", "1: d -> d ; taut\n"),
+        }
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        assert (code, capsys.readouterr().err) == (2, self.ERROR)
+
+    def test_eval(self, files, capsys):
+        self.run(["eval", "--model", files["model"], "--sig", files["sig"], files["pat"]], capsys)
+
+    def test_check(self, files, capsys):
+        self.run(["check", "--model", files["model"], "--sig", files["sig"], files["pat"]], capsys)
+
+    def test_consequence(self, files, capsys):
+        argv = ["consequence", "--models", files["models"], "--sig", files["sig"], files["pat"]]
+        self.run(argv, capsys)
+
+    def test_proof_audit(self, files, capsys):
+        argv = ["proof", "check", "--audit", "--models", files["models"], "--sig", files["sig"]]
+        self.run(argv + [files["script"]], capsys)
+
+
 class TestJsonNames:
     """A JSON value of the wrong type where an element name belongs is a
     model error (exit 2), not a crash."""
@@ -768,6 +807,9 @@ def test_no_input_raises(case, as_json):
         for name, data in files.items():
             path[name] = str(Path(tmp) / name)
             Path(path[name]).write_bytes(data)
+        models = str(Path(tmp) / "models")
+        Path(models).mkdir()
+        Path(models, "m.json").write_bytes(files["m.json"])
         sig = ["--sig", path["sig.txt"]]
         opts = ["--json"] * as_json + ["--out", str(Path(tmp) / "out")]
         suite = ["--max-size", "1", "--samples", "0"]
@@ -776,9 +818,12 @@ def test_no_input_raises(case, as_json):
             ["parse", *sig, *pats],
             ["analyze", *sig, *pats],
             ["eval", "--model", path["m.json"], "--valuation", path["v.json"], *pats],
+            ["eval", "--model", path["m.json"], *sig, *pats],
             ["check", "--model", path["m.json"], *opts, *pats],
+            ["check", "--model", path["m.json"], *sig, *opts, *pats],
             ["taut", *sig, *pats],
             ["consequence", *sig, *suite, *opts, *pats],
+            ["consequence", "--models", models, *sig, *opts, *pats],
             ["proof", "check", "--audit", *sig, *suite, *opts, path["s.prf"]],
         ]
         for argv in runs:

@@ -29,7 +29,6 @@ from aml.semantics import (
     is_predicate,
     is_tautology,
     models,
-    propositional_skeleton,
     satisfies,
 )
 from aml.sugar import BOT, TOP, and_, ceil, forall, iff, neg, nu, or_
@@ -383,20 +382,17 @@ class TestAssignmentsAndValidity:
 
 class TestTautology:
     def test_skeleton_atoms_are_maximal_non_implication_subpatterns(self):
-        p = Imp(C, Imp(Appl(Imp(C, C), C), C))
-        tree, atoms = propositional_skeleton(p)
-        assert atoms == [C, Appl(Imp(C, C), C)]
-        assert tree == ("imp", ("atom", 0), ("imp", ("atom", 1), ("atom", 0)))
+        # The implication inside the application is not split: alone, the
+        # application is one opaque atom.
+        assert is_tautology(Imp(C, Imp(Appl(Imp(C, C), C), C)))
+        assert not is_tautology(Appl(Imp(C, C), C))
 
     def test_any_self_loop_counts_as_falsum(self):
-        assert propositional_skeleton(Mu(3, SVar(3)))[0] == ("bot",)
-        tree, atoms = propositional_skeleton(Mu(0, SVar(1)))
-        assert tree == ("atom", 0) and atoms == [Mu(0, SVar(1))]
+        assert is_tautology(Imp(Mu(3, SVar(3)), X0))
+        assert not is_tautology(Imp(Mu(0, SVar(1)), X0))
 
     def test_binders_are_opaque(self):
-        p = Exists(0, Imp(X0, X0))
-        tree, atoms = propositional_skeleton(p)
-        assert tree == ("atom", 0) and atoms == [p]
+        assert not is_tautology(Exists(0, Imp(X0, X0)))
 
     def test_pinned_tautologies(self):
         a, b = SVar(0), SVar(1)
@@ -427,6 +423,61 @@ class TestTautology:
         with pytest.raises(SkeletonTooLarge):
             is_tautology(wide)
         assert is_tautology(wide, max_atoms=25) is False
+
+    def test_twenty_atoms_are_decided_and_twenty_one_refused(self):
+        atoms = [SVar(i) for i in range(21)]
+        chain = atoms[0]
+        for a in atoms[1:20]:
+            chain = Imp(a, chain)
+        assert is_tautology(chain) is False
+        assert is_tautology(Imp(atoms[0], chain)) is True
+        with pytest.raises(SkeletonTooLarge, match=r"^21 distinct atoms exceed the limit of 20$"):
+            is_tautology(Imp(atoms[20], chain))
+
+    def test_agrees_with_the_row_by_row_truth_table(self):
+        import random
+
+        from oracles import tautology_by_rows
+
+        rng = random.Random(6)
+        pool = [Const("c"), Const("d")] + [
+            make(i)
+            for i in range(4)
+            for make in (
+                EVar,
+                SVar,
+                lambda i: Appl(C, EVar(i)),
+                lambda i: Exists(i, Imp(EVar(i), SVar(i))),
+                lambda i: Mu(i, Appl(C, SVar(i))),
+                lambda i: Mu(i, SVar(i + 1)),
+                lambda i: Appl(Imp(C, C), SVar(i)),
+            )
+        ]
+
+        def tree(leaves):
+            if len(leaves) == 1:
+                return leaves[0]
+            cut = rng.randrange(1, len(leaves))
+            return Imp(tree(leaves[:cut]), tree(leaves[cut:]))
+
+        verdicts = []
+        for j in range(480):
+            atoms = rng.sample(pool, 1 + j % 12)
+            leaves = atoms + rng.choices(atoms, k=rng.randrange(3))
+            leaves += rng.choices((BOT, Mu(3, SVar(3))), k=rng.randrange(3))
+            rng.shuffle(leaves)
+            f = tree(leaves)
+            g = tree(rng.sample(atoms, rng.randint(1, len(atoms))))
+            p = (
+                f,
+                Imp(f, Imp(g, f)),
+                Imp(neg(f), Imp(f, g)),
+                Imp(Imp(Imp(f, g), f), f),
+            )[j // 12 % 4]
+            verdict = is_tautology(p)
+            assert verdict == tautology_by_rows(p), p
+            verdicts.append(verdict)
+        assert 150 < sum(verdicts) < 450
 
     @given(st.integers(0, 10**9), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
