@@ -4,7 +4,10 @@ Runs `aml.cli.main` in process and prints one sha256 per group over every
 run's exit code, stdout, stderr and counterexample files.  Group `audit` is
 `proof check --audit` on every corpus script (seeds 1 and 7); group `taut` is
 `taut`, `parse --emit sugar` and `check` on fixed files written to a
-temporary directory.  Every run goes with and without `--json`.  Compare two
+temporary directory; group `suite` is `gen-models` over two signatures, with
+and without `--defined`, exhaustive and sampled, plus one failing
+`consequence --defined`.  Every run goes with and without `--json`; where
+`--json` is not an option, the usage error is what gets hashed.  Compare two
 trees with `PYTHONPATH=<tree>/src python3 scripts/cli_digest.py`.
 """
 
@@ -36,7 +39,10 @@ def digest(runs) -> str:
             shutil.rmtree("out", ignore_errors=True)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli(argv + ["--json"] * as_json)
+                try:
+                    code = cli(argv + ["--json"] * as_json)
+                except SystemExit as exc:
+                    code = exc.code
             h.update(repr((argv, as_json, code, out.getvalue(), err.getvalue())).encode())
             for f in sorted(Path(".").glob("out/**/*")):
                 h.update(str(f).encode() + (f.read_bytes() if f.is_file() else b""))
@@ -53,16 +59,26 @@ def main() -> None:
     taut = [[cmd, *opt, "--sig", "sig.txt", f] for f in files
             for cmd, opt in (("taut", ()), ("parse", ("--emit", "sugar")))]
     taut.append(["check", "--model", "m.json", "--sig", "sig.txt", "--out", "out", "check.pat"])
+    sizes = (["--max-size", "2", "--samples", "0"],
+             ["--max-size", "4", "--samples", "30", "--seed", "3"])
+    suite_runs = [["gen-models", "--sig", sig, *size, *defined, "--out", "out"]
+                  for sig in ("sig.txt", "sigdef.txt") for defined in ((), ("--defined",))
+                  for size in sizes]
+    suite_runs.append(["consequence", "--defined", "--sig", "sigdef.txt", "--max-size", "3",
+                       "--samples", "20", "--seed", "3", "--out", "out", "fail.pat"])
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temporary name out of the output
         try:
             Path("sig.txt").write_text("c\nd\n")
+            Path("sigdef.txt").write_text("c\ndef\n")
+            Path("fail.pat").write_text("ceil(c) -> c\n")
             Path("m.json").write_text(MODEL)
             for name, lines in files.items():
                 Path(name).write_text("\n".join(lines) + "\n")
             print(f"audit {digest(audit)} ({2 * len(audit)} runs)")
             print(f"taut  {digest(taut)} ({2 * len(taut)} runs)")
+            print(f"suite {digest(suite_runs)} ({2 * len(suite_runs)} runs)")
         finally:
             os.chdir(home)
 

@@ -127,7 +127,7 @@ def _suite(
 ) -> tuple[list[Structure], str]:
     """The suite the arguments name; ``loaded`` is the ``--models``
     directory's structures when the caller has read them already."""
-    if getattr(args, "models", None):
+    if args.models:
         suite = loaded if loaded is not None else _load_model_dir(args.models, None)
         return suite, f"directory {args.models}"
     spec = SuiteSpec(
@@ -141,7 +141,7 @@ def _suite(
 
 
 def _constants_of(structure: Structure) -> tuple[str, ...]:
-    return tuple(sorted(structure.constants))
+    return tuple(sorted(structure.masks))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ def _cmd_taut(args) -> int:
 
 def _cmd_consequence(args) -> int:
     loaded = _load_model_dir(args.models, None) if args.models else None
-    names = {c for s in loaded or () for c in s.constants}
+    names = {c for s in loaded or () for c in s.masks}
     sig = _load_sig(args, tuple(sorted(names)))
     if args.defined and "def" not in sig and not args.sig and not args.models:
         sig = Signature(tuple(sorted((*sig.constants, "def"))))
@@ -512,8 +512,11 @@ def _at_least(least: int):
     return parse
 
 
-def _add_suite(p) -> None:
+def _add_models(p) -> None:
     p.add_argument("--models", metavar="DIR", help="directory of structure JSON files")
+
+
+def _add_suite(p) -> None:
     p.add_argument(
         "--max-size", type=_at_least(1), default=2, help="largest universe (default 2)"
     )
@@ -598,6 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode(p)
     _add_sig(p)
     _add_json(p)
+    _add_models(p)
     _add_suite(p)
     _add_out(p)
     p.add_argument(
@@ -615,6 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("check",))
     _add_sig(p)
     _add_json(p)
+    _add_models(p)
     _add_suite(p)
     _add_out(p)
     p.add_argument("--audit", action="store_true", help="replay accepted lines over a suite")

@@ -5,6 +5,14 @@ each pair of elements to a subset, and a denotation subset per constant.
 Universe elements are opaque strings; their order in the file fixes the
 canonical printing order for subsets.
 
+A structure has one stored form, bitmasks: element i of the universe is
+bit i, so a subset is an ``int`` (Knuth, TAOCP Vol. 4A, 7.1.3).  Documents
+and suites are built straight into that form.  Element names appear only at
+the boundary: in the read-only views ``app`` and ``constants``, in the
+formatting helpers, and in valuations.  A structure over more than
+``ENUMERATION_CAP`` elements is refused when it is built, since its table
+of bit positions has 2^n rows.
+
 Structures declaring the reserved constant ``def`` are definedness
 structures and must apply it totally: ``def`` applied to any singleton
 yields the whole universe.
@@ -19,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .syntax import DEFINEDNESS, EVAR_TOKEN, SVAR_TOKEN, Signature
@@ -32,7 +41,6 @@ __all__ = [
     "DefinednessViolated",
     "UniverseTooLarge",
     "Structure",
-    "Kernel",
     "Valuation",
     "apply_sets",
     "subsets_of",
@@ -77,9 +85,41 @@ class UniverseTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class Structure:
+    """A structure in bitmask form: element i of the universe is bit i and a
+    subset is an ``int``.  ``rows[i][j]`` is the mask of element i applied
+    to element j, and ``masks`` maps each constant to its denotation.  The
+    tables ``full``, ``bits`` and ``singletons`` are set once, here, so that
+    evaluation reads them as plain attributes."""
+
     universe: tuple[str, ...]
-    app: Mapping[tuple[str, str], frozenset]
-    constants: Mapping[str, frozenset]
+    rows: tuple[tuple[int, ...], ...]
+    masks: Mapping[str, int]
+    full: int = field(init=False, repr=False, compare=False)
+    bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    singletons: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_cap(self.universe)
+        n = len(self.universe)
+        object.__setattr__(self, "full", (1 << n) - 1)
+        object.__setattr__(self, "bits", _bit_positions(n))
+        object.__setattr__(self, "singletons", tuple(1 << i for i in range(n)))
+
+    @cached_property
+    def app(self) -> Mapping[tuple[str, str], frozenset]:
+        """The non-empty application cells, by element names."""
+        u = self.universe
+        return MappingProxyType({
+            (u[i], u[j]): self.subset(m)
+            for i, row in enumerate(self.rows)
+            for j, m in enumerate(row)
+            if m
+        })
+
+    @cached_property
+    def constants(self) -> Mapping[str, frozenset]:
+        """The constants' denotations, by element names."""
+        return MappingProxyType({name: self.subset(m) for name, m in self.masks.items()})
 
     @property
     def carrier(self) -> frozenset:
@@ -88,36 +128,11 @@ class Structure:
     def app_of(self, a: str, b: str) -> frozenset:
         return self.app.get((a, b), frozenset())
 
-    @cached_property
-    def kernel(self) -> "Kernel":
-        """The bitmask form used for evaluation, compiled on first use."""
-        return Kernel(self)
-
     def sorted_elements(self, subset) -> list[str]:
         return sorted(subset, key=self.universe.index)
 
     def format_subset(self, subset) -> str:
         return "{" + ", ".join(self.sorted_elements(subset)) + "}"
-
-
-class Kernel:
-    """A structure in bitmask form: element i of the universe is bit i, a
-    subset is an ``int``, and application is a table of per-cell masks."""
-
-    __slots__ = ("universe", "full", "bits", "singletons", "rows", "constants")
-
-    def __init__(self, s: Structure):
-        _check_cap(s.universe)
-        n = len(s.universe)
-        self.universe = s.universe
-        self.full = (1 << n) - 1
-        self.bits, self.singletons = _bit_tables(n)
-        index = s.universe.index
-        rows = [[0] * n for _ in range(n)]
-        for (a, b), val in s.app.items():
-            rows[index(a)][index(b)] = self.mask(val)
-        self.rows = tuple(map(tuple, rows))
-        self.constants = {name: self.mask(val) for name, val in s.constants.items()}
 
     def mask(self, subset) -> int:
         index = self.universe.index
@@ -147,11 +162,9 @@ class Kernel:
 
 
 @lru_cache(maxsize=None)
-def _bit_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """For universes of size ``n``: the bit positions of every mask, and the
-    singleton masks in universe order."""
-    bits = tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
-    return bits, tuple(1 << i for i in range(n))
+def _bit_positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """For universes of size ``n``: the bit positions of every mask."""
+    return tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
 
 
 def subsets_of(universe: Sequence[str]) -> Iterator[frozenset]:
@@ -193,54 +206,59 @@ def validate_structure(doc: dict, sig: Signature | None = None) -> Structure:
         raise EmptyUniverse("empty universe")
     if len(set(universe)) != len(universe):
         raise ModelError("universe elements must be distinct")
-    known = set(universe)
+    index = {e: i for i, e in enumerate(universe)}
 
-    def check_element(e, where):
+    def position(e, where) -> int:
         if not isinstance(e, str):
             raise ModelError(f"{where}: element {e!r} must be a string")
-        if e not in known:
+        if e not in index:
             raise DanglingElement(f"{where}: element {e!r} is not in the universe")
+        return index[e]
+
+    def mask_of(elements: list, where: str) -> int:
+        out = 0
+        for e in elements:
+            out |= 1 << position(e, where)
+        return out
 
     app_doc = doc.get("app", [])
     if not isinstance(app_doc, list):
         raise ModelError("'app' must be a list")
-    app: dict[tuple[str, str], frozenset] = {}
+    cells: dict[tuple[int, int], int] = {}
     for row in app_doc:
         if not isinstance(row, dict) or set(row) - {"left", "right", "result"}:
             raise ModelError(f"bad app row {row!r}")
         a, b = row.get("left"), row.get("right")
-        check_element(a, "app row")
-        check_element(b, "app row")
-        if (a, b) in app:
+        cell = (position(a, "app row"), position(b, "app row"))
+        if cell in cells:
             raise ModelError(f"duplicate app row for ({a!r}, {b!r})")
         result = row.get("result", [])
         if not isinstance(result, list):
             raise ModelError(f"app result for ({a!r}, {b!r}) must be a list")
-        for e in result:
-            check_element(e, "app result")
-        app[(a, b)] = frozenset(result)
+        cells[cell] = mask_of(result, "app result")
 
-    constants: dict[str, frozenset] = {}
+    masks: dict[str, int] = {}
     consts_doc = doc.get("constants", {})
     if not isinstance(consts_doc, dict):
         raise ModelError("'constants' must be an object")
     for name, val in consts_doc.items():
         if not isinstance(val, list):
             raise ModelError(f"constant {name!r} denotation must be a list")
-        for e in val:
-            check_element(e, f"constant {name!r}")
-        constants[name] = frozenset(val)
+        masks[name] = mask_of(val, f"constant {name!r}")
 
     if sig is not None:
         for name in sig.constants:
-            if name not in constants:
+            if name not in masks:
                 raise MissingConstant(f"no denotation for constant {name!r}")
 
-    s = Structure(tuple(universe), app, constants)
-    if DEFINEDNESS in constants:
-        d = constants[DEFINEDNESS]
-        for a in universe:
-            if apply_sets(s, d, frozenset((a,))) != s.carrier:
+    n = len(universe)
+    _check_cap(universe)  # before the n-by-n table is built
+    rows = tuple(tuple(cells.get((i, j), 0) for j in range(n)) for i in range(n))
+    s = Structure(tuple(universe), rows, masks)
+    if DEFINEDNESS in masks:
+        d = masks[DEFINEDNESS]
+        for a, single in zip(universe, s.singletons):
+            if s.apply(d, single) != s.full:
                 raise DefinednessViolated(
                     f"def applied to {{{a}}} does not give the whole universe"
                 )
@@ -248,20 +266,20 @@ def validate_structure(doc: dict, sig: Signature | None = None) -> Structure:
 
 
 def structure_to_doc(s: Structure) -> dict:
-    rows = []
-    for a in s.universe:
-        for b in s.universe:
-            val = s.app_of(a, b)
-            if val:
-                rows.append(
-                    {"left": a, "right": b, "result": s.sorted_elements(val)}
-                )
+    u = s.universe
+
+    def names(mask: int) -> list[str]:
+        return [u[i] for i in s.bits[mask]]
+
     return {
-        "universe": list(s.universe),
-        "app": rows,
-        "constants": {
-            name: s.sorted_elements(val) for name, val in sorted(s.constants.items())
-        },
+        "universe": list(u),
+        "app": [
+            {"left": u[i], "right": u[j], "result": names(m)}
+            for i, row in enumerate(s.rows)
+            for j, m in enumerate(row)
+            if m
+        ],
+        "constants": {name: names(m) for name, m in sorted(s.masks.items())},
     }
 
 
@@ -432,50 +450,30 @@ def _universe(size: int) -> tuple[str, ...]:
 
 def _exhaustive(size: int, names: list[str], defined: bool) -> Iterator[Structure]:
     universe = _universe(size)
-    subsets = list(subsets_of(universe))
-    cells = [(a, b) for a in universe for b in universe]
-    free_cells = cells
-    forced_app: dict[tuple[str, str], frozenset] = {}
-    forced_consts: dict[str, frozenset] = {}
+    subsets = range(1 << size)
+    forced_rows: tuple[tuple[int, ...], ...] = ()
+    forced_masks: dict[str, int] = {}
     free_names = names
     if defined:
-        # Pin def to the first element and make its rows total; the rest of
-        # the grid stays free.
-        anchor = universe[0]
-        forced_consts = {DEFINEDNESS: frozenset((anchor,))}
-        forced_app = {(anchor, b): frozenset(universe) for b in universe}
-        free_cells = [c for c in cells if c not in forced_app]
+        # Pin def to the first element (bit 1) and make its row total; the
+        # rest of the grid stays free.
+        forced_rows = ((subsets[-1],) * size,)
+        forced_masks = {DEFINEDNESS: 1}
         free_names = [n for n in names if n != DEFINEDNESS]
-    for app_choice in itertools.product(subsets, repeat=len(free_cells)):
-        app = dict(forced_app)
-        for cell, val in zip(free_cells, app_choice):
-            if val:
-                app[cell] = val
-        for const_choice in itertools.product(subsets, repeat=len(free_names)):
-            constants = dict(forced_consts)
-            constants.update(zip(free_names, const_choice))
-            yield Structure(universe, app, constants)
+    free_cells = (size - len(forced_rows)) * size
+    for grid in itertools.product(subsets, repeat=free_cells):
+        rows = forced_rows + tuple(grid[i:i + size] for i in range(0, free_cells, size))
+        for choice in itertools.product(subsets, repeat=len(free_names)):
+            masks = dict(forced_masks)
+            masks.update(zip(free_names, choice))
+            yield Structure(universe, rows, masks)
 
 
 def _sample(rng: random.Random, size: int, names: list[str], defined: bool) -> Structure:
-    universe = _universe(size)
-    full = frozenset(universe)
-
-    def random_subset() -> frozenset:
-        mask = rng.getrandbits(size)
-        return frozenset(universe[i] for i in range(size) if mask >> i & 1)
-
-    app: dict[tuple[str, str], frozenset] = {}
-    for a in universe:
-        for b in universe:
-            val = random_subset()
-            if val:
-                app[(a, b)] = val
-    constants = {name: random_subset() for name in names}
+    rows = [[rng.getrandbits(size) for _ in range(size)] for _ in range(size)]
+    masks = {name: rng.getrandbits(size) for name in names}
     if defined:
-        anchor = universe[0]
-        extras = random_subset()
-        constants[DEFINEDNESS] = frozenset((anchor,)) | extras
-        for b in universe:
-            app[(anchor, b)] = full
-    return Structure(universe, app, constants)
+        # def holds the first element and maybe more; that element's row is total.
+        masks[DEFINEDNESS] = 1 | rng.getrandbits(size)
+        rows[0] = [(1 << size) - 1] * size
+    return Structure(_universe(size), tuple(map(tuple, rows)), masks)

@@ -4,7 +4,7 @@ Evaluation maps a pattern to the subset of the universe it stands for, given
 a structure and a valuation.  Implication is relative complement, the
 existential is a union over all reassignments of its variable, and ``mu`` is
 the intersection of all closed sets of the induced operator.  One evaluator
-serves every entry point; it works on the structure's bitmask `Kernel`
+serves every entry point; it works on the structure's own bitmask form
 (element i is bit i, a subset is an ``int``) and names elements only on the
 way in and out.
 
@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from . import sugar
-from .model import Kernel, Structure, Valuation
+from .model import Structure, Valuation
 from .syntax import (
     Appl,
     Const,
@@ -79,46 +79,45 @@ MAX_SKELETON_ATOMS = 20
 
 def evaluate(structure: Structure, valuation: Valuation, p: Pattern) -> frozenset:
     """The subset of the universe denoted by ``p``."""
-    k = structure.kernel
-    ev, sv = _env(k, valuation)
-    return k.subset(_ev(p, k, ev, sv, {}))
+    ev, sv = _env(structure, valuation)
+    return structure.subset(_ev(p, structure, ev, sv, {}))
 
 
-def _env(k: Kernel, valuation: Valuation) -> tuple[dict, dict]:
+def _env(s: Structure, valuation: Valuation) -> tuple[dict, dict]:
     """The valuation as masks: element variables to singletons, set
     variables to subsets."""
-    ev = {i: k.mask((a,)) for i, a in valuation.element.items()}
-    sv = {i: k.mask(b) for i, b in valuation.sets.items()}
+    ev = {i: s.mask((a,)) for i, a in valuation.element.items()}
+    sv = {i: s.mask(b) for i, b in valuation.sets.items()}
     return ev, sv
 
 
-def _ev(p: Pattern, k: Kernel, ev: dict, sv: dict, pos: dict) -> int:
+def _ev(p: Pattern, s: Structure, ev: dict, sv: dict, pos: dict) -> int:
     """The mask denoted by ``p``.  Binders rebind ``ev``/``sv`` in place and
     restore them before returning; ``pos`` caches the positivity of each
     ``Mu`` node's body for the duration of one top-level call."""
     t = type(p)
     if t is Imp:
-        left = _ev(p.left, k, ev, sv, pos)
-        return (k.full ^ left) | _ev(p.right, k, ev, sv, pos)
+        left = _ev(p.left, s, ev, sv, pos)
+        return (s.full ^ left) | _ev(p.right, s, ev, sv, pos)
     if t is SVar:
         return sv.get(p.index, 0)
     if t is EVar:
-        return ev.get(p.index, k.singletons[0])
+        return ev.get(p.index, s.singletons[0])
     if t is Appl:
-        left = _ev(p.left, k, ev, sv, pos)
-        return k.apply(left, _ev(p.right, k, ev, sv, pos))
+        left = _ev(p.left, s, ev, sv, pos)
+        return s.apply(left, _ev(p.right, s, ev, sv, pos))
     if t is Const:
         try:
-            return k.constants[p.name]
+            return s.masks[p.name]
         except KeyError:
             raise UnassignedConstant(f"constant {p.name!r} has no denotation") from None
     var, body = p.var, p.body
     if t is Exists:
         old = ev.get(var)
         out = 0
-        for bit in k.singletons:
+        for bit in s.singletons:
             ev[var] = bit
-            out |= _ev(body, k, ev, sv, pos)
+            out |= _ev(body, s, ev, sv, pos)
         _restore(ev, var, old)
         return out
     if type(body) is SVar and body.index == var:
@@ -135,16 +134,16 @@ def _ev(p: Pattern, k: Kernel, ev: dict, sv: dict, pos: dict) -> int:
         acc = 0
         while True:
             sv[var] = acc
-            nxt = _ev(body, k, ev, sv, pos)
+            nxt = _ev(body, s, ev, sv, pos)
             if nxt == acc:
                 break
             acc = nxt
     else:
         # Otherwise: the intersection of all closed sets.
-        acc = k.full
-        for b in range(k.full + 1):
+        acc = s.full
+        for b in range(s.full + 1):
             sv[var] = b
-            if not _ev(body, k, ev, sv, pos) & ~b:
+            if not _ev(body, s, ev, sv, pos) & ~b:
                 acc &= b
     _restore(sv, var, old)
     return acc
@@ -159,9 +158,8 @@ def _restore(env: dict, var: int, old) -> None:
 
 def satisfies(structure: Structure, valuation: Valuation, p: Pattern) -> bool:
     """The pattern denotes the whole universe under this valuation."""
-    k = structure.kernel
-    ev, sv = _env(k, valuation)
-    return _ev(p, k, ev, sv, {}) == k.full
+    ev, sv = _env(structure, valuation)
+    return _ev(p, structure, ev, sv, {}) == structure.full
 
 
 def fv_assignments(
@@ -169,9 +167,8 @@ def fv_assignments(
 ) -> Iterator[Valuation]:
     """Every assignment of the free variables of ``patterns``, in a fixed
     deterministic order.  Variables outside the domain keep their defaults."""
-    k = structure.kernel
-    for ev, sv in _assignments(k, _free_lists(patterns)):
-        yield _valuation(k, ev, sv)
+    for ev, sv in _assignments(structure, _free_lists(patterns)):
+        yield _valuation(structure, ev, sv)
 
 
 def _free_lists(patterns: Iterable[Pattern]) -> tuple[list, list]:
@@ -185,46 +182,45 @@ def _free_lists(patterns: Iterable[Pattern]) -> tuple[list, list]:
     return sorted(evars), sorted(svars)
 
 
-def _assignments(k: Kernel, free: tuple[list, list]) -> Iterator[tuple[dict, dict]]:
+def _assignments(s: Structure, free: tuple[list, list]) -> Iterator[tuple[dict, dict]]:
     """Every assignment of the given free variables in mask form: element
     variables vary slowest, each over the universe in order, then set
     variables over the subsets in bitmask order.  The dicts are shared
     between steps, so a caller must copy what it keeps."""
     e_list, s_list = free
-    subsets = range(k.full + 1)
-    for elems in itertools.product(k.singletons, repeat=len(e_list)):
+    subsets = range(s.full + 1)
+    for elems in itertools.product(s.singletons, repeat=len(e_list)):
         ev = dict(zip(e_list, elems))
         for sets in itertools.product(subsets, repeat=len(s_list)):
             yield ev, dict(zip(s_list, sets))
 
 
-def _valuation(k: Kernel, ev: dict, sv: dict) -> Valuation:
+def _valuation(s: Structure, ev: dict, sv: dict) -> Valuation:
     """The name-based valuation of one mask assignment."""
     return Valuation(
-        {i: k.element(m) for i, m in ev.items()},
-        {i: k.subset(m) for i, m in sv.items()},
+        {i: s.element(m) for i, m in ev.items()},
+        {i: s.subset(m) for i, m in sv.items()},
     )
 
 
-def _valid(k: Kernel, p: Pattern, free: tuple[list, list], pos: dict) -> bool:
-    full = k.full
-    return all(_ev(p, k, ev, sv, pos) == full for ev, sv in _assignments(k, free))
+def _valid(s: Structure, p: Pattern, free: tuple[list, list], pos: dict) -> bool:
+    full = s.full
+    return all(_ev(p, s, ev, sv, pos) == full for ev, sv in _assignments(s, free))
 
 
 def models(structure: Structure, p: Pattern) -> bool:
     """Validity in the structure: satisfied under every assignment of the
     pattern's free variables."""
-    return _valid(structure.kernel, p, _free_lists([p]), {})
+    return _valid(structure, p, _free_lists([p]), {})
 
 
 def is_predicate(structure: Structure, p: Pattern) -> bool:
     """The pattern denotes either nothing or everything, under every
     assignment of its free variables."""
-    k = structure.kernel
     pos: dict = {}
-    for ev, sv in _assignments(k, _free_lists([p])):
-        val = _ev(p, k, ev, sv, pos)
-        if val and val != k.full:
+    for ev, sv in _assignments(structure, _free_lists([p])):
+        val = _ev(p, structure, ev, sv, pos)
+        if val and val != structure.full:
             return False
     return True
 
@@ -241,7 +237,7 @@ def is_predicate(structure: Structure, p: Pattern) -> bool:
 # atoms if and only if its skeleton is a propositional tautology, which a
 # truth table decides.  The table is evaluated over all rows at once: bit r
 # of a value is its truth in row r, atom i is true in the rows whose index
-# has bit i set, and implication is the kernel's ``full ^ left | right``.
+# has bit i set, and implication is ``full ^ left | right``, as in `_ev`.
 # The acceptance suite cross-checks this against brute force over one- and
 # two-element powerset algebras.
 
@@ -336,37 +332,36 @@ def consequence(
     checked = 0
     for s in suite:
         checked += 1
-        k = s.kernel
-        full = k.full
+        full = s.full
         if kind is ConsequenceKind.GLOBAL:
-            if not all(_valid(k, g, f, pos) for g, f in zip(gamma, gamma_free)):
+            if not all(_valid(s, g, f, pos) for g, f in zip(gamma, gamma_free)):
                 continue
             for p, f in zip(delta, delta_free):
-                for ev, sv in _assignments(k, f):
-                    if _ev(p, k, ev, sv, pos) != full:
+                for ev, sv in _assignments(s, f):
+                    if _ev(p, s, ev, sv, pos) != full:
                         return Verdict(
-                            False, kind, checked, s, _valuation(k, ev, sv), p,
+                            False, kind, checked, s, _valuation(s, ev, sv), p,
                             "hypotheses are valid here but the conclusion is not",
                         )
         elif kind is ConsequenceKind.LOCAL:
-            for ev, sv in _assignments(k, free):
-                if not all(_ev(g, k, ev, sv, pos) == full for g in gamma):
+            for ev, sv in _assignments(s, free):
+                if not all(_ev(g, s, ev, sv, pos) == full for g in gamma):
                     continue
                 for p in delta:
-                    if _ev(p, k, ev, sv, pos) != full:
+                    if _ev(p, s, ev, sv, pos) != full:
                         return Verdict(
-                            False, kind, checked, s, _valuation(k, ev, sv), p,
+                            False, kind, checked, s, _valuation(s, ev, sv), p,
                             "hypotheses are satisfied here but the conclusion is not",
                         )
         else:
-            for ev, sv in _assignments(k, free):
+            for ev, sv in _assignments(s, free):
                 common = full
                 for g in gamma:
-                    common &= _ev(g, k, ev, sv, pos)
+                    common &= _ev(g, s, ev, sv, pos)
                 for p in delta:
-                    if common & ~_ev(p, k, ev, sv, pos):
+                    if common & ~_ev(p, s, ev, sv, pos):
                         return Verdict(
-                            False, kind, checked, s, _valuation(k, ev, sv), p,
+                            False, kind, checked, s, _valuation(s, ev, sv), p,
                             "the conclusion's value does not cover the "
                             "hypotheses' common value",
                         )
@@ -389,16 +384,15 @@ def eval_definedness(
     they provably agree on structures applying ``def`` totally, and the
     check is cheap, so disagreement raises immediately.
     """
-    if DEFINEDNESS not in structure.constants:
+    if DEFINEDNESS not in structure.masks:
         raise NotADefinednessStructure("the structure does not interpret 'def'")
-    k = structure.kernel
-    ev, sv = _env(k, valuation)
+    ev, sv = _env(structure, valuation)
     pos: dict = {}
 
     def value(p: Pattern) -> int:
-        return _ev(p, k, ev, sv, pos)
+        return _ev(p, structure, ev, sv, pos)
 
-    full = k.full
+    full = structure.full
     if op == "ceil":
         (phi,) = args
         desugared = sugar.ceil(phi)
@@ -414,7 +408,7 @@ def eval_definedness(
     elif op == "mem":
         var, phi = args
         desugared = sugar.mem(var, phi)
-        closed = full if ev.get(var, k.singletons[0]) & value(phi) else 0
+        closed = full if ev.get(var, structure.singletons[0]) & value(phi) else 0
     else:
         raise ValueError(f"unknown definedness operator {op!r}")
     direct = value(desugared)
@@ -422,4 +416,4 @@ def eval_definedness(
         raise RuntimeError(
             f"definedness closed form for {op} disagrees with evaluation"
         )
-    return k.subset(direct)
+    return structure.subset(direct)

@@ -6,9 +6,9 @@ polarity from a recursion over the tree instead of left-operand counting,
 tautology from evaluation in genuine powerset structures and from a
 row-by-row truth table over a skeleton tree, evaluation and
 consequence from the original frozenset evaluator, which meets every ``mu``
-with the intersection of all closed sets, and fixpoints of arbitrary set
-operators by Knaster-Tarski enumeration, exact-fixpoint enumeration and
-Kleene iteration.
+with the intersection of all closed sets, the structure stream from the
+original frozenset enumeration, and fixpoints of arbitrary set operators by
+Knaster-Tarski enumeration, exact-fixpoint enumeration and Kleene iteration.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from aml.model import ENUMERATION_CAP, UniverseTooLarge, subsets_of
+from aml.model import ENUMERATION_CAP, Structure, UniverseTooLarge, subsets_of
 from aml.syntax import (
+    DEFINEDNESS,
     Appl,
     Const,
     EVar,
@@ -217,6 +218,21 @@ def random_positive_pattern(
     return build(max_depth, True)
 
 
+def structure_from_cells(universe, app=None, constants=None):
+    """A `Structure` from cells and constants named by elements: ``app`` maps
+    a pair of elements to a set of elements, unlisted cells are empty, and
+    ``constants`` maps a name to a set of elements."""
+    bit = {e: 1 << i for i, e in enumerate(universe)}
+    app = app or {}
+
+    def mask(subset) -> int:
+        return sum(bit[e] for e in set(subset))
+
+    rows = tuple(tuple(mask(app.get((a, b), ())) for b in universe) for a in universe)
+    masks = {name: mask(val) for name, val in (constants or {}).items()}
+    return Structure(tuple(universe), rows, masks)
+
+
 # ---------------------------------------------------------------------------
 # Tautology oracle: unfold a skeleton into a pattern over set variables and
 # evaluate it in actual powerset structures of size one and two.
@@ -236,10 +252,7 @@ def random_skeleton(rng: random.Random, atoms: int, max_depth: int = 5) -> Patte
 
 
 def _plain_structure(size: int):
-    from aml.model import Structure
-
-    names = tuple(str(i) for i in range(size))
-    return Structure(universe=names, app={}, constants={})
+    return structure_from_cells(tuple(str(i) for i in range(size)))
 
 
 _ORACLE_STRUCTURES = [_plain_structure(1), _plain_structure(2)]
@@ -488,3 +501,67 @@ def is_monotone(fn, universe) -> bool:
         if c <= b and not values[c] <= values[b]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The structure stream as first written: every subset, cell value and
+# constant is a frozenset of element names, drawn in the same order as the
+# package draws its masks.  Each structure comes out as a triple of its
+# universe, its non-empty application cells and its constants.
+
+
+def structures_by_frozensets(sig, max_size, *, seed=0, samples=0, defined=False):
+    """`enumerate_structures` on frozensets, as ``(universe, app, constants)``."""
+    names = list(sig.constants)
+    if defined and DEFINEDNESS not in names:
+        names = names + [DEFINEDNESS]
+
+    def exhaustive(size):
+        universe = tuple(str(i) for i in range(size))
+        subsets = list(subsets_of(universe))
+        cells = [(a, b) for a in universe for b in universe]
+        free_cells, free_names = cells, names
+        forced_app, forced_consts = {}, {}
+        if defined:
+            anchor = universe[0]
+            forced_consts = {DEFINEDNESS: frozenset((anchor,))}
+            forced_app = {(anchor, b): frozenset(universe) for b in universe}
+            free_cells = [c for c in cells if c not in forced_app]
+            free_names = [n for n in names if n != DEFINEDNESS]
+        for app_choice in itertools.product(subsets, repeat=len(free_cells)):
+            app = dict(forced_app)
+            for cell, val in zip(free_cells, app_choice):
+                if val:
+                    app[cell] = val
+            for const_choice in itertools.product(subsets, repeat=len(free_names)):
+                constants = dict(forced_consts)
+                constants.update(zip(free_names, const_choice))
+                yield universe, app, constants
+
+    def sample(rng, size):
+        universe = tuple(str(i) for i in range(size))
+
+        def random_subset():
+            mask = rng.getrandbits(size)
+            return frozenset(universe[i] for i in range(size) if mask >> i & 1)
+
+        app = {}
+        for a in universe:
+            for b in universe:
+                val = random_subset()
+                if val:
+                    app[(a, b)] = val
+        constants = {name: random_subset() for name in names}
+        if defined:
+            anchor = universe[0]
+            constants[DEFINEDNESS] = frozenset((anchor,)) | random_subset()
+            for b in universe:
+                app[(anchor, b)] = frozenset(universe)
+        return universe, app, constants
+
+    for size in range(1, min(max_size, 2) + 1):
+        yield from exhaustive(size)
+    if samples and max_size >= 3:
+        rng = random.Random(seed)
+        for _ in range(samples):
+            yield sample(rng, rng.randint(3, max_size))

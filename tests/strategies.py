@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from oracles import structure_from_cells
 from aml.model import Structure, Valuation
 from aml.syntax import Appl, Const, EVar, Exists, Imp, Mu, SVar, Signature
 
@@ -40,7 +41,7 @@ def structures(draw, max_size: int = 3, constants: tuple[str, ...] = SIG.constan
             if row:
                 app[(a, b)] = row
     consts = {name: draw(members) for name in constants}
-    return Structure(universe=universe, app=app, constants=consts)
+    return structure_from_cells(universe, app, consts)
 
 
 @st.composite

@@ -284,6 +284,15 @@ class TestGenModels:
             s = load_structure(f)
             assert "def" in s.constants
 
+    def test_models_is_not_an_option(self, tmp_path, sig_file, capsys):
+        argv = ["gen-models", "--sig", sig_file, "--models", "nowhere", "--max-size", "1",
+                "--samples", "0", "--out", str(tmp_path / "gm")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --models nowhere" in capsys.readouterr().err
+        assert not (tmp_path / "gm").exists()
+
 
 class TestProof:
     def test_accepted_script(self, capsys):
@@ -370,6 +379,14 @@ class TestLimits:
         assert main(["eval", "--model", model, pats]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "enumeration cap 12" in err
+
+    def test_a_model_over_the_cap_is_refused_before_its_patterns(self, tmp_path, capsys):
+        doc = {"universe": [str(i) for i in range(13)], "app": [], "constants": {}}
+        model = write(tmp_path, "big.json", json.dumps(doc))
+        pats = write(tmp_path, "p.pat", "((\n")
+        assert main(["eval", "--model", model, pats]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: universe of size 13 exceeds the enumeration cap 12\n"
 
     def test_consequence_suite_over_the_cap(self, tmp_path, sig_file, capsys):
         pats = write(tmp_path, "p.pat", "c\n")

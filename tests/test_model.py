@@ -14,6 +14,7 @@ from oracles import (
     kleene_lfp,
     kt_gfp,
     kt_lfp,
+    structures_by_frozensets,
 )
 from strategies import structures
 from aml.model import (
@@ -116,6 +117,10 @@ class TestSerialization:
     def test_empty_rows_are_omitted(self):
         s = validate_structure(doc(app=[{"left": "0", "right": "1", "result": []}]))
         assert structure_to_doc(s)["app"] == []
+
+    def test_an_explicit_empty_row_survives_the_round_trip(self):
+        s = validate_structure(doc(app=[{"left": "0", "right": "1", "result": []}]))
+        assert validate_structure(structure_to_doc(s)) == s
 
 
 class TestSubsetsAndApplication:
@@ -237,6 +242,25 @@ class TestEnumeration:
         # 2 universe with 4^4 grids x 4 constant choices.
         got = list(enumerate_structures(Signature(("c",)), 2))
         assert len(got) == 4 + 256 * 4
+
+    @pytest.mark.parametrize("defined", [False, True])
+    @pytest.mark.parametrize("names", [(), ("c",), ("def",), ("c", "d"), ("c", "def")])
+    @pytest.mark.parametrize(
+        "max_size, seed, samples", [(1, 0, 5), (2, 0, 0), (3, 0, 12), (3, 9, 4), (4, 3, 30)]
+    )
+    def test_stream_matches_the_frozenset_oracle(self, names, defined, max_size, seed, samples):
+        sig = Signature(names)
+        got = enumerate_structures(sig, max_size, seed=seed, samples=samples, defined=defined)
+        want = structures_by_frozensets(
+            sig, max_size, seed=seed, samples=samples, defined=defined
+        )
+        count = 0
+        for s, (universe, app, constants) in itertools.zip_longest(got, want):
+            assert s.universe == universe, count
+            assert dict(s.app) == app, count
+            assert dict(s.constants) == constants, count
+            count += 1
+        assert count > 0
 
     def test_streams_are_deterministic(self):
         spec = SuiteSpec(Signature(("c",)), max_size=3, seed=7, samples=20)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kt_gfp, kt_lfp
+from oracles import kt_gfp, kt_lfp, structure_from_cells
 from strategies import patterns, structure_with_valuation
 from aml.context import ApplL, ApplR, Box, plug
 from aml.model import (
-    Structure,
     SuiteSpec,
     UniverseTooLarge,
     Valuation,
@@ -110,9 +109,8 @@ class TestEvaluateBaseCases:
         assert evaluate(self.s, self.v, Mu(0, neg(SVar(0)))) == self.s.carrier
 
     def test_universe_cap(self):
-        big = Structure(tuple(str(i) for i in range(13)), {}, {})
         with pytest.raises(UniverseTooLarge):
-            evaluate(big, Valuation(), BOT)
+            evaluate(structure_from_cells(tuple(str(i) for i in range(13))), Valuation(), BOT)
 
 
 class TestDerivedValueLaws:
