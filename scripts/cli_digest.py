@@ -6,7 +6,10 @@ run's exit code, stdout, stderr and counterexample files.  Group `audit` is
 `taut`, `parse --emit sugar` and `check` on fixed files written to a
 temporary directory; group `suite` is `gen-models` over two signatures, with
 and without `--defined`, exhaustive and sampled, plus one failing
-`consequence --defined`.  Every run goes with and without `--json`; where
+`consequence --defined`; group `consequence` is `consequence` at all three
+kinds over the default suite and a sampled one, on queries that hold and
+that fail (early, and late in the suite, after structures the symmetry
+reduction skips).  Every run goes with and without `--json`; where
 `--json` is not an option, the usage error is what gets hashed.  Compare two
 trees with `PYTHONPATH=<tree>/src python3 scripts/cli_digest.py`.
 """
@@ -28,6 +31,9 @@ CHAIN = " -> ".join(f"x{i}" for i in range(20))
 TAUT = [f"{CHAIN} -> x0", CHAIN, "(mu X3 . X3) -> c", "!(mu X1 . X1) -> c \\/ !c",
         f"x20 -> {CHAIN}"]
 CHECK = ["x0 -> x0", "(mu X3 . X3) -> c", "c -> c c", "!!c -> c", "x0 c", "mu X1 . X0 -> X1"]
+# Consequence queries over the signature `c`: (conclusion file, hypotheses).
+QUERIES = {"holds.pat": ("c c -> c", "c"), "tautology.pat": ("x0 X0 -> x0 X0", None),
+           "late.pat": ("(c c) c -> c c", None), "early.pat": ("x0 -> c x0", None)}
 MODEL = '{"universe": ["0", "1"], "constants": {"c": ["0", "1"], "d": ["1"]},' \
     ' "app": [{"left": "0", "right": "1", "result": ["0", "1"]}]}'
 
@@ -66,6 +72,11 @@ def main() -> None:
                   for size in sizes]
     suite_runs.append(["consequence", "--defined", "--sig", "sigdef.txt", "--max-size", "3",
                        "--samples", "20", "--seed", "3", "--out", "out", "fail.pat"])
+    conseq = [["consequence", "--kind", kind, "--sig", "c.txt", *size, "--out", "out",
+               *(["--gamma", f"gamma-{name}"] if gamma else []), name]
+              for kind in ("global", "local", "strong")
+              for size in ([], ["--max-size", "3", "--samples", "30", "--seed", "3"])
+              for name, (_, gamma) in QUERIES.items()]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temporary name out of the output
@@ -73,12 +84,18 @@ def main() -> None:
             Path("sig.txt").write_text("c\nd\n")
             Path("sigdef.txt").write_text("c\ndef\n")
             Path("fail.pat").write_text("ceil(c) -> c\n")
+            Path("c.txt").write_text("c\n")
+            for name, (conclusion, gamma) in QUERIES.items():
+                Path(name).write_text(conclusion + "\n")
+                if gamma:
+                    Path(f"gamma-{name}").write_text(gamma + "\n")
             Path("m.json").write_text(MODEL)
             for name, lines in files.items():
                 Path(name).write_text("\n".join(lines) + "\n")
             print(f"audit {digest(audit)} ({2 * len(audit)} runs)")
             print(f"taut  {digest(taut)} ({2 * len(taut)} runs)")
             print(f"suite {digest(suite_runs)} ({2 * len(suite_runs)} runs)")
+            print(f"consequence {digest(conseq)} ({2 * len(conseq)} runs)")
         finally:
             os.chdir(home)
 

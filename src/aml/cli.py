@@ -84,6 +84,13 @@ def _load_sig(args, fallback: tuple[str, ...] = ()) -> Signature:
         raise CliError(str(exc)) from exc
 
 
+def _suite_sig(args, sig: Signature) -> Signature:
+    """A generated ``--defined`` suite ends its signature with ``def``."""
+    if not args.defined or getattr(args, "models", None) or "def" in sig:
+        return sig
+    return Signature((*sig.constants, "def"))
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -352,9 +359,7 @@ def _cmd_taut(args) -> int:
 def _cmd_consequence(args) -> int:
     loaded = _load_model_dir(args.models, None) if args.models else None
     names = {c for s in loaded or () for c in s.masks}
-    sig = _load_sig(args, tuple(sorted(names)))
-    if args.defined and "def" not in sig and not args.sig and not args.models:
-        sig = Signature(tuple(sorted((*sig.constants, "def"))))
+    sig = _suite_sig(args, _load_sig(args, tuple(sorted(names))))
     gamma: list[Pattern] = []
     for path in args.gamma or []:
         gamma.extend(_read_patterns(path, sig, args.mode))
@@ -399,6 +404,8 @@ def _cmd_consequence(args) -> int:
 
 def _cmd_proof(args) -> int:
     sig = _load_sig(args)
+    if args.audit:
+        sig = _suite_sig(args, sig)
     try:
         script = parse_proof(_read_text(args.script), sig)
     except ProofSyntaxError as exc:
@@ -447,9 +454,7 @@ def _cmd_proof(args) -> int:
 
 
 def _cmd_gen_models(args) -> int:
-    sig = _load_sig(args)
-    if args.defined and "def" not in sig:
-        sig = Signature(tuple(sorted((*sig.constants, "def"))))
+    sig = _suite_sig(args, _load_sig(args))
     spec = SuiteSpec(
         sig=sig,
         max_size=args.max_size,

@@ -15,7 +15,9 @@ of bit positions has 2^n rows.
 
 Structures declaring the reserved constant ``def`` are definedness
 structures and must apply it totally: ``def`` applied to any singleton
-yields the whole universe.
+yields the whole universe.  In a suite's exhaustive two-element block, a
+structure whose 0<->1 image came earlier carries that image as its ``twin``,
+found by position, not by hashing; no other structure has one.
 """
 
 from __future__ import annotations
@@ -89,11 +91,12 @@ class Structure:
     subset is an ``int``.  ``rows[i][j]`` is the mask of element i applied
     to element j, and ``masks`` maps each constant to its denotation.  The
     tables ``full``, ``bits`` and ``singletons`` are set once, here, so that
-    evaluation reads them as plain attributes."""
+    evaluation reads them as plain attributes.  ``twin``: see the module."""
 
     universe: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
     masks: Mapping[str, int]
+    twin: Structure | None = field(default=None, compare=False, repr=False)
     full: int = field(init=False, repr=False, compare=False)
     bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     singletons: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -461,12 +464,26 @@ def _exhaustive(size: int, names: list[str], defined: bool) -> Iterator[Structur
         forced_masks = {DEFINEDNESS: 1}
         free_names = [n for n in names if n != DEFINEDNESS]
     free_cells = (size - len(forced_rows)) * size
+    images = _swap_images(len(free_names)) if size == 2 and not defined else None
+    made: list[Structure] = []
     for grid in itertools.product(subsets, repeat=free_cells):
         rows = forced_rows + tuple(grid[i:i + size] for i in range(0, free_cells, size))
         for choice in itertools.product(subsets, repeat=len(free_names)):
             masks = dict(forced_masks)
             masks.update(zip(free_names, choice))
-            yield Structure(universe, rows, masks)
+            at = images[len(made)] if images else len(made)
+            made.append(Structure(universe, rows, masks, made[at] if at < len(made) else None))
+            yield made[-1]
+
+
+@lru_cache(maxsize=None)
+def _swap_images(free: int) -> tuple[int, ...]:
+    """Where each two-element structure's 0<->1 image sits in its block: a
+    position reads in base 4, a mask per digit, cells first, then ``free``
+    constants; the swap exchanges each mask's bits and reverses the cells."""
+    swap, n = (0, 2, 1, 3), 4 + free
+    return tuple(sum(swap[m] << 2 * (n - 1 - k) for k, m in enumerate(d[3::-1] + d[4:]))
+                 for d in itertools.product(range(4), repeat=n))
 
 
 def _sample(rng: random.Random, size: int, names: list[str], defined: bool) -> Structure:

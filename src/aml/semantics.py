@@ -18,7 +18,9 @@ within |A| + 1 steps.  Any other body gets the intersection itself, over all
 Consequence comes in three strengths and is always decided relative to an
 explicit suite of finite structures, so a "holds" verdict is an
 under-approximation of validity; counterexamples, on the other hand, are
-definitive and replayable.
+definitive and replayable.  All three are invariant under renaming the
+universe, so a structure whose ``twin`` (see `model`) held earlier in the
+call is skipped, though still counted in ``structures_checked``.
 """
 
 from __future__ import annotations
@@ -304,6 +306,7 @@ class Verdict:
     valuation: Valuation | None = None
     pattern: Pattern | None = None
     note: str = ""
+    structures_skipped: int = 0  # decided through an earlier twin
 
 
 def consequence(
@@ -329,9 +332,14 @@ def consequence(
         delta_free = [_free_lists([p]) for p in delta]
     else:
         free = _free_lists(gamma + delta)
-    checked = 0
+    checked = skipped = 0
+    decided: dict[int, Structure] = {}  # by id; holding them keeps ids unique
     for s in suite:
         checked += 1
+        if s.twin is not None and id(s.twin) in decided:
+            skipped += 1
+            continue
+        decided[id(s)] = s
         full = s.full
         if kind is ConsequenceKind.GLOBAL:
             if not all(_valid(s, g, f, pos) for g, f in zip(gamma, gamma_free)):
@@ -341,7 +349,7 @@ def consequence(
                     if _ev(p, s, ev, sv, pos) != full:
                         return Verdict(
                             False, kind, checked, s, _valuation(s, ev, sv), p,
-                            "hypotheses are valid here but the conclusion is not",
+                            "hypotheses are valid here but the conclusion is not", skipped,
                         )
         elif kind is ConsequenceKind.LOCAL:
             for ev, sv in _assignments(s, free):
@@ -351,7 +359,7 @@ def consequence(
                     if _ev(p, s, ev, sv, pos) != full:
                         return Verdict(
                             False, kind, checked, s, _valuation(s, ev, sv), p,
-                            "hypotheses are satisfied here but the conclusion is not",
+                            "hypotheses are satisfied here but the conclusion is not", skipped,
                         )
         else:
             for ev, sv in _assignments(s, free):
@@ -363,9 +371,9 @@ def consequence(
                         return Verdict(
                             False, kind, checked, s, _valuation(s, ev, sv), p,
                             "the conclusion's value does not cover the "
-                            "hypotheses' common value",
+                            "hypotheses' common value", skipped,
                         )
-    return Verdict(True, kind, checked)
+    return Verdict(True, kind, checked, structures_skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,17 @@ class TestConsequence:
         code = main(["consequence", "--defined", "--samples", "0", delta])
         assert code == 0
 
+    def test_defined_adds_def_to_a_given_signature(self, tmp_path, sig_file, capsys):
+        delta = write(tmp_path, "d.pat", "ceil(c) -> c\n")
+        outdir = tmp_path / "cex"
+        argv = ["consequence", "--defined", "--sig", sig_file, "--max-size", "3",
+                "--samples", "20", "--seed", "3", "--out", str(outdir), delta]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "fails" in out and "definedness" in out
+        structure = json.loads((outdir / "structure.json").read_text())
+        assert structure["constants"]["def"] == ["0"]
+
 
 class TestGenModels:
     def test_deterministic_files(self, tmp_path, capsys):
@@ -317,6 +328,17 @@ class TestProof:
         assert code == 0
         out = capsys.readouterr().out
         assert "AUDIT:" in out and "no violations" in out
+
+    def test_audit_with_defined_adds_def_to_a_given_signature(self, tmp_path, sig_file, capsys):
+        script = write(tmp_path, "d.prf", "hyp h := ceil(c)\n1: ceil(c) ; hyp h\n")
+        argv = ["proof", "check", "--sig", sig_file, "--audit", "--defined",
+                "--max-size", "2", "--samples", "0", script]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "RESULT: accepted" in out and "no violations" in out
+        # Without a generated suite, --defined does not widen the signature.
+        assert main(["proof", "check", "--sig", sig_file, "--defined", script]) == 2
+        assert "'ceil' needs the constant 'def'" in capsys.readouterr().err
 
     def test_json_report(self, capsys):
         script = str(CORPUS / "proofs" / "positive" / "g01-generalize.prf")

@@ -5,6 +5,10 @@ with the intersection of all closed sets, and a `consequence` built on it.
 Patterns are generated to reach the cases where the two fixpoint paths
 differ: nested ``mu``, bodies that are not positive in their variable,
 bodies where the variable is vacuous, and ``exists`` under ``mu``.
+
+A metamorphic check backs the symmetry reduction in `consequence`: renaming
+the universe by any permutation renames every value by it and leaves every
+consequence verdict as it was.
 """
 
 from functools import lru_cache
@@ -13,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import SIG, patterns, valuations
+from strategies import SIG, patterns, structures, valuations
 from aml.model import SuiteSpec, Valuation
 from aml.semantics import consequence, evaluate, fv_assignments
 from aml.syntax import Appl, Const, EVar, Exists, Imp, Mu, SVar, free_vars, is_positive_in
@@ -161,3 +165,46 @@ def test_consequence_agrees_with_the_frozenset_oracle(kind, query):
     assert got.structure is want.structure
     assert got.valuation == want.valuation
     assert got.pattern is want.pattern
+
+
+@st.composite
+def renamings(draw):
+    """A structure, a permutation of its universe (as a dict), and the
+    structure with every cell and constant renamed by it, built through
+    `oracles.structure_from_cells`."""
+    s = draw(structures())
+    perm = dict(zip(s.universe, draw(st.permutations(s.universe))))
+    app = {(perm[a], perm[b]): _image(perm, m) for (a, b), m in s.app.items()}
+    constants = {name: _image(perm, m) for name, m in s.constants.items()}
+    return s, perm, oracles.structure_from_cells(s.universe, app, constants)
+
+
+def _image(perm, subset) -> frozenset:
+    return frozenset(perm[a] for a in subset)
+
+
+@given(renamings(), kernel_patterns(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_evaluation_commutes_with_renaming_the_universe(renaming, p, data):
+    s, perm, renamed = renaming
+    v = data.draw(valuations(s))
+    w = Valuation(
+        {i: perm[a] for i, a in v.element.items()},
+        {i: _image(perm, b) for i, b in v.sets.items()},
+    )
+    assert evaluate(renamed, w, p) == _image(perm, evaluate(s, v, p))
+
+
+@given(
+    st.lists(renamings(), min_size=1, max_size=4),
+    st.lists(kernel_patterns(max_leaves=4), max_size=2),
+    st.lists(kernel_patterns(max_leaves=4), min_size=1, max_size=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_consequence_is_invariant_under_renaming_the_universe(triples, gamma, delta):
+    suite = [s for s, _, _ in triples]
+    renamed = [r for _, _, r in triples]
+    for kind in ("global", "local", "strong"):
+        got = consequence(kind, gamma, delta, renamed)
+        want = consequence(kind, gamma, delta, suite)
+        assert (got.holds, got.structures_checked) == (want.holds, want.structures_checked)

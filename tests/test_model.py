@@ -47,6 +47,20 @@ def doc(universe=("0", "1"), app=(), constants=None):
     }
 
 
+def _swap(mask: int) -> int:
+    return (mask & 1) << 1 | mask >> 1
+
+
+def _key(s):
+    return s.rows, tuple(sorted(s.masks.items()))
+
+
+def _swapped(s):
+    """The key of ``s`` with elements 0 and 1 of its two-element universe exchanged."""
+    rows = tuple(tuple(_swap(s.rows[1 - i][1 - j]) for j in range(2)) for i in range(2))
+    return rows, tuple(sorted((name, _swap(m)) for name, m in s.masks.items()))
+
+
 class TestValidation:
     def test_minimal(self):
         s = validate_structure(doc(universe=("a",)))
@@ -261,6 +275,41 @@ class TestEnumeration:
             assert dict(s.constants) == constants, count
             count += 1
         assert count > 0
+
+    @pytest.mark.parametrize("defined", [False, True])
+    @pytest.mark.parametrize("names", [(), ("c",), ("c", "d"), ("def",)])
+    @pytest.mark.parametrize("max_size, samples", [(1, 5), (2, 0), (3, 40)])
+    def test_twins_are_earlier_swap_images(self, names, defined, max_size, samples):
+        sig = Signature(names)
+        stream = list(
+            enumerate_structures(sig, max_size, seed=4, samples=samples, defined=defined)
+        )
+        where = {id(s): i for i, s in enumerate(stream)}
+        for i, s in enumerate(stream):
+            if len(s.universe) != 2 or defined:
+                # Size one, sampled (sizes three and up) or --defined.
+                assert s.twin is None, i
+            elif s.twin is not None:
+                assert _key(s.twin) == _swapped(s), i
+                assert where[id(s.twin)] < i
+        if defined or max_size < 2:
+            return
+        # The block holds every two-element structure once, so each one's
+        # image is in it; of a pair the swap does not fix, exactly one (the
+        # later) carries a twin, and a fixed structure carries none.
+        block = {_key(s): s for s in stream if len(s.universe) == 2}
+        assert len(block) == 4 ** (4 + len(names))
+        for s in block.values():
+            image = block[_swapped(s)]
+            if image is s:
+                assert s.twin is None
+            else:
+                assert (s.twin is None) != (image.twin is None)
+
+    def test_twin_count_of_the_corpus_suite(self):
+        stream = list(enumerate_structures(Signature(("c",)), 3, seed=1, samples=200))
+        assert len(stream) == 1228
+        assert sum(s.twin is not None for s in stream) == 496
 
     def test_streams_are_deterministic(self):
         spec = SuiteSpec(Signature(("c",)), max_size=3, seed=7, samples=20)

@@ -1,6 +1,8 @@
 """Evaluation, satisfaction, tautology checking, and the three consequence
 relations, exercised against their defining identities."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -577,6 +579,86 @@ class TestConsequence:
                 assert not satisfies(s, v, p)
             else:
                 assert not (evaluate(s, v, g) <= evaluate(s, v, p))
+
+
+KINDS = ("global", "local", "strong")
+_C_SUITE = list(SuiteSpec(Signature(("c",)), max_size=2).structures())
+_C_COPIES = [dataclasses.replace(s, twin=None) for s in _C_SUITE]
+
+
+def _c_patterns(max_leaves: int = 4):
+    """Patterns over the signature ``c`` whose free variables are among
+    x0, x1 and X0, so that a sweep of the suite stays cheap."""
+    return st.recursive(
+        st.sampled_from((X0, X1, SVar(0), C)),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda t: Appl(*t)),
+            st.tuples(inner, inner).map(lambda t: Imp(*t)),
+            st.tuples(st.integers(0, 1), inner).map(lambda t: Exists(*t)),
+            st.tuples(st.integers(0, 1), inner).map(lambda t: Mu(*t)),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+class TestSymmetryReduction:
+    """`consequence` skips a structure whose twin held earlier in the call.
+    Deciding the same query over copies without twins, which skips
+    nothing, must give the same verdict in every field but the skip count."""
+
+    def agree(self, kind, gamma, delta, view=lambda suite: suite):
+        suite, copies = view(_C_SUITE), view(_C_COPIES)
+        got = consequence(kind, gamma, delta, suite)
+        want = consequence(kind, gamma, delta, copies)
+        assert want.structures_skipped == 0
+        assert (got.holds, got.kind, got.structures_checked) == (
+            want.holds, want.kind, want.structures_checked
+        )
+        assert (got.valuation, got.note) == (want.valuation, want.note)
+        assert got.pattern is want.pattern
+        if got.holds:
+            assert got.structure is want.structure is None
+        else:
+            at = got.structures_checked - 1
+            assert got.structure is suite[at] and want.structure is copies[at]
+        return got
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_holding_sweep_skips_every_later_twin(self, kind):
+        got = self.agree(kind, [C], [Imp(Appl(C, C), C)])
+        assert got.holds
+        assert (got.structures_checked, got.structures_skipped) == (1028, 496)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_failure_after_skipped_structures_is_the_first_one(self, kind):
+        cc = Appl(C, C)
+        got = self.agree(kind, [], [Imp(Appl(cc, C), cc)])
+        assert not got.holds and got.structures_skipped > 0
+        assert got.structures_checked == 139
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reordered_and_partial_suites_skip_only_decided_twins(self, kind):
+        query = ([C], [Imp(Appl(C, C), C)])
+        backwards = self.agree(kind, *query, view=lambda s: s[::-1])
+        assert backwards.holds and backwards.structures_skipped == 0
+        # Keep each twin only where the structure naming it is dropped.
+        odd = self.agree(kind, *query, view=lambda s: s[1::2])
+        assert odd.holds and 0 < odd.structures_skipped < 496
+
+    @given(st.sampled_from(KINDS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_unreduced_decision(self, kind, data):
+        gamma = data.draw(st.lists(_c_patterns(), max_size=2))
+        delta = data.draw(st.lists(_c_patterns(), min_size=1, max_size=2))
+        if gamma and data.draw(st.booleans()):
+            # Conclusions that follow, so that some queries sweep the suite.
+            delta = gamma[:1]
+        self.agree(kind, gamma, delta)
+
+    def test_the_corpus_suite_skips_496_of_1228(self):
+        spec = SuiteSpec(Signature(("c",)), max_size=3, seed=1, samples=200)
+        got = consequence("global", [], [Imp(C, C)], list(spec.structures()))
+        assert (got.holds, got.structures_checked, got.structures_skipped) == (True, 1228, 496)
 
 
 class TestDefinedness:
