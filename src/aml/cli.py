@@ -2,8 +2,10 @@
 
 Exit codes: 0 when the command succeeds and its verdict is positive, 1 when
 a check comes back negative (not valid, not a tautology, consequence fails,
-proof rejected, audit violation), 2 on usage or file-format errors.  Output
-is deterministic for identical inputs and seeds; JSON output is sorted-key.
+proof rejected, audit violation), 2 on usage or file-format errors, and
+141 (128 + SIGPIPE), with nothing on stderr, when the reader of standard
+output closes it early.  Output is deterministic for identical inputs and
+seeds; JSON output is sorted-key.
 
 A failing verdict is also written out as replayable counterexample files
 under the ``--out`` directory, in the formats `eval` reads back: the first
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -385,6 +389,12 @@ def _cmd_consequence(args) -> int:
             )
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0 if verdict.holds else 1
+    if not verdict.holds:
+        # Before any output, as with --json: a reader that stops early
+        # (``| head -1``) still gets the files.
+        _write_counterexample(
+            Path(args.out), verdict.structure, verdict.valuation, verdict.pattern, gamma
+        )
     word = "holds" if verdict.holds else "fails"
     print(
         f"{args.kind} consequence over {verdict.structures_checked} structure(s) "
@@ -395,9 +405,6 @@ def _cmd_consequence(args) -> int:
             print(line)
         if verdict.note:
             print(f"  note: {verdict.note}")
-        _write_counterexample(
-            Path(args.out), verdict.structure, verdict.valuation, verdict.pattern, gamma
-        )
         print(f"  counterexample written to {args.out}/")
     return 0 if verdict.holds else 1
 
@@ -643,13 +650,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout shows up here
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head -1``): end as a command
+        # that SIGPIPE stops does, silently, and send what is still buffered
+        # to the null device so that the flush at exit does not fail again.
+        _drop_stdout()
+        return 128 + signal.SIGPIPE
     except (
         CliError, OSError, ParseError, ModelError, ProofSyntaxError,
         UniverseTooLarge, SkeletonTooLarge, UnassignedConstant,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+
+def _drop_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-process stream, with nothing left to flush at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

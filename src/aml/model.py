@@ -90,7 +90,8 @@ class Structure:
     """A structure in bitmask form: element i of the universe is bit i and a
     subset is an ``int``.  ``rows[i][j]`` is the mask of element i applied
     to element j, and ``masks`` maps each constant to its denotation.  The
-    tables ``full``, ``bits`` and ``singletons`` are set once, here, so that
+    tables ``full``, ``bits``, ``singletons`` and ``subset_masks`` (every
+    subset as a mask, in bitmask order) are set once, here, so that
     evaluation reads them as plain attributes.  ``twin``: see the module."""
 
     universe: tuple[str, ...]
@@ -100,6 +101,7 @@ class Structure:
     full: int = field(init=False, repr=False, compare=False)
     bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     singletons: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    subset_masks: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_cap(self.universe)
@@ -107,6 +109,7 @@ class Structure:
         object.__setattr__(self, "full", (1 << n) - 1)
         object.__setattr__(self, "bits", _bit_positions(n))
         object.__setattr__(self, "singletons", tuple(1 << i for i in range(n)))
+        object.__setattr__(self, "subset_masks", range(1 << n))
 
     @cached_property
     def app(self) -> Mapping[tuple[str, str], frozenset]:
@@ -162,6 +165,11 @@ class Structure:
                 for j in right_bits:
                     out |= row[j]
         return out
+
+    def lanes(self, mask: int) -> int:
+        """The whole universe if ``mask`` is not empty, else nothing: the
+        one-lane case of `semantics`' lane blocks."""
+        return self.full if mask else 0
 
 
 @lru_cache(maxsize=None)

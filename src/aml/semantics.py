@@ -3,10 +3,24 @@
 Evaluation maps a pattern to the subset of the universe it stands for, given
 a structure and a valuation.  Implication is relative complement, the
 existential is a union over all reassignments of its variable, and ``mu`` is
-the intersection of all closed sets of the induced operator.  One evaluator
-serves every entry point; it works on the structure's own bitmask form
-(element i is bit i, a subset is an ``int``) and names elements only on the
-way in and out.
+the intersection of all closed sets of the induced operator.
+
+One evaluator, `_ev`, serves every entry point, and it evaluates a *lane
+block*: structures of one universe size n and one set of constant names,
+side by side in big integers.  This is bit slicing (Biham, "A Fast New DES
+Implementation in Software", FSE 1997) over the broadword masks of Knuth,
+TAOCP Vol. 4A, 7.1.3.  Structure k of a block holds bits [k*n, k*n + n) of
+every value, element i of its universe being bit k*n + i.  A cell or a
+constant is the concatenation of the lanes' masks; ``rep`` has bit 0 of
+every lane set, so element i is ``rep << i`` in every lane and a subset b
+of the lane universe is ``b * rep``.  Implication, ``full ^ left | right``,
+and Kleene iteration then act on every lane at once.  Application spreads
+each lane's bit i of the left value and bit j of the right one over the
+lane and keeps cell (i, j) where both are set.  A ``mu`` whose body is not
+positive keeps b in each lane where the body's value minus b is empty.
+A `Structure` is the one-lane block (``rep`` is 1, nothing is packed), so
+`evaluate`, `satisfies`, `models`, `is_predicate` and `eval_definedness`
+read it directly, naming elements only on the way in and out.
 
 A ``mu`` whose body is positive in its variable (checked once per ``mu``
 node per call) is evaluated by Kleene iteration from the empty set: a
@@ -18,14 +32,20 @@ within |A| + 1 steps.  Any other body gets the intersection itself, over all
 Consequence comes in three strengths and is always decided relative to an
 explicit suite of finite structures, so a "holds" verdict is an
 under-approximation of validity; counterexamples, on the other hand, are
-definitive and replayable.  All three are invariant under renaming the
-universe, so a structure whose ``twin`` (see `model`) held earlier in the
-call is skipped, though still counted in ``structures_checked``.
+definitive and replayable.  The suite is decided block by block: within a
+run of structures of one size and one set of constant names, blocks grow to
+1, 8, 64, ... lanes, so a refutation at the first structure costs one
+one-lane evaluation.  A block reports its lowest failing lane with that
+lane's first counterexample, which is the first in suite order.  All three
+relations are invariant under renaming the universe, so a structure whose
+``twin`` (see `model`) was decided earlier in the call gets no lane, though
+it still counts in ``structures_checked``.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter, itemgetter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -93,8 +113,9 @@ def _env(s: Structure, valuation: Valuation) -> tuple[dict, dict]:
     return ev, sv
 
 
-def _ev(p: Pattern, s: Structure, ev: dict, sv: dict, pos: dict) -> int:
-    """The mask denoted by ``p``.  Binders rebind ``ev``/``sv`` in place and
+def _ev(p: Pattern, s, ev: dict, sv: dict, pos: dict) -> int:
+    """The mask denoted by ``p`` in every lane of the block ``s``, a
+    `Structure` or a `_Block`.  Binders rebind ``ev``/``sv`` in place and
     restore them before returning; ``pos`` caches the positivity of each
     ``Mu`` node's body for the duration of one top-level call."""
     t = type(p)
@@ -141,12 +162,11 @@ def _ev(p: Pattern, s: Structure, ev: dict, sv: dict, pos: dict) -> int:
                 break
             acc = nxt
     else:
-        # Otherwise: the intersection of all closed sets.
+        # Otherwise: the intersection of all closed sets, lane by lane.
         acc = s.full
-        for b in range(s.full + 1):
+        for b in s.subset_masks:
             sv[var] = b
-            if not _ev(body, s, ev, sv, pos) & ~b:
-                acc &= b
+            acc &= b | s.lanes(_ev(body, s, ev, sv, pos) & ~b)
     _restore(sv, var, old)
     return acc
 
@@ -184,13 +204,14 @@ def _free_lists(patterns: Iterable[Pattern]) -> tuple[list, list]:
     return sorted(evars), sorted(svars)
 
 
-def _assignments(s: Structure, free: tuple[list, list]) -> Iterator[tuple[dict, dict]]:
-    """Every assignment of the given free variables in mask form: element
-    variables vary slowest, each over the universe in order, then set
-    variables over the subsets in bitmask order.  The dicts are shared
-    between steps, so a caller must copy what it keeps."""
+def _assignments(s, free: tuple[list, list]) -> Iterator[tuple[dict, dict]]:
+    """Every assignment of the given free variables in mask form, the same
+    in every lane of ``s``: element variables vary slowest, each over the
+    universe in order, then set variables over the subsets in bitmask
+    order.  One ``ev`` serves every step with the same elements; `_ev`
+    restores what it rebinds, so a kept pair still holds its assignment."""
     e_list, s_list = free
-    subsets = range(s.full + 1)
+    subsets = s.subset_masks
     for elems in itertools.product(s.singletons, repeat=len(e_list)):
         ev = dict(zip(e_list, elems))
         for sets in itertools.product(subsets, repeat=len(s_list)):
@@ -290,7 +311,7 @@ class ConsequenceKind(str, Enum):
     STRONG = "strong"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     """Outcome of a consequence check over a suite.
 
@@ -307,6 +328,28 @@ class Verdict:
     pattern: Pattern | None = None
     note: str = ""
     structures_skipped: int = 0  # decided through an earlier twin
+
+    def __init__(
+        self, holds, kind, structures_checked, structure=None, valuation=None,
+        pattern=None, note="", structures_skipped=0,
+    ):
+        # One store of the whole instance dict instead of the generated
+        # frozen __init__'s eight ``object.__setattr__`` calls.
+        object.__setattr__(self, "__dict__", {
+            "holds": holds, "kind": kind, "structures_checked": structures_checked,
+            "structure": structure, "valuation": valuation, "pattern": pattern,
+            "note": note, "structures_skipped": structures_skipped,
+        })
+
+
+NOTES = {
+    ConsequenceKind.GLOBAL: "hypotheses are valid here but the conclusion is not",
+    ConsequenceKind.LOCAL: "hypotheses are satisfied here but the conclusion is not",
+    ConsequenceKind.STRONG: "the conclusion's value does not cover the hypotheses' common value",
+}
+
+# Blocks within one run of same-size structures hold 1, 8, 64, ... lanes.
+BLOCK_GROWTH = 8
 
 
 def consequence(
@@ -326,54 +369,210 @@ def consequence(
     kind = ConsequenceKind(kind)
     gamma = list(gamma)
     delta = list(delta)
-    pos: dict = {}
     if kind is ConsequenceKind.GLOBAL:
-        gamma_free = [_free_lists([g]) for g in gamma]
-        delta_free = [_free_lists([p]) for p in delta]
+        free = (
+            [(g, _free_lists([g])) for g in gamma],
+            [(p, _free_lists([p])) for p in delta],
+        )
     else:
         free = _free_lists(gamma + delta)
-    checked = skipped = 0
+    pos: dict = {}
+    given = 0  # lanes given to the structures of earlier blocks
+    for block, marks in _blocks(suite, gamma, delta):
+        if not block:
+            break
+        s = block[0] if len(block) == 1 else _Block(block)
+        found = _first_failure(kind, s, gamma, delta, free, pos)
+        if found:
+            low, ev, sv, p = found
+            shift = low.bit_length() - 1
+            k = shift // len(s.singletons)
+            structure = block[k]
+            if len(block) > 1:
+                full = structure.full
+                ev = {i: m >> shift & full for i, m in ev.items()}
+                sv = {i: m >> shift & full for i, m in sv.items()}
+            return Verdict(
+                False, kind, marks[k], structure, _valuation(structure, ev, sv), p,
+                NOTES[kind], marks[k] - given - k - 1,
+            )
+        given += len(block)
+    return Verdict(True, kind, marks[0], structures_skipped=marks[0] - given)
+
+
+def _first_failure(kind, s, gamma, delta, free, pos):
+    """The lowest failing lane of the block ``s``, as its lowest bit, with
+    that lane's first counterexample in the order one structure meets
+    them: ``(low, ev, sv, p)``, the assignment in mask form and the failing
+    conclusion; None if every lane holds.  Once a lane fails, only the lanes
+    below it are still searched, so the search ends when none is left; in a
+    one-lane block, at the first failure."""
+    full, lanes = s.full, s.lanes
+    found = None
+    if kind is ConsequenceKind.GLOBAL:
+        gamma_free, delta_free = free
+        live = full  # the lanes where every hypothesis is valid
+        for g, f in gamma_free:
+            for ev, sv in _assignments(s, f):
+                miss = live & ~_ev(g, s, ev, sv, pos)
+                if miss:
+                    live &= ~lanes(miss)
+                    if not live:
+                        return None
+        for p, f in delta_free:
+            for ev, sv in _assignments(s, f):
+                miss = live & ~_ev(p, s, ev, sv, pos)
+                if miss:
+                    low = lanes(miss)
+                    low &= -low
+                    found, live = (low, ev, sv, p), live & low - 1
+                    if not live:
+                        return found
+        return found
+    limit = full
+    for ev, sv in _assignments(s, free):
+        need = limit
+        if kind is ConsequenceKind.LOCAL:
+            # The lanes where every hypothesis is satisfied.
+            for g in gamma:
+                miss = need & ~_ev(g, s, ev, sv, pos)
+                if miss:
+                    need &= ~lanes(miss)
+                    if not need:
+                        break
+            if not need:
+                continue
+        else:
+            # The hypotheses' common value.
+            for g in gamma:
+                need &= _ev(g, s, ev, sv, pos)
+        for p in delta:
+            miss = need & ~_ev(p, s, ev, sv, pos)
+            if miss:
+                low = lanes(miss)
+                low &= -low
+                found, limit = (low, ev, sv, p), low - 1
+                if not limit:
+                    return found
+                need &= limit
+    return found
+
+
+def _blocks(suite: Iterable[Structure], gamma: list, delta: list):
+    """The suite cut into lane blocks, each yielded as its structures and
+    their marks: a structure's mark counts the suite's structures up to and
+    including it.  Every structure counted either has a lane or is skipped.
+    A last yield, after the suite ends, has no structures and one mark: the
+    count of the whole suite.
+
+    A block holds consecutive structures of one universe size and one set
+    of constant names, leaving out any whose twin was decided earlier.  In
+    each such run the blocks hold 1, 8, 64, ... lanes; where the run's
+    structures lack a constant of the query, every block holds one lane,
+    so that `UnassignedConstant` is raised exactly where a structure by
+    itself raises it."""
+    checked = 0
     decided: dict[int, Structure] = {}  # by id; holding them keeps ids unique
+    block, marks = [], []
+    full = names = needed = None
     for s in suite:
         checked += 1
         if s.twin is not None and id(s.twin) in decided:
-            skipped += 1
             continue
         decided[id(s)] = s
-        full = s.full
-        if kind is ConsequenceKind.GLOBAL:
-            if not all(_valid(s, g, f, pos) for g, f in zip(gamma, gamma_free)):
-                continue
-            for p, f in zip(delta, delta_free):
-                for ev, sv in _assignments(s, f):
-                    if _ev(p, s, ev, sv, pos) != full:
-                        return Verdict(
-                            False, kind, checked, s, _valuation(s, ev, sv), p,
-                            "hypotheses are valid here but the conclusion is not", skipped,
-                        )
-        elif kind is ConsequenceKind.LOCAL:
-            for ev, sv in _assignments(s, free):
-                if not all(_ev(g, s, ev, sv, pos) == full for g in gamma):
-                    continue
-                for p in delta:
-                    if _ev(p, s, ev, sv, pos) != full:
-                        return Verdict(
-                            False, kind, checked, s, _valuation(s, ev, sv), p,
-                            "hypotheses are satisfied here but the conclusion is not", skipped,
-                        )
-        else:
-            for ev, sv in _assignments(s, free):
-                common = full
-                for g in gamma:
-                    common &= _ev(g, s, ev, sv, pos)
-                for p in delta:
-                    if common & ~_ev(p, s, ev, sv, pos):
-                        return Verdict(
-                            False, kind, checked, s, _valuation(s, ev, sv), p,
-                            "the conclusion's value does not cover the "
-                            "hypotheses' common value", skipped,
-                        )
-    return Verdict(True, kind, checked, structures_skipped=skipped)
+        if s.full != full or s.masks.keys() != names:
+            if block:
+                yield block, marks
+                block, marks = [], []
+            full, names, size = s.full, s.masks.keys(), 1
+        block.append(s)
+        marks.append(checked)
+        if len(block) == size:
+            yield block, marks
+            block, marks = [], []
+            if needed is None:
+                needed = _constants(gamma + delta)
+            size = size * BLOCK_GROWTH if needed <= names else 1
+    if block:
+        yield block, marks
+    yield [], [checked]
+
+
+def _constants(patterns: Iterable[Pattern]) -> set:
+    """The names of the constants occurring in ``patterns``."""
+    out, todo = set(), list(patterns)
+    while todo:
+        p = todo.pop()
+        t = type(p)
+        if t is Const:
+            out.add(p.name)
+        elif t is Appl or t is Imp:
+            todo += (p.left, p.right)
+        elif t is Exists or t is Mu:
+            todo.append(p.body)
+    return out
+
+
+_MASKS, _ROWS = attrgetter("masks"), attrgetter("rows")
+# Lane masks of up to five bits as base-32 digits, one character each.
+_DIGITS = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
+
+
+def _pack(lanes: tuple, n: int) -> int:
+    """The masks of a block's lanes side by side, lane k at bits
+    [k*n, k*n + n): read as the digits of one number in base 2^n, the last
+    lane first.  Wider lanes are spelt out in binary."""
+    if n <= 5:
+        return int(bytes(lanes[::-1]).translate(_DIGITS), 1 << n)
+    return int("".join([format(m, f"0{n}b") for m in reversed(lanes)]), 2)
+
+
+class _Block:
+    """Structures of one universe size and one set of constant names, packed
+    lane by lane (see the module).  It offers what `_ev` and `_assignments`
+    read of a `Structure`: ``full``, ``singletons``, ``subset_masks``,
+    ``masks``, ``apply`` and ``lanes``."""
+
+    __slots__ = (
+        "n", "rep", "lane_full", "full", "singletons", "subset_masks", "masks", "rows",
+        "low", "high",
+    )
+
+    def __init__(self, structures: Sequence[Structure]) -> None:
+        n = len(structures[0].universe)
+        masks = list(map(_MASKS, structures))
+        # zip transposes: the rows of every lane, then each cell across lanes.
+        cells = [_pack(lanes, n) for row in zip(*map(_ROWS, structures)) for lanes in zip(*row)]
+        self.n = n
+        self.rows = [cells[i:i + n] for i in range(0, n * n, n)]
+        self.masks = {name: _pack(tuple(map(itemgetter(name), masks)), n) for name in masks[0]}
+        self.rep = rep = _pack((1,) * len(structures), n)
+        self.lane_full = (1 << n) - 1
+        self.full = rep * self.lane_full
+        self.singletons = tuple(rep << i for i in range(n))
+        self.subset_masks = [b * rep for b in range(1 << n)]
+        self.low = rep * ((1 << n - 1) - 1)  # every bit of every lane but its top one
+        self.high = rep << n - 1  # the top bit of every lane
+
+    def apply(self, left: int, right: int) -> int:
+        """Application in every lane: the union of cell (i, j) over the
+        lane's bits i of ``left`` and j of ``right``."""
+        out = 0
+        if left and right:
+            rep, lane_full = self.rep, self.lane_full
+            spread = [(right >> j & rep) * lane_full for j in range(self.n)]
+            for i, row in enumerate(self.rows):
+                mine = (left >> i & rep) * lane_full
+                if mine:
+                    for theirs, cell in zip(spread, row):
+                        out |= mine & theirs & cell
+        return out
+
+    def lanes(self, x: int) -> int:
+        """Every lane in which ``x`` is not empty, filled: adding ``low``
+        carries into a lane's top bit exactly when a lower bit is set."""
+        low = self.low
+        return ((((x & low) + low | x) & self.high) >> self.n - 1) * self.lane_full
 
 
 # ---------------------------------------------------------------------------

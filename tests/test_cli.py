@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -267,6 +270,32 @@ class TestConsequence:
         assert "fails" in out and "definedness" in out
         structure = json.loads((outdir / "structure.json").read_text())
         assert structure["constants"]["def"] == ["0"]
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_a_stdout_closed_early_still_gets_the_files(self, tmp_path, unbuffered, as_json):
+        # As under `aml consequence ... | head -1` once head has exited:
+        # the read end of the pipe is closed before anything is printed.
+        sig = write(tmp_path, "c.txt", "c\n")
+        late = write(tmp_path, "late.pat", "(c c) c -> c c\n")
+        outdir = tmp_path / "cex"
+        src = Path(aml.cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+        argv = ["consequence", "--kind", "local", "--sig", sig, "--out", str(outdir), late]
+        read, written = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "aml.cli", *argv, *["--json"] * as_json],
+                stdout=written, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(written)
+        assert (run.returncode, run.stderr) == (141, b"")
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "conclusion.pat", "replay.txt", "structure.json", "valuation.json",
+        ]
+        assert (outdir / "conclusion.pat").read_text() == "c c c -> c c\n"
 
 
 class TestGenModels:

@@ -2,15 +2,18 @@
 relations, exercised against their defining identities."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import kt_gfp, kt_lfp, structure_from_cells
 from strategies import patterns, structure_with_valuation
 from aml.context import ApplL, ApplR, Box, plug
 from aml.model import (
+    Structure,
     SuiteSpec,
     UniverseTooLarge,
     Valuation,
@@ -19,6 +22,7 @@ from aml.model import (
     validate_structure,
 )
 from aml.semantics import (
+    BLOCK_GROWTH,
     ConsequenceKind,
     NotADefinednessStructure,
     SkeletonTooLarge,
@@ -32,6 +36,8 @@ from aml.semantics import (
     models,
     satisfies,
 )
+# The block form the tests below hold lane by lane against `evaluate`.
+from aml.semantics import _Block, _ev
 from aml.sugar import BOT, TOP, and_, ceil, forall, iff, neg, nu, or_
 from aml.syntax import (
     Appl,
@@ -702,3 +708,244 @@ class TestDefinedness:
     def test_unknown_operator(self):
         with pytest.raises(ValueError):
             eval_definedness(self.suite[0], Valuation(), "sharp", [TOP])
+
+
+# ---------------------------------------------------------------------------
+# Lane blocks: `consequence` packs a run of same-size structures into one
+# block and evaluates them all at once with `_ev`.
+
+
+def _random_structure(rng, size, names=("c", "d")):
+    rows = tuple(tuple(rng.getrandbits(size) for _ in range(size)) for _ in range(size))
+    return Structure(
+        tuple(str(i) for i in range(size)), rows, {n: rng.getrandbits(size) for n in names}
+    )
+
+
+_NESTED = Mu(0, Appl(Mu(1, Imp(SVar(1), Appl(SVar(0), EVar(0)))), C))
+_NOT_POSITIVE = Mu(0, Imp(SVar(0), Appl(C, SVar(0))))
+_EXISTS_UNDER_MU = Mu(0, Exists(1, Imp(Const("d"), Appl(EVar(1), SVar(0)))))
+
+
+class TestLaneBlocks:
+    """Lane k of a block's value is the value on structure k alone."""
+
+    def check_lanes(self, lanes, p, elements, sets):
+        block = _Block(lanes)
+        ev = {i: block.singletons[e] for i, e in elements.items()}
+        sv = {i: b * block.rep for i, b in sets.items()}
+        value = _ev(p, block, ev, sv, {})
+        n = len(lanes[0].universe)
+        for k, s in enumerate(lanes):
+            v = Valuation(
+                {i: s.universe[e] for i, e in elements.items()},
+                {i: s.subset(b) for i, b in sets.items()},
+            )
+            assert s.subset(value >> k * n & s.full) == evaluate(s, v, p), k
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 70),
+        st.randoms(use_true_random=False),
+        st.one_of(patterns(max_leaves=5), st.sampled_from([_NESTED, _NOT_POSITIVE, _EXISTS_UNDER_MU])),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_lane_is_its_structure(self, size, count, rng, p):
+        lanes = [_random_structure(rng, size) for _ in range(count)]
+        elements = {i: rng.randrange(size) for i in range(3)}
+        sets = {i: rng.getrandbits(size) for i in range(3)}
+        self.check_lanes(lanes, p, elements, sets)
+
+    @pytest.mark.parametrize("p", [_NESTED, _NOT_POSITIVE, _EXISTS_UNDER_MU, Exists(1, Appl(X1, C))])
+    def test_lanes_wider_than_five_bits(self, p):
+        # Lanes of six and seven elements are packed digit by digit in binary.
+        rng = random.Random(6)
+        for size in (6, 7):
+            lanes = [_random_structure(rng, size) for _ in range(3)]
+            self.check_lanes(lanes, p, {0: size - 1}, {0: 5, 1: 1 << size - 1})
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_lanes_reports_every_non_empty_lane(self, size):
+        rng = random.Random(size)
+        block = _Block([_random_structure(rng, size) for _ in range(9)])
+        values = [rng.getrandbits(size) if k % 3 else 0 for k in range(9)]
+        x = sum(v << k * size for k, v in enumerate(values))
+        full = (1 << size) - 1
+        assert block.lanes(x) == sum(full << k * size for k, v in enumerate(values) if v)
+
+
+def _agrees_with_the_oracle(kind, gamma, delta, suite):
+    got = consequence(kind, gamma, delta, suite)
+    want = oracles.consequence_by_frozensets(kind, gamma, delta, suite)
+    assert (got.holds, got.kind, got.structures_checked) == (
+        want.holds, want.kind, want.structures_checked,
+    )
+    assert got.structure is want.structure
+    assert got.valuation == want.valuation
+    assert got.pattern is want.pattern
+    return got
+
+
+def _block_starts():
+    """Where each block of a run of at least 600 structures begins."""
+    starts, at, size = [], 0, 1
+    while at < 600:
+        starts.append(at)
+        at, size = at + size, size * BLOCK_GROWTH
+    return starts
+
+
+# Every two-element structure over ``c``, without twins, so that a suite of
+# them gives each structure a lane.
+_PAIRS = [dataclasses.replace(s, twin=None) for s in _C_SUITE if len(s.universe) == 2]
+# Fails where c c ⊄ c; under a valuation, where c x0 ⊄ c.
+_CLOSED = Imp(Appl(C, C), C)
+_OPEN = Imp(Appl(C, X0), C)
+
+
+def _split(kind, gamma, delta, pool):
+    """The structures of ``pool`` on which the query holds, and those on
+    which it fails, each failing one with the valuation that refutes it."""
+    holds, fails = [], []
+    for s in pool:
+        v = oracles.consequence_by_frozensets(kind, gamma, delta, [s])
+        if v.holds:
+            holds.append(s)
+        else:
+            fails.append((s, v.valuation))
+    return holds, fails
+
+
+class TestBlockDifferential:
+    """`consequence` over lane blocks against the frozenset oracle, which
+    decides one structure at a time."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("block, lane", [(0, 0), (1, 7), (2, 8), (2, 63), (3, 64), (3, -1)])
+    def test_the_first_failure_at_a_lane(self, kind, block, lane):
+        holds, fails = _split(kind, [], [_CLOSED], _PAIRS)
+        starts = _block_starts()
+        at = starts[block] + lane if lane >= 0 else starts[block + 1] - 1
+        # Failures follow too, so the block holds more than one failing lane.
+        suite = (holds * 10)[:at] + [fails[0][0]] + [s for s, _ in fails[1:]] + holds
+        suite = suite[:starts[block + 1]]
+        got = _agrees_with_the_oracle(kind, [], [_CLOSED], suite)
+        assert not got.holds and got.structures_checked == at + 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_later_lane_failing_at_an_earlier_valuation(self, kind):
+        holds, fails = _split(kind, [], [_OPEN], _PAIRS)
+        late = next(s for s, v in fails if v.element == {0: "1"})
+        early = next(s for s, v in fails if v.element == {0: "0"})
+        # Lanes 3 and 5 of the block of eight: lane 5 fails first in
+        # valuation order, but lane 3 is the first failing structure.
+        suite = holds[:4] + [late, holds[4], early] + holds[5:20]
+        got = _agrees_with_the_oracle(kind, [], [_OPEN], suite)
+        assert got.structure is late and got.valuation.element == {0: "1"}
+
+    def test_global_hypotheses_valid_on_some_lanes_only(self):
+        gamma = [Imp(C, Appl(C, C))]
+        valid = [s for s in _PAIRS if models(s, gamma[0])]
+        holding = [s for s in valid if models(s, _CLOSED)]
+        refuted = [s for s in valid if not models(s, _CLOSED)]
+        # Refuted by the conclusion, but not global counterexamples.
+        skipped = [s for s in _PAIRS if not models(s, gamma[0]) and not models(s, _CLOSED)]
+        assert holding and refuted and skipped
+        suite = holding[:3] + skipped[:30] + refuted[:1] + skipped[30:60] + holding[3:40]
+        got = _agrees_with_the_oracle("global", gamma, [_CLOSED], suite)
+        assert got.structure is refuted[0] and got.structures_checked == 34
+        assert _agrees_with_the_oracle("global", gamma, [_CLOSED], suite[:33] + holding).holds
+
+    @given(
+        st.sampled_from(KINDS),
+        st.integers(0, 3),
+        st.lists(_c_patterns(max_leaves=3), max_size=1),
+        st.lists(_c_patterns(max_leaves=3), min_size=1, max_size=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_sizes_three_and_four(self, kind, seed, gamma, delta):
+        suite = list(SuiteSpec(Signature(("c",)), max_size=4, seed=seed, samples=24).structures())
+        _agrees_with_the_oracle(kind, gamma, delta, suite[-24:])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("view", [lambda s: s[::-1], lambda s: s[1::2]], ids=["reversed", "every-other"])
+    def test_reordered_suites_with_twins(self, kind, view):
+        suite = view(_C_SUITE)
+        for gamma, delta in (([C], [_CLOSED]), ([], [_OPEN]), ([], [Imp(Appl(Appl(C, C), C), Appl(C, C))])):
+            _agrees_with_the_oracle(kind, gamma, delta, suite)
+
+
+class TestUnassignedConstantInBlocks:
+    """A structure lacking a constant of the query raises only where,
+    deciding the suite one structure at a time, it would be reached."""
+
+    D = Const("d")
+    # c c ⊄ d where d is empty.
+    QUERY = ([], [Imp(Appl(C, C), Const("d"))])
+
+    def one(self, d):
+        constants = {"c": ["0"]} if d is None else {"c": ["0"], "d": d}
+        return plain(("0",), [{"left": "0", "right": "0", "result": ["0"]}], constants)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_refutation_before_the_structure_lacking_d_is_returned(self, kind):
+        refuting, lacking = self.one([]), self.one(None)
+        got = consequence(kind, *self.QUERY, [refuting, lacking])
+        assert not got.holds and got.structure is refuting
+        holding = self.one(["0"])
+        got = consequence(kind, *self.QUERY, [holding] * 11 + [refuting] + [lacking] * 20)
+        assert not got.holds and got.structures_checked == 12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("count", [1, 20])
+    def test_reaching_the_structure_lacking_d_raises(self, kind, count):
+        holding, lacking = self.one(["0"]), self.one(None)
+        with pytest.raises(UnassignedConstant, match="constant 'd' has no denotation"):
+            consequence(kind, *self.QUERY, [holding] * count + [lacking] * 3)
+
+    def test_a_block_lacking_d_is_decided_one_lane_at_a_time(self):
+        # Local, x0 -> c as hypothesis, then c c under x0 and d -> d.  The
+        # first structure satisfies the hypothesis nowhere.  The second
+        # fails it at x0 = 0 and is refuted at x0 = 1 before d -> d is
+        # reached.  The third satisfies it at x0 = 0, so all of its lanes
+        # at once would evaluate d -> d there and raise.
+        def pair(c, cell):
+            return plain(constants={"c": c}, app=[{"left": "0", "right": "0", "result": cell}])
+
+        first, second, third = pair([], []), pair(["1"], []), pair(["0"], ["0"])
+        gamma = [Imp(X0, C)]
+        delta = [Imp(X0, Appl(C, C)), Imp(self.D, self.D)]
+        got = consequence("local", gamma, delta, [first, second, third])
+        assert (got.holds, got.structures_checked) == (False, 2)
+        assert got.structure is second and got.valuation.element == {0: "1"}
+        assert got.pattern is delta[0]
+
+    def test_an_empty_common_value_still_evaluates_the_conclusions(self):
+        lacking = self.one(None)
+        with pytest.raises(UnassignedConstant):
+            consequence("strong", [BOT], [self.D], [lacking])
+        # Locally, a hypothesis that fails skips them.
+        assert consequence("local", [BOT], [self.D], [lacking]).holds
+
+    @given(
+        st.sampled_from(KINDS),
+        st.lists(patterns(max_leaves=3), max_size=2),
+        st.lists(patterns(max_leaves=3), min_size=1, max_size=2),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_runs_lacking_d_agree_with_the_oracle(self, kind, gamma, delta, rng):
+        # Two-element structures interpreting only c: where the query uses
+        # d, each is decided alone, so the error comes exactly where the
+        # oracle meets it, or not at all.
+        suite = [_random_structure(rng, 2, ("c",)) for _ in range(12)]
+        try:
+            want = oracles.consequence_by_frozensets(kind, gamma, delta, suite)
+        except UnassignedConstant:
+            with pytest.raises(UnassignedConstant):
+                consequence(kind, gamma, delta, suite)
+            return
+        got = consequence(kind, gamma, delta, suite)
+        assert (got.holds, got.structures_checked, got.valuation) == (
+            want.holds, want.structures_checked, want.valuation,
+        )
