@@ -6,13 +6,13 @@ Runs `perfbench/run.py`, untraced, once per workload and seed, in the
 checkout this script belongs to and, with ``--parent``, in a checkout of
 another commit (a `git clone` of the parent, say), and writes
 
-    {commit, python, nproc, workloads: {name: {metric: median}}}
+    {commit, python, nproc, seeds, seconds, workloads: {name: {metric: median}}}
 
 where each median is over the seeds.  With ``--parent`` the file also holds
 the same for that checkout under ``parent``.  The two checkouts take turns
 on each seed, the first to run alternating from seed to seed, and the table
 printed at the end gives, per workload and metric, each side's median and
-quartiles and how many seeds the checkout won (ties count for neither), so
+quartiles and on how many seeds the change won (ties count for neither), so
 that a claimed gain can be read off it.  Each run takes ``--seconds``; a
 run that reports wrong outputs stops the script.
 """
@@ -31,7 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("corpus-audit", "consequence-mix", "frontend")
 # The direction in which each end-to-end metric improves.
-BETTER = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+BETTER = {
+    m["name"]: m["better"]
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+}
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -43,7 +46,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     ).stdout
     doc = json.loads(out.strip().splitlines()[-1])
     if not doc["correct"]:
-        raise SystemExit(f"{tree}: {workload} seed {seed}: {doc['failed']} of {doc['attempted']} ops wrong")
+        wrong = f"{doc['failed']} of {doc['attempted']} ops wrong"
+        raise SystemExit(f"{tree}: {workload} seed {seed}: {wrong}")
     return {name: m["value"] for name, m in doc["metrics"].items()}
 
 
@@ -95,7 +99,8 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     if args.parent:
-        print(f"{'workload':<16} {'metric':<18} {'parent q1/median/q3':<32} {'change q1/median/q3':<32} wins")
+        head = ("workload", "metric", "parent q1/median/q3", "change q1/median/q3")
+        print(f"{head[0]:<16} {head[1]:<18} {head[2]:<32} {head[3]:<32} wins")
         for w in WORKLOADS:
             for m in runs["change"][w][0]:
                 old = [r[m] for r in runs["parent"][w]]

@@ -91,8 +91,9 @@ class Structure:
     subset is an ``int``.  ``rows[i][j]`` is the mask of element i applied
     to element j, and ``masks`` maps each constant to its denotation.  The
     tables ``full``, ``bits``, ``singletons`` and ``subset_masks`` (every
-    subset as a mask, in bitmask order) are set once, here, so that
-    evaluation reads them as plain attributes.  ``twin``: see the module."""
+    subset as a mask, in bitmask order) are set here, shared by every
+    structure of the same size, so that evaluation reads them as plain
+    attributes.  ``twin``: see the module."""
 
     universe: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -105,11 +106,8 @@ class Structure:
 
     def __post_init__(self) -> None:
         _check_cap(self.universe)
-        n = len(self.universe)
-        object.__setattr__(self, "full", (1 << n) - 1)
-        object.__setattr__(self, "bits", _bit_positions(n))
-        object.__setattr__(self, "singletons", tuple(1 << i for i in range(n)))
-        object.__setattr__(self, "subset_masks", range(1 << n))
+        # Frozen: the tables go straight into the instance dict.
+        self.__dict__.update(_tables(len(self.universe)))
 
     @cached_property
     def app(self) -> Mapping[tuple[str, str], frozenset]:
@@ -173,9 +171,15 @@ class Structure:
 
 
 @lru_cache(maxsize=None)
-def _bit_positions(n: int) -> tuple[tuple[int, ...], ...]:
-    """For universes of size ``n``: the bit positions of every mask."""
-    return tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
+def _tables(n: int) -> dict:
+    """The mask tables of every structure over ``n`` elements; ``bits``
+    holds the bit positions of every mask."""
+    return {
+        "full": (1 << n) - 1,
+        "bits": tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)),
+        "singletons": tuple(1 << i for i in range(n)),
+        "subset_masks": range(1 << n),
+    }
 
 
 def subsets_of(universe: Sequence[str]) -> Iterator[frozenset]:

@@ -34,20 +34,20 @@ explicit suite of finite structures, so a "holds" verdict is an
 under-approximation of validity; counterexamples, on the other hand, are
 definitive and replayable.  The suite is decided block by block: within a
 run of structures of one size and one set of constant names, blocks grow to
-1, 8, 64, ... lanes, so a refutation at the first structure costs one
-one-lane evaluation.  A block reports its lowest failing lane with that
-lane's first counterexample, which is the first in suite order.  All three
-relations are invariant under renaming the universe, so a structure whose
-``twin`` (see `model`) was decided earlier in the call gets no lane, though
-it still counts in ``structures_checked``.
+1, 8, 64, ... lanes, so a refutation at the first structure costs what
+deciding that structure alone costs.  A block reports its lowest failing
+lane with that lane's first counterexample, which is the first in suite
+order.  All three relations are invariant under renaming the universe, so
+a structure whose ``twin`` (see `model`) was decided earlier in the call
+gets no lane, though it still counts in ``structures_checked``.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter, itemgetter
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import sugar
@@ -342,14 +342,14 @@ class Verdict:
         })
 
 
-NOTES = {
+_NOTES = {
     ConsequenceKind.GLOBAL: "hypotheses are valid here but the conclusion is not",
     ConsequenceKind.LOCAL: "hypotheses are satisfied here but the conclusion is not",
     ConsequenceKind.STRONG: "the conclusion's value does not cover the hypotheses' common value",
 }
 
 # Blocks within one run of same-size structures hold 1, 8, 64, ... lanes.
-BLOCK_GROWTH = 8
+_BLOCK_GROWTH = 8
 
 
 def consequence(
@@ -394,7 +394,7 @@ def consequence(
                 sv = {i: m >> shift & full for i, m in sv.items()}
             return Verdict(
                 False, kind, marks[k], structure, _valuation(structure, ev, sv), p,
-                NOTES[kind], marks[k] - given - k - 1,
+                _NOTES[kind], marks[k] - given - k - 1,
             )
         given += len(block)
     return Verdict(True, kind, marks[0], structures_skipped=marks[0] - given)
@@ -492,14 +492,15 @@ def _blocks(suite: Iterable[Structure], gamma: list, delta: list):
             block, marks = [], []
             if needed is None:
                 needed = _constants(gamma + delta)
-            size = size * BLOCK_GROWTH if needed <= names else 1
+            size = size * _BLOCK_GROWTH if needed <= names else 1
     if block:
         yield block, marks
     yield [], [checked]
 
 
 def _constants(patterns: Iterable[Pattern]) -> set:
-    """The names of the constants occurring in ``patterns``."""
+    """The names of the constants occurring in ``patterns``, in one walk
+    (`syntax.subpatterns` would hash every subpattern on the way)."""
     out, todo = set(), list(patterns)
     while todo:
         p = todo.pop()
