@@ -106,8 +106,11 @@ class Structure:
 
     def __post_init__(self) -> None:
         _check_cap(self.universe)
-        # Frozen: the tables go straight into the instance dict.
-        self.__dict__.update(_tables(len(self.universe)))
+        full, bits, singletons, subset_masks = _tables(len(self.universe))
+        object.__setattr__(self, "full", full)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "singletons", singletons)
+        object.__setattr__(self, "subset_masks", subset_masks)
 
     @cached_property
     def app(self) -> Mapping[tuple[str, str], frozenset]:
@@ -171,15 +174,16 @@ class Structure:
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int) -> dict:
-    """The mask tables of every structure over ``n`` elements; ``bits``
-    holds the bit positions of every mask."""
-    return {
-        "full": (1 << n) - 1,
-        "bits": tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)),
-        "singletons": tuple(1 << i for i in range(n)),
-        "subset_masks": range(1 << n),
-    }
+def _tables(n: int) -> tuple[int, tuple, tuple, range]:
+    """The mask tables of every structure over ``n`` elements: ``full``,
+    ``bits`` (the bit positions of every mask), ``singletons`` and
+    ``subset_masks``."""
+    return (
+        (1 << n) - 1,
+        tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)),
+        tuple(1 << i for i in range(n)),
+        range(1 << n),
+    )
 
 
 def subsets_of(universe: Sequence[str]) -> Iterator[frozenset]:
