@@ -1,20 +1,25 @@
 """Record the benchmark's medians in a trajectory file, BENCH_<n>.json.
 
-    python3 scripts/bench_record.py --out BENCH_9.json --parent ../parent-checkout
+    python3 scripts/bench_record.py --out BENCH_10.json --parent ../parent-checkout
 
-Runs `perfbench/run.py`, untraced, once per workload and seed, in the
-checkout this script belongs to and, with ``--parent``, in a checkout of
-another commit (a `git clone` of the parent, say), and writes
+Runs `perfbench/run.py`, untraced, once per workload and seed, and traced
+(``--trace 1``) once per workload on the first seed, in the checkout this
+script belongs to and, with ``--parent``, in a checkout of another commit
+(a `git clone` of the parent, say), and writes
 
-    {commit, python, nproc, seeds, seconds, workloads: {name: {metric: median}}}
+    {commit, python, nproc, seeds, seconds, workloads: {name: {metric: median}},
+     traced: {name: {counter: value}}}
 
-where each median is over the seeds.  With ``--parent`` the file also holds
-the same for that checkout under ``parent``.  The two checkouts take turns
-on each seed, the first to run alternating from seed to seed, and the table
-printed at the end gives, per workload and metric, each side's median and
-quartiles and on how many seeds the change won (ties count for neither), so
-that a claimed gain can be read off it.  Each run takes ``--seconds``; a
-run that reports wrong outputs stops the script.
+where each median is over the seeds and ``traced`` holds the traced run's
+per-layer counters: its call and outcome counts, which depend on the seed
+alone.  With ``--parent`` the file also holds the same for that checkout
+under ``parent``.  The two checkouts take turns on each seed, the first to
+run alternating from seed to seed, and the table printed at the end gives,
+per workload and metric, each side's median and quartiles and on how many
+seeds the change won (ties count for neither), so that a claimed gain can
+be read off it, and then the traced counters that differ between the two.
+Each untraced run takes ``--seconds``; a run that reports wrong outputs
+stops the script.
 """
 
 from __future__ import annotations
@@ -37,18 +42,19 @@ BETTER = {
 }
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its metrics, by name."""
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run: its metrics, by name; traced, only its counts."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True,
     ).stdout
     doc = json.loads(out.strip().splitlines()[-1])
     if not doc["correct"]:
         wrong = f"{doc['failed']} of {doc['attempted']} ops wrong"
         raise SystemExit(f"{tree}: {workload} seed {seed}: {wrong}")
-    return {name: m["value"] for name, m in doc["metrics"].items()}
+    return {name: m["value"] for name, m in doc["metrics"].items()
+            if not trace or m["unit"] == "count"}
 
 
 def commit(tree: Path) -> str:
@@ -79,6 +85,8 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side][workload].append(run(trees[side], workload, seed, args.seconds))
                 print(f"{workload} seed {seed} {side}: done", file=sys.stderr)
+    traced = {side: {w: run(tree, w, args.seeds[0], args.seconds, trace=1) for w in WORKLOADS}
+              for side, tree in trees.items()}
 
     def medians(side: str) -> dict:
         return {
@@ -93,9 +101,14 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "seconds": args.seconds,
         "workloads": medians("change"),
+        "traced": traced["change"],
     }
     if args.parent:
-        doc["parent"] = {"commit": commit(trees["parent"]), "workloads": medians("parent")}
+        doc["parent"] = {
+            "commit": commit(trees["parent"]),
+            "workloads": medians("parent"),
+            "traced": traced["parent"],
+        }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     if args.parent:
@@ -110,6 +123,12 @@ def main(argv=None) -> int:
                 fmt = "/".join(f"{v:.4g}" for v in quartiles(old))
                 fmt_new = "/".join(f"{v:.4g}" for v in quartiles(new))
                 print(f"{w:<16} {m:<18} {fmt:<32} {fmt_new:<32} {wins}/{len(new)}")
+        print(f"\ntraced counts that differ, seed {args.seeds[0]}: parent -> change")
+        for w in WORKLOADS:
+            old, new = traced["parent"][w], traced["change"][w]
+            for m in new:
+                if old.get(m) != new[m]:
+                    print(f"{w:<16} {m:<44} {old.get(m)} -> {new[m]}")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Runs `aml.cli.main` in process and prints one sha256 per group over every
 run's exit code, stdout, stderr and counterexample files.  Group `audit` is
-`proof check --audit` on every corpus script (seeds 1 and 7); group `taut` is
+`proof check --audit` on every corpus script (seeds 1 and 7), the corpus
+copied into a temporary directory; group `taut` is
 `taut`, `parse --emit sugar` and `check` on fixed files written to a
 temporary directory; group `suite` is `gen-models` over two signatures, with
 and without `--defined`, exhaustive and sampled, plus one failing
@@ -10,8 +11,11 @@ and without `--defined`, exhaustive and sampled, plus one failing
 kinds over the default suite and a sampled one, on queries that hold and
 that fail (early, and late in the suite, after structures the symmetry
 reduction skips).  Every run goes with and without `--json`; where
-`--json` is not an option, the usage error is what gets hashed.  Compare two
-trees with `PYTHONPATH=<tree>/src python3 scripts/cli_digest.py`.
+`--json` is not an option, the usage error is what gets hashed.  Every run
+names its files by paths relative to the temporary directory, so the hashes
+do not depend on where the checkout is.  Compare two trees with
+`PYTHONPATH=<tree>/src python3 scripts/cli_digest.py`, or run each tree's
+own copy of this script.
 """
 
 import argparse
@@ -57,9 +61,11 @@ def digest(runs) -> str:
 
 def main() -> None:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
-    suite = ["--sig", str(CORPUS / "sig.txt"), "--max-size", "3", "--samples", "60"]
-    audit = [["proof", "check", "--audit", *suite, "--seed", seed, "--out", "out", str(s)]
-             for seed in ("1", "7") for s in sorted(CORPUS.glob("proofs/*/*.prf"))]
+    suite = ["--sig", "corpus/sig.txt", "--max-size", "3", "--samples", "60"]
+    scripts = [f"corpus/{s.relative_to(CORPUS).as_posix()}"
+               for s in sorted(CORPUS.glob("proofs/*/*.prf"))]
+    audit = [["proof", "check", "--audit", *suite, "--seed", seed, "--out", "out", s]
+             for seed in ("1", "7") for s in scripts]
     files = {"taut.pat": TAUT, "check.pat": CHECK}
     files.update({f"t{n}.pat": [t] for n, t in enumerate(TAUT)})
     taut = [[cmd, *opt, "--sig", "sig.txt", f] for f in files
@@ -81,6 +87,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temporary name out of the output
         try:
+            shutil.copytree(CORPUS, "corpus")
             Path("sig.txt").write_text("c\nd\n")
             Path("sigdef.txt").write_text("c\ndef\n")
             Path("fail.pat").write_text("ceil(c) -> c\n")

@@ -85,15 +85,17 @@ class UniverseTooLarge(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Structure:
     """A structure in bitmask form: element i of the universe is bit i and a
     subset is an ``int``.  ``rows[i][j]`` is the mask of element i applied
-    to element j, and ``masks`` maps each constant to its denotation.  The
-    tables ``full``, ``bits``, ``singletons`` and ``subset_masks`` (every
-    subset as a mask, in bitmask order) are set here, shared by every
-    structure of the same size, so that evaluation reads them as plain
-    attributes.  ``twin``: see the module."""
+    to element j, and ``masks`` maps each constant to its denotation; it is
+    never mutated after construction, which the cached views ``app`` and
+    ``constants`` and `semantics`' suite layouts rely on.  The tables
+    ``full``, ``bits``, ``singletons`` and ``subset_masks`` (every subset as
+    a mask, in bitmask order) are set here, shared by every structure of the
+    same size, so that evaluation reads them as plain attributes.  ``twin``:
+    see the module."""
 
     universe: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -104,13 +106,16 @@ class Structure:
     singletons: tuple[int, ...] = field(init=False, repr=False, compare=False)
     subset_masks: range = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        _check_cap(self.universe)
-        full, bits, singletons, subset_masks = _tables(len(self.universe))
-        object.__setattr__(self, "full", full)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "singletons", singletons)
-        object.__setattr__(self, "subset_masks", subset_masks)
+    def __init__(self, universe, rows, masks, twin=None) -> None:
+        _check_cap(universe)
+        full, bits, singletons, subset_masks = _tables(len(universe))
+        # One store of the whole instance dict instead of the generated
+        # frozen __init__'s ``object.__setattr__`` per field.
+        object.__setattr__(self, "__dict__", {
+            "universe": universe, "rows": rows, "masks": masks, "twin": twin,
+            "full": full, "bits": bits, "singletons": singletons,
+            "subset_masks": subset_masks,
+        })
 
     @cached_property
     def app(self) -> Mapping[tuple[str, str], frozenset]:

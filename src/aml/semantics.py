@@ -32,14 +32,20 @@ within |A| + 1 steps.  Any other body gets the intersection itself, over all
 Consequence comes in three strengths and is always decided relative to an
 explicit suite of finite structures, so a "holds" verdict is an
 under-approximation of validity; counterexamples, on the other hand, are
-definitive and replayable.  The suite is decided block by block: within a
-run of structures of one size and one set of constant names, blocks grow to
-1, 8, 64, ... lanes, so a refutation at the first structure costs what
-deciding that structure alone costs.  A block reports its lowest failing
-lane with that lane's first counterexample, which is the first in suite
-order.  All three relations are invariant under renaming the universe, so
-a structure whose ``twin`` (see `model`) was decided earlier in the call
-gets no lane, though it still counts in ``structures_checked``.
+definitive and replayable.  The suite is decided block by block over its
+layout, which does not depend on the query: within a run of structures of
+one size and one set of constant names, blocks grow to 1, 8, 64, ... lanes,
+so a refutation at the first structure costs what deciding that structure
+alone costs.  A block reports its lowest failing lane with that lane's
+first counterexample, which is the first in suite order.  All three
+relations are invariant under renaming the universe, so a structure whose
+``twin`` (see `model`) got a lane earlier gets none, though it still counts
+in ``structures_checked``.  A layout is made once per suite and packs each
+block the first time a decision reaches it; `consequence` keeps the last
+one in a single slot and reuses it for the next list or tuple that holds
+the same structure objects, checked by identity as the decision goes, so
+that many queries of one suite pack it once.  The slot makes `consequence`
+unfit for concurrent threads.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import sugar
@@ -365,7 +371,18 @@ def consequence(
     pointwise per valuation; strong compares denotations by inclusion (with
     an empty ``gamma`` the intersection is the whole universe, so strong
     consequence from nothing is validity).
+
+    The suite is decided over its layout (see the module), made once per
+    suite.  The layout of the last list or tuple decided is kept in one
+    slot, and a call on a list or tuple holding the same structure objects
+    in the same order (identical, not merely equal) reuses it, its blocks
+    already packed.  That is checked a block at a time as the decision
+    reaches it, and the length once the suite is swept; where the check
+    fails, the layout is made again.  Any other iterable gets a layout of
+    its own, which is not kept.  The slot is shared, so concurrent threads
+    must not call this.
     """
+    global _kept
     kind = ConsequenceKind(kind)
     gamma = list(gamma)
     delta = list(delta)
@@ -377,27 +394,73 @@ def consequence(
     else:
         free = _free_lists(gamma + delta)
     pos: dict = {}
-    given = 0  # lanes given to the structures of earlier blocks
-    for block, marks in _blocks(suite, gamma, delta):
-        if not block:
-            break
-        s = block[0] if len(block) == 1 else _Block(block)
-        found = _first_failure(kind, s, gamma, delta, free, pos)
-        if found:
-            low, ev, sv, p = found
-            shift = low.bit_length() - 1
-            k = shift // len(s.singletons)
-            structure = block[k]
-            if len(block) > 1:
-                full = structure.full
-                ev = {i: m >> shift & full for i, m in ev.items()}
-                sv = {i: m >> shift & full for i, m in sv.items()}
-            return Verdict(
-                False, kind, marks[k], structure, _valuation(structure, ev, sv), p,
-                _NOTES[kind], marks[k] - given - k - 1,
-            )
-        given += len(block)
-    return Verdict(True, kind, marks[0], structures_skipped=marks[0] - given)
+    needed = None  # the query's constants, once a block of several lanes asks
+    check = isinstance(suite, (list, tuple))
+    if not check:
+        layout = _Layout(suite)
+    elif _kept is None:
+        layout = _kept = _Layout(suite)
+        check = False
+    else:
+        layout = _kept
+    # Block j starts after the suite's first ``seen`` structures and the
+    # ``given`` lanes they got.
+    j = seen = given = 0
+    while True:
+        block = layout.block(j)
+        end = block.marks[-1] if block else len(layout.items)
+        if check and not _same(suite, layout.items, seen, end, block is None):
+            # The first ``seen`` structures are the kept ones, and they held.
+            layout = _kept = _Layout(suite)
+            check, j = False, 0
+            while (block := layout.block(j)) and block.marks[-1] <= seen:
+                j += 1
+            given = sum(len(b.lanes) for b in layout.blocks[:j])
+            continue
+        if block is None:
+            return Verdict(True, kind, end, structures_skipped=end - given)
+        lanes, marks = block.lanes, block.marks
+        if len(lanes) > 1 and needed is None:
+            needed = _constants(gamma + delta)
+        if len(lanes) == 1 or needed <= lanes[0].masks.keys():
+            parts = [(block.packed(), 0, len(lanes))]
+        else:
+            # A constant of the query is missing: decide each lane alone, so
+            # that `UnassignedConstant` is raised exactly where one structure
+            # by itself raises it.
+            parts = [(s, k, k + 1) for k, s in enumerate(lanes)]
+        for s, lo, hi in parts:
+            found = _first_failure(kind, s, gamma, delta, free, pos)
+            if found:
+                return _refutation(kind, found, lanes[lo:hi], marks[lo:hi], given + lo)
+        seen = end
+        given += len(lanes)
+        j += 1
+
+
+def _same(suite: Sequence, items: list, lo: int, hi: int, last: bool) -> bool:
+    """``suite`` holds the structures ``items`` holds at positions [lo, hi),
+    the same objects, and when ``last``, none after them."""
+    if len(suite) != hi if last else len(suite) < hi:
+        return False
+    return all(map(is_, suite[lo:hi], items[lo:hi]))
+
+
+def _refutation(kind, found, lanes: list, marks: list, given: int) -> Verdict:
+    """The verdict on the lowest failing lane of a block of ``lanes``, the
+    ``given`` lanes before them having held."""
+    low, ev, sv, p = found
+    shift = low.bit_length() - 1
+    k = shift // len(lanes[0].universe)
+    structure = lanes[k]
+    if len(lanes) > 1:
+        full = structure.full
+        ev = {i: m >> shift & full for i, m in ev.items()}
+        sv = {i: m >> shift & full for i, m in sv.items()}
+    return Verdict(
+        False, kind, marks[k], structure, _valuation(structure, ev, sv), p,
+        _NOTES[kind], marks[k] - given - k - 1,
+    )
 
 
 def _first_failure(kind, s, gamma, delta, free, pos):
@@ -456,46 +519,6 @@ def _first_failure(kind, s, gamma, delta, free, pos):
                     return found
                 need &= limit
     return found
-
-
-def _blocks(suite: Iterable[Structure], gamma: list, delta: list):
-    """The suite cut into lane blocks, each yielded as its structures and
-    their marks: a structure's mark counts the suite's structures up to and
-    including it.  Every structure counted either has a lane or is skipped.
-    A last yield, after the suite ends, has no structures and one mark: the
-    count of the whole suite.
-
-    A block holds consecutive structures of one universe size and one set
-    of constant names, leaving out any whose twin was decided earlier.  In
-    each such run the blocks hold 1, 8, 64, ... lanes; where the run's
-    structures lack a constant of the query, every block holds one lane,
-    so that `UnassignedConstant` is raised exactly where a structure by
-    itself raises it."""
-    checked = 0
-    decided: dict[int, Structure] = {}  # by id; holding them keeps ids unique
-    block, marks = [], []
-    full = names = needed = None
-    for s in suite:
-        checked += 1
-        if s.twin is not None and id(s.twin) in decided:
-            continue
-        decided[id(s)] = s
-        if s.full != full or s.masks.keys() != names:
-            if block:
-                yield block, marks
-                block, marks = [], []
-            full, names, size = s.full, s.masks.keys(), 1
-        block.append(s)
-        marks.append(checked)
-        if len(block) == size:
-            yield block, marks
-            block, marks = [], []
-            if needed is None:
-                needed = _constants(gamma + delta)
-            size = size * _BLOCK_GROWTH if needed <= names else 1
-    if block:
-        yield block, marks
-    yield [], [checked]
 
 
 def _constants(patterns: Iterable[Pattern]) -> set:
@@ -577,6 +600,81 @@ class _Block:
         carries into a lane's top bit exactly when a lower bit is set."""
         low = self.low
         return ((((x & low) + low | x) & self.high) >> self.n - 1) * self.lane_full
+
+
+
+class _Layout:
+    """A suite cut into lane blocks, whatever the query.  The suite falls
+    into runs, consecutive structures of one universe size and one set of
+    constant names, and each run into blocks of 1, 8, 64, ... lanes, so a
+    refutation at the first structure costs what deciding that structure
+    alone costs.  A structure whose twin got a lane earlier gets none; it
+    still counts in the marks.  The suite is read and cut only as far as a
+    decision asks for, and a block is packed when a decision first reaches
+    it."""
+
+    __slots__ = ("items", "blocks", "_cutter")
+
+    def __init__(self, suite: Iterable[Structure]) -> None:
+        self.items: list[Structure] = []  # the structures read so far
+        self.blocks: list[_Lanes] = []
+        self._cutter = self._cut(iter(suite))
+
+    def block(self, j: int) -> _Lanes | None:
+        """Block j, or None if the suite has no more than j blocks."""
+        blocks = self.blocks
+        while len(blocks) <= j:
+            block = next(self._cutter, None)
+            if block is None:
+                return None
+            blocks.append(block)
+        return blocks[j]
+
+    def _cut(self, suite: Iterator[Structure]) -> Iterator[_Lanes]:
+        items = self.items
+        decided: set = set()  # ids; ``items`` keeps their structures alive
+        lanes: list = []
+        marks: list = []
+        full = names = None
+        size = 0
+        for s in suite:
+            items.append(s)
+            if s.twin is not None and id(s.twin) in decided:
+                continue
+            decided.add(id(s))
+            if s.full != full or s.masks.keys() != names:
+                if lanes:
+                    yield _Lanes(lanes, marks)
+                    lanes, marks = [], []
+                full, names, size = s.full, s.masks.keys(), 1
+            lanes.append(s)
+            marks.append(len(items))
+            if len(lanes) == size:
+                yield _Lanes(lanes, marks)
+                lanes, marks, size = [], [], size * _BLOCK_GROWTH
+        if lanes:
+            yield _Lanes(lanes, marks)
+
+
+class _Lanes:
+    """One block of a `_Layout`: its structures, their marks (a structure's
+    mark counts the suite's structures up to and including it), and its
+    `_Block`, packed on first use; a block of one lane is its structure."""
+
+    __slots__ = ("lanes", "marks", "_packed")
+
+    def __init__(self, lanes: list, marks: list) -> None:
+        self.lanes, self.marks, self._packed = lanes, marks, None
+
+    def packed(self):
+        if self._packed is None:
+            lanes = self.lanes
+            self._packed = lanes[0] if len(lanes) == 1 else _Block(lanes)
+        return self._packed
+
+
+# The layout of the last list or tuple that `consequence` decided.
+_kept: _Layout | None = None
 
 
 # ---------------------------------------------------------------------------

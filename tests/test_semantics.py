@@ -35,8 +35,10 @@ from aml.semantics import (
     models,
     satisfies,
 )
-# The block form the tests below hold lane by lane against `evaluate`.
+# The block form the tests below hold lane by lane against `evaluate`, and
+# the module whose kept layout they reset.
 from aml.semantics import _BLOCK_GROWTH, _Block, _ev
+import aml.semantics as semantics
 from aml.sugar import BOT, TOP, and_, ceil, forall, iff, neg, nu, or_
 from aml.syntax import (
     Appl,
@@ -774,16 +776,32 @@ class TestLaneBlocks:
         assert block.lanes(x) == sum(full << k * size for k, v in enumerate(values) if v)
 
 
-def _agrees_with_the_oracle(kind, gamma, delta, suite):
+def _agrees_with_the_oracle(kind, gamma, delta, suite, structures=None):
+    """`consequence` over ``suite`` against the frozenset oracle, over
+    ``structures`` where ``suite`` is a generator of them."""
+    structures = list(suite) if structures is None else structures
     got = consequence(kind, gamma, delta, suite)
-    want = oracles.consequence_by_frozensets(kind, gamma, delta, suite)
+    want = oracles.consequence_by_frozensets(kind, gamma, delta, structures)
     assert (got.holds, got.kind, got.structures_checked) == (
         want.holds, want.kind, want.structures_checked,
     )
+    assert got.structures_skipped == _skipped(structures, got.structures_checked)
     assert got.structure is want.structure
     assert got.valuation == want.valuation
     assert got.pattern is want.pattern
     return got
+
+
+def _skipped(suite, count):
+    """How many of the first ``count`` structures have a twin that got a
+    lane before them, the decision as the module describes it."""
+    lanes, skipped = set(), 0
+    for s in suite[:count]:
+        if s.twin is not None and id(s.twin) in lanes:
+            skipped += 1
+        else:
+            lanes.add(id(s))
+    return skipped
 
 
 def _block_starts():
@@ -952,3 +970,181 @@ class TestUnassignedConstantInBlocks:
         assert (got.holds, got.structures_checked, got.valuation) == (
             want.holds, want.structures_checked, want.valuation,
         )
+
+
+# ---------------------------------------------------------------------------
+# Layout reuse: `consequence` keeps the layout of the last list or tuple it
+# decided and reuses it while the next one holds the same structure objects.
+
+# The first 200 structures over ``c``, twins among them.
+_REUSE_POOL = _C_SUITE[:200]
+_LATE = Imp(Appl(Appl(C, C), C), Appl(C, C))  # first fails at structure 139
+_REUSE_QUERIES = [
+    ("global", [C], [_CLOSED]),  # holds everywhere
+    ("strong", [], [_LATE]),
+    ("local", [], [_OPEN]),
+    ("global", [], [_CLOSED]),
+    ("local", [C], [_CLOSED]),
+]
+_FAILS_LATE = next(s for s in _PAIRS if not models(s, _LATE))
+
+
+class TestLayoutReuse:
+    """Every call on a reused, rebuilt or fresh layout agrees with the
+    oracle, which decides the suite one structure at a time."""
+
+    def setup_method(self):
+        semantics._kept = None
+
+    def sweep(self, suite):
+        for query in _REUSE_QUERIES:
+            _agrees_with_the_oracle(*query, suite)
+
+    def test_the_same_list_queried_repeatedly(self):
+        suite = list(_REUSE_POOL)
+        self.sweep(suite)
+        layout = semantics._kept
+        assert layout is not None
+        self.sweep(suite)
+        assert semantics._kept is layout
+
+    @pytest.mark.parametrize("view", [list, tuple], ids=["copied list", "tuple"])
+    def test_the_same_objects_in_another_sequence_reuse_it(self, view):
+        suite = list(_REUSE_POOL)
+        _agrees_with_the_oracle(*_REUSE_QUERIES[0], suite)
+        layout = semantics._kept
+        self.sweep(view(suite))
+        assert semantics._kept is layout
+
+    def test_equal_copies_are_not_the_same_objects(self):
+        suite = list(_REUSE_POOL)
+        _agrees_with_the_oracle(*_REUSE_QUERIES[0], suite)
+        layout = semantics._kept
+        copies = [dataclasses.replace(s) for s in suite]
+        assert copies == suite
+        got = _agrees_with_the_oracle("strong", [], [_LATE], copies)
+        assert got.structure is copies[138] and semantics._kept is not layout
+
+    @pytest.mark.parametrize("at", [0, 5, 80, 138, 150, 199])
+    def test_a_list_mutated_in_the_middle(self, at):
+        suite = list(_REUSE_POOL)
+        self.sweep(suite)
+        layout = semantics._kept
+        suite[at] = _FAILS_LATE
+        got = _agrees_with_the_oracle("strong", [], [_LATE], suite)
+        assert got.structures_checked == min(at, 138) + 1
+        if at < 139:
+            assert semantics._kept is not layout
+        suite[at] = dataclasses.replace(_REUSE_POOL[at])
+        self.sweep(suite)
+        del suite[at]
+        self.sweep(suite)
+        suite.insert(at, _REUSE_POOL[at])
+        self.sweep(suite)
+
+    def test_a_list_appended_to_and_truncated(self):
+        suite = list(_REUSE_POOL[:120])
+        self.sweep(suite)
+        suite.append(_FAILS_LATE)
+        got = _agrees_with_the_oracle("strong", [], [_LATE], suite)
+        assert got.structures_checked == 121
+        suite += _REUSE_POOL[120:]
+        self.sweep(suite)
+        for end in (199, 150, 73, 72, 9, 1, 0):
+            del suite[end:]
+            self.sweep(suite)
+
+    def test_two_suites_in_turn(self):
+        a, b = list(_REUSE_POOL), list(_REUSE_POOL[::-1])
+        self.sweep(a)
+        self.sweep(b)
+        self.sweep(a)
+        layout = semantics._kept
+        _agrees_with_the_oracle(*_REUSE_QUERIES[1], a)
+        assert semantics._kept is layout
+
+    def test_a_generator_gets_a_layout_that_is_not_kept(self):
+        suite = list(_REUSE_POOL)
+        self.sweep(suite)
+        layout = semantics._kept
+        for query in _REUSE_QUERIES:
+            _agrees_with_the_oracle(*query, iter(suite), suite)
+            _agrees_with_the_oracle(*query, (s for s in suite[::-1]), suite[::-1])
+        assert semantics._kept is layout
+
+    def test_repeated_structure_objects(self):
+        suite = _REUSE_POOL[:30] * 4 + _REUSE_POOL[100:140] * 2
+        self.sweep(suite)
+        self.sweep(suite[::-1])
+        self.sweep(suite)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_run_lacking_a_query_constant(self, kind):
+        # The three structures of `TestUnassignedConstantInBlocks` lack d:
+        # the second is refuted before d is reached, and the third, decided
+        # at x0 = 0 with the other lanes, would raise.
+        def pair(c, cell):
+            return plain(constants={"c": c}, app=[{"left": "0", "right": "0", "result": cell}])
+
+        first, second, third = pair([], []), pair(["1"], []), pair(["0"], ["0"])
+        d = Const("d")
+        gamma, delta = [Imp(X0, C)], [Imp(X0, Appl(C, C)), Imp(d, d)]
+        suite = [first, second, third, third, first, third]
+        for fresh in (True, False):
+            if fresh:
+                semantics._kept = None
+            else:
+                # Pack every block first, with a query that holds.
+                assert consequence(kind, [], [Imp(C, C)], suite).holds
+            if kind == "local":
+                got = _agrees_with_the_oracle(kind, gamma, delta, suite)
+                assert got.structure is second
+            with pytest.raises(UnassignedConstant):
+                oracles.consequence_by_frozensets(kind, [], [d], suite)
+            with pytest.raises(UnassignedConstant):
+                consequence(kind, [], [d], suite)
+
+    @given(
+        st.sampled_from(KINDS),
+        st.lists(patterns(max_leaves=3), max_size=2),
+        st.lists(patterns(max_leaves=3), min_size=1, max_size=2),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_runs_lacking_d_on_a_reused_layout(self, kind, gamma, delta, rng):
+        suite = [_random_structure(rng, 2, ("c",)) for _ in range(12)]
+        assert consequence("global", [], [Imp(C, C)], suite).holds
+        try:
+            oracles.consequence_by_frozensets(kind, gamma, delta, suite)
+        except UnassignedConstant:
+            with pytest.raises(UnassignedConstant):
+                consequence(kind, gamma, delta, suite)
+            return
+        _agrees_with_the_oracle(kind, gamma, delta, suite)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_list_changed_at_random_between_calls(self, data):
+        pool = _REUSE_POOL + _C_COPIES[:200]
+        index = st.integers(0, len(pool) - 1)
+        suite = [pool[i] for i in data.draw(st.lists(index, max_size=100))]
+        queries = st.one_of(
+            st.sampled_from(_REUSE_QUERIES),
+            st.tuples(
+                st.sampled_from(KINDS),
+                st.lists(_c_patterns(max_leaves=3), max_size=1),
+                st.lists(_c_patterns(max_leaves=3), min_size=1, max_size=2),
+            ),
+        )
+        for _ in range(data.draw(st.integers(1, 5))):
+            change = data.draw(st.sampled_from(["none", "set", "append", "cut", "copy"]))
+            at = data.draw(st.integers(0, len(suite)))
+            if change == "set" and at < len(suite):
+                suite[at] = pool[data.draw(index)]
+            elif change == "append":
+                suite.append(pool[data.draw(index)])
+            elif change == "cut":
+                del suite[at:]
+            elif change == "copy":
+                suite = list(suite)
+            _agrees_with_the_oracle(*data.draw(queries), suite)
