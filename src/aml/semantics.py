@@ -372,15 +372,14 @@ def consequence(
     an empty ``gamma`` the intersection is the whole universe, so strong
     consequence from nothing is validity).
 
-    The suite is decided over its layout (see the module), made once per
-    suite.  The layout of the last list or tuple decided is kept in one
-    slot, and a call on a list or tuple holding the same structure objects
-    in the same order (identical, not merely equal) reuses it, its blocks
-    already packed.  That is checked a block at a time as the decision
-    reaches it, and the length once the suite is swept; where the check
-    fails, the layout is made again.  Any other iterable gets a layout of
-    its own, which is not kept.  The slot is shared, so concurrent threads
-    must not call this.
+    The suite is decided over its layout (see the module).  The layout of
+    the last list or tuple decided is kept in one slot and reused, blocks
+    packed, by a call on a list or tuple of the same structure objects in
+    the same order (identical, not merely equal): checked a block at a time
+    as the decision reaches it, and by length once the suite is swept;
+    where the check fails, the layout is made again.  Any other iterable
+    gets a layout of its own, which is not kept.  The slot is shared, so
+    concurrent threads must not call this.
     """
     global _kept
     kind = ConsequenceKind(kind)
@@ -423,16 +422,17 @@ def consequence(
         if len(lanes) > 1 and needed is None:
             needed = _constants(gamma + delta)
         if len(lanes) == 1 or needed <= lanes[0].masks.keys():
-            parts = [(block.packed(), 0, len(lanes))]
+            found = _first_failure(kind, block.packed(), gamma, delta, free, pos)
+            if found:
+                return _refutation(kind, found, lanes, marks, given)
         else:
             # A constant of the query is missing: decide each lane alone, so
             # that `UnassignedConstant` is raised exactly where one structure
             # by itself raises it.
-            parts = [(s, k, k + 1) for k, s in enumerate(lanes)]
-        for s, lo, hi in parts:
-            found = _first_failure(kind, s, gamma, delta, free, pos)
-            if found:
-                return _refutation(kind, found, lanes[lo:hi], marks[lo:hi], given + lo)
+            for k, s in enumerate(lanes):
+                found = _first_failure(kind, s, gamma, delta, free, pos)
+                if found:
+                    return _refutation(kind, found, [s], [marks[k]], given + k)
         seen = end
         given += len(lanes)
         j += 1
@@ -443,6 +443,8 @@ def _same(suite: Sequence, items: list, lo: int, hi: int, last: bool) -> bool:
     the same objects, and when ``last``, none after them."""
     if len(suite) != hi if last else len(suite) < hi:
         return False
+    if hi - lo == 1:  # one structure, as at the start of a run: no slices
+        return suite[lo] is items[lo]
     return all(map(is_, suite[lo:hi], items[lo:hi]))
 
 
@@ -604,14 +606,9 @@ class _Block:
 
 
 class _Layout:
-    """A suite cut into lane blocks, whatever the query.  The suite falls
-    into runs, consecutive structures of one universe size and one set of
-    constant names, and each run into blocks of 1, 8, 64, ... lanes, so a
-    refutation at the first structure costs what deciding that structure
-    alone costs.  A structure whose twin got a lane earlier gets none; it
-    still counts in the marks.  The suite is read and cut only as far as a
-    decision asks for, and a block is packed when a decision first reaches
-    it."""
+    """A suite cut into lane blocks as the module describes, whatever the
+    query.  The suite is read and cut only as far as a decision asks for,
+    and a block is packed when a decision first reaches it."""
 
     __slots__ = ("items", "blocks", "_cutter")
 
