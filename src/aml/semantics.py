@@ -378,10 +378,10 @@ def consequence(
     the same order (identical, not merely equal): checked a block at a time
     as the decision reaches it, and by length once the suite is swept;
     where the check fails, the layout is made again.  Any other iterable
-    gets a layout of its own, which is not kept.  The slot is shared, so
-    concurrent threads must not call this.
+    gets a layout of its own, which is not kept.  A call holds the kept
+    layout alone while it runs; a call in another thread meanwhile finds
+    the slot empty and makes a layout of its own.
     """
-    global _kept
     kind = ConsequenceKind(kind)
     gamma = list(gamma)
     delta = list(delta)
@@ -394,48 +394,52 @@ def consequence(
         free = _free_lists(gamma + delta)
     pos: dict = {}
     needed = None  # the query's constants, once a block of several lanes asks
-    check = isinstance(suite, (list, tuple))
+    kept = isinstance(suite, (list, tuple))
+    try:
+        layout = _kept.pop() if kept else None  # pop: atomic under threads
+    except IndexError:
+        layout = None
+    check = layout is not None
     if not check:
         layout = _Layout(suite)
-    elif _kept is None:
-        layout = _kept = _Layout(suite)
-        check = False
-    else:
-        layout = _kept
     # Block j starts after the suite's first ``seen`` structures and the
     # ``given`` lanes they got.
     j = seen = given = 0
-    while True:
-        block = layout.block(j)
-        end = block.marks[-1] if block else len(layout.items)
-        if check and not _same(suite, layout.items, seen, end, block is None):
-            # The first ``seen`` structures are the kept ones, and they held.
-            layout = _kept = _Layout(suite)
-            check, j = False, 0
-            while (block := layout.block(j)) and block.marks[-1] <= seen:
-                j += 1
-            given = sum(len(b.lanes) for b in layout.blocks[:j])
-            continue
-        if block is None:
-            return Verdict(True, kind, end, structures_skipped=end - given)
-        lanes, marks = block.lanes, block.marks
-        if len(lanes) > 1 and needed is None:
-            needed = _constants(gamma + delta)
-        if len(lanes) == 1 or needed <= lanes[0].masks.keys():
-            found = _first_failure(kind, block.packed(), gamma, delta, free, pos)
-            if found:
-                return _refutation(kind, found, lanes, marks, given)
-        else:
-            # A constant of the query is missing: decide each lane alone, so
-            # that `UnassignedConstant` is raised exactly where one structure
-            # by itself raises it.
-            for k, s in enumerate(lanes):
-                found = _first_failure(kind, s, gamma, delta, free, pos)
+    try:
+        while True:
+            block = layout.block(j)
+            end = block.marks[-1] if block else len(layout.items)
+            if check and not _same(suite, layout.items, seen, end, block is None):
+                # The first ``seen`` structures are the kept ones, and they held.
+                layout = _Layout(suite)
+                check, j = False, 0
+                while (block := layout.block(j)) and block.marks[-1] <= seen:
+                    j += 1
+                given = sum(len(b.lanes) for b in layout.blocks[:j])
+                continue
+            if block is None:
+                return Verdict(True, kind, end, structures_skipped=end - given)
+            lanes, marks = block.lanes, block.marks
+            if len(lanes) > 1 and needed is None:
+                needed = _constants(gamma + delta)
+            if len(lanes) == 1 or needed <= lanes[0].masks.keys():
+                found = _first_failure(kind, block.packed(), gamma, delta, free, pos)
                 if found:
-                    return _refutation(kind, found, [s], [marks[k]], given + k)
-        seen = end
-        given += len(lanes)
-        j += 1
+                    return _refutation(kind, found, lanes, marks, given)
+            else:
+                # A constant of the query is missing: decide each lane alone,
+                # so that `UnassignedConstant` is raised exactly where one
+                # structure by itself raises it.
+                for k, s in enumerate(lanes):
+                    found = _first_failure(kind, s, gamma, delta, free, pos)
+                    if found:
+                        return _refutation(kind, found, [s], [marks[k]], given + k)
+            seen = end
+            given += len(lanes)
+            j += 1
+    finally:
+        if kept:
+            _kept[:] = [layout]
 
 
 def _same(suite: Sequence, items: list, lo: int, hi: int, last: bool) -> bool:
@@ -670,8 +674,9 @@ class _Lanes:
         return self._packed
 
 
-# The layout of the last list or tuple that `consequence` decided.
-_kept: _Layout | None = None
+# The slot: the layout of the last list or tuple that `consequence`
+# decided, if any.
+_kept: list[_Layout] = []
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ relations, exercised against their defining identities."""
 
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -995,7 +997,7 @@ class TestLayoutReuse:
     oracle, which decides the suite one structure at a time."""
 
     def setup_method(self):
-        semantics._kept = None
+        semantics._kept.clear()
 
     def sweep(self, suite):
         for query in _REUSE_QUERIES:
@@ -1004,38 +1006,37 @@ class TestLayoutReuse:
     def test_the_same_list_queried_repeatedly(self):
         suite = list(_REUSE_POOL)
         self.sweep(suite)
-        layout = semantics._kept
-        assert layout is not None
+        [layout] = semantics._kept
         self.sweep(suite)
-        assert semantics._kept is layout
+        assert semantics._kept == [layout]
 
     @pytest.mark.parametrize("view", [list, tuple], ids=["copied list", "tuple"])
     def test_the_same_objects_in_another_sequence_reuse_it(self, view):
         suite = list(_REUSE_POOL)
         _agrees_with_the_oracle(*_REUSE_QUERIES[1], suite)
-        layout = semantics._kept
+        [layout] = semantics._kept
         self.sweep(view(suite))
-        assert semantics._kept is layout
+        assert semantics._kept == [layout]
 
     def test_equal_copies_are_not_the_same_objects(self):
         suite = list(_REUSE_POOL)
         self.sweep(suite)
-        layout = semantics._kept
+        [layout] = semantics._kept
         copies = [dataclasses.replace(s) for s in suite]
         assert copies == suite
         self.sweep(copies)
-        assert semantics._kept is not layout
+        assert semantics._kept != [layout]
 
     @pytest.mark.parametrize("at", [0, 5, 80, 138, 150, 199])
     def test_a_list_mutated_in_the_middle(self, at):
         suite = list(_REUSE_POOL)
         self.sweep(suite)
-        layout = semantics._kept
+        [layout] = semantics._kept
         suite[at] = _FAILS_LATE
         got = _agrees_with_the_oracle("strong", [], [_LATE], suite)
         assert got.structures_checked == min(at, 138) + 1
         if at < 139:
-            assert semantics._kept is not layout
+            assert semantics._kept != [layout]
         suite[at] = dataclasses.replace(_REUSE_POOL[at])
         self.sweep(suite)
         del suite[at]
@@ -1060,18 +1061,18 @@ class TestLayoutReuse:
         self.sweep(a)
         self.sweep(b)
         self.sweep(a)
-        layout = semantics._kept
+        [layout] = semantics._kept
         _agrees_with_the_oracle(*_REUSE_QUERIES[2], a)
-        assert semantics._kept is layout
+        assert semantics._kept == [layout]
 
     def test_a_generator_gets_a_layout_that_is_not_kept(self):
         suite = list(_REUSE_POOL)
         self.sweep(suite)
-        layout = semantics._kept
+        [layout] = semantics._kept
         for query in _REUSE_QUERIES:
             _agrees_with_the_oracle(*query, iter(suite), suite)
             _agrees_with_the_oracle(*query, (s for s in suite[::-1]), suite[::-1])
-        assert semantics._kept is layout
+        assert semantics._kept == [layout]
 
     def test_repeated_structure_objects(self):
         suite = _REUSE_POOL[:30] * 4 + _REUSE_POOL[100:140] * 2
@@ -1093,7 +1094,7 @@ class TestLayoutReuse:
         suite = [first, second, third, third, first, third]
         for fresh in (True, False):
             if fresh:
-                semantics._kept = None
+                semantics._kept.clear()
             else:
                 # Pack every block first, with a query that holds.
                 assert consequence(kind, [], [Imp(C, C)], suite).holds
@@ -1104,6 +1105,41 @@ class TestLayoutReuse:
                 oracles.consequence_by_frozensets(kind, [], [d], suite)
             with pytest.raises(UnassignedConstant):
                 consequence(kind, [], [d], suite)
+
+    def test_threads_deciding_at_once(self):
+        # Four threads on two cores, switching as often as the interpreter
+        # allows: no call may meet a layout another call is still using.
+        suites = [list(_REUSE_POOL), _REUSE_POOL[::-1], _REUSE_POOL[:60]]
+        want = {}
+        for i, suite in enumerate(suites):
+            for q, query in enumerate(_REUSE_QUERIES):
+                semantics._kept.clear()
+                v = consequence(*query, suite)
+                want[i, q] = (v.holds, v.structures_checked, v.structure, v.valuation)
+        got, errors = [], []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(150):
+                    i, q = rng.randrange(len(suites)), rng.randrange(len(_REUSE_QUERIES))
+                    v = consequence(*_REUSE_QUERIES[q], suites[i])
+                    got.append((v.holds, v.structures_checked, v.structure, v.valuation) == want[i, q])
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and got == [True] * 600
 
     @given(
         st.sampled_from(KINDS),
