@@ -44,8 +44,8 @@ in ``structures_checked``.  A layout is made once per suite and packs each
 block the first time a decision reaches it; `consequence` keeps the last
 one in a single slot and reuses it for the next list or tuple that holds
 the same structure objects, checked by identity as the decision goes, so
-that many queries of one suite pack it once.  The slot makes `consequence`
-unfit for concurrent threads.
+that many queries of one suite pack it once.  A call holds the kept layout
+alone while it runs, so calls in other threads make layouts of their own.
 """
 
 from __future__ import annotations
