@@ -377,10 +377,18 @@ def consequence(
     packed, by a call on a list or tuple of the same structure objects in
     the same order (identical, not merely equal): checked a block at a time
     as the decision reaches it, and by length once the suite is swept;
-    where the check fails, the layout is made again.  Any other iterable
-    gets a layout of its own, which is not kept.  A call holds the kept
-    layout alone while it runs; a call in another thread meanwhile finds
-    the slot empty and makes a layout of its own.
+    where the check fails, the decision starts again from the first
+    structure on a new layout.  A layout whose reading of the suite raised
+    is not kept.  Any other iterable gets a layout of its own, which is not
+    kept.  A call holds the kept layout alone while it runs; a call in
+    another thread meanwhile finds the slot empty and makes a layout of its
+    own.
+
+    The slot keeps the last list or tuple's structures and packed blocks
+    alive until the next call replaces them, and, if that suite was not
+    read to its end, the list or tuple itself: a later call on a copy of it
+    reads any structures not yet laid out from the first one, after
+    checking them by identity against the copy.
     """
     kind = ConsequenceKind(kind)
     gamma = list(gamma)
@@ -410,12 +418,10 @@ def consequence(
             block = layout.block(j)
             end = block.marks[-1] if block else len(layout.items)
             if check and not _same(suite, layout.items, seen, end, block is None):
-                # The first ``seen`` structures are the kept ones, and they held.
+                # Not the kept suite: start again on a layout of its own.
                 layout = _Layout(suite)
-                check, j = False, 0
-                while (block := layout.block(j)) and block.marks[-1] <= seen:
-                    j += 1
-                given = sum(len(b.lanes) for b in layout.blocks[:j])
+                check = False
+                j = seen = given = 0
                 continue
             if block is None:
                 return Verdict(True, kind, end, structures_skipped=end - given)
@@ -438,7 +444,7 @@ def consequence(
             given += len(lanes)
             j += 1
     finally:
-        if kept:
+        if kept and layout.whole:
             _kept[:] = [layout]
 
 
@@ -614,18 +620,25 @@ class _Layout:
     query.  The suite is read and cut only as far as a decision asks for,
     and a block is packed when a decision first reaches it."""
 
-    __slots__ = ("items", "blocks", "_cutter")
+    __slots__ = ("items", "blocks", "whole", "_cutter")
 
     def __init__(self, suite: Iterable[Structure]) -> None:
         self.items: list[Structure] = []  # the structures read so far
         self.blocks: list[_Lanes] = []
+        self.whole = True  # False once the cutter has raised
         self._cutter = self._cut(iter(suite))
 
     def block(self, j: int) -> _Lanes | None:
         """Block j, or None if the suite has no more than j blocks."""
         blocks = self.blocks
         while len(blocks) <= j:
-            block = next(self._cutter, None)
+            try:
+                block = next(self._cutter, None)
+            except BaseException:
+                # The cutter is closed with structures read but given no
+                # block: this layout must not be reused.
+                self.whole = False
+                raise
             if block is None:
                 return None
             blocks.append(block)
@@ -675,7 +688,7 @@ class _Lanes:
 
 
 # The slot: the layout of the last list or tuple that `consequence`
-# decided, if any.
+# decided, if any; it keeps that suite's structures alive (see there).
 _kept: list[_Layout] = []
 
 

@@ -1106,6 +1106,25 @@ class TestLayoutReuse:
             with pytest.raises(UnassignedConstant):
                 consequence(kind, [], [d], suite)
 
+    @pytest.mark.parametrize("error", [AttributeError, KeyboardInterrupt])
+    def test_a_suite_whose_reading_raises(self, error):
+        # The second and third items would share a block, so the error
+        # comes before the second structure, which refutes, is decided.
+        class Junk:
+            @property
+            def twin(self):
+                raise error
+
+        refutes = next(s for s in _PAIRS if not models(s, _LATE))
+        holds = next(s for s in _PAIRS if models(s, _LATE) and s.masks.keys() == refutes.masks.keys())
+        suite = [holds, refutes, Junk()]
+        for _ in range(3):
+            with pytest.raises(error):
+                consequence("strong", [], [_LATE], suite)
+            assert semantics._kept == []
+        del suite[2]
+        _agrees_with_the_oracle("strong", [], [_LATE], suite)
+
     def test_threads_deciding_at_once(self):
         # Four threads on two cores, switching as often as the interpreter
         # allows: no call may meet a layout another call is still using.
