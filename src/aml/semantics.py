@@ -40,12 +40,12 @@ alone costs.  A block reports its lowest failing lane with that lane's
 first counterexample, which is the first in suite order.  All three
 relations are invariant under renaming the universe, so a structure whose
 ``twin`` (see `model`) got a lane earlier gets none, though it still counts
-in ``structures_checked``.  A layout is made once per suite and packs each
-block the first time a decision reaches it; `consequence` keeps the last
-one in a single slot and reuses it for the next list or tuple that holds
-the same structure objects, checked by identity as the decision goes, so
-that many queries of one suite pack it once.  A call holds the kept layout
-alone while it runs, so calls in other threads make layouts of their own.
+in ``structures_checked``.  A suite is read whole and laid out once, every
+block packed, and the layout never changes after that; `consequence` keeps
+the last one in a single slot, which threads share, and reuses it for the
+next list or tuple that holds the same structure objects, checked by
+identity as the decision goes, so that many queries of one suite pack it
+once.  The slot keeps the last suite's structures alive.
 """
 
 from __future__ import annotations
@@ -372,23 +372,21 @@ def consequence(
     an empty ``gamma`` the intersection is the whole universe, so strong
     consequence from nothing is validity).
 
-    The suite is decided over its layout (see the module).  The layout of
-    the last list or tuple decided is kept in one slot and reused, blocks
-    packed, by a call on a list or tuple of the same structure objects in
-    the same order (identical, not merely equal): checked a block at a time
-    as the decision reaches it, and by length once the suite is swept;
-    where the check fails, the decision starts again from the first
-    structure on a new layout.  A layout whose reading of the suite raised
-    is not kept.  Any other iterable gets a layout of its own, which is not
-    kept.  A call holds the kept layout alone while it runs; a call in
-    another thread meanwhile finds the slot empty and makes a layout of its
-    own.
+    The suite is read to its end and decided over its layout (see the
+    module); an item that is not a `Structure` raises, wherever it sits.
+    The layout of the last list or tuple decided is kept in one slot and
+    reused, blocks packed, by a call on a list or tuple of the same length
+    holding the same structure objects in the same order (identical, not
+    merely equal): checked a block at a time as the decision reaches it,
+    and after a sweep, over the structures after the last block.  Where the
+    check fails, the suite is laid out afresh, decided from its first
+    structure and kept.  Any other iterable gets a layout of its own, which
+    is not kept.  A kept layout never changes, so calls in several threads
+    share it.
 
     The slot keeps the last list or tuple's structures and packed blocks
-    alive until the next call replaces them, and, if that suite was not
-    read to its end, the list or tuple itself: a later call on a copy of it
-    reads any structures not yet laid out from the first one, after
-    checking them by identity against the copy.
+    alive until the next call on a list or tuple replaces them; it holds a
+    copy of the suite, not the list or tuple itself.
     """
     kind = ConsequenceKind(kind)
     gamma = list(gamma)
@@ -401,58 +399,54 @@ def consequence(
     else:
         free = _free_lists(gamma + delta)
     pos: dict = {}
-    needed = None  # the query's constants, once a block of several lanes asks
     kept = isinstance(suite, (list, tuple))
-    try:
-        layout = _kept.pop() if kept else None  # pop: atomic under threads
-    except IndexError:
-        layout = None
-    check = layout is not None
-    if not check:
-        layout = _Layout(suite)
-    # Block j starts after the suite's first ``seen`` structures and the
-    # ``given`` lanes they got.
-    j = seen = given = 0
-    try:
-        while True:
-            block = layout.block(j)
-            end = block.marks[-1] if block else len(layout.items)
-            if check and not _same(suite, layout.items, seen, end, block is None):
-                # Not the kept suite: start again on a layout of its own.
-                layout = _Layout(suite)
-                check = False
-                j = seen = given = 0
-                continue
-            if block is None:
-                return Verdict(True, kind, end, structures_skipped=end - given)
-            lanes, marks = block.lanes, block.marks
-            if len(lanes) > 1 and needed is None:
-                needed = _constants(gamma + delta)
-            if len(lanes) == 1 or needed <= lanes[0].masks.keys():
-                found = _first_failure(kind, block.packed(), gamma, delta, free, pos)
+    layout = _kept[0] if kept and _kept else None
+    if layout is not None and len(layout.items) == len(suite):
+        verdict = _decide(kind, gamma, delta, free, pos, layout, suite)
+        if verdict is not None:
+            return verdict
+    layout = _Layout(suite)
+    if kept:
+        _kept[:] = [layout]
+    return _decide(kind, gamma, delta, free, pos, layout, None)
+
+
+def _decide(kind, gamma, delta, free, pos, layout: _Layout, suite) -> Verdict | None:
+    """The verdict over ``layout``.  With ``suite``, each block's span of
+    it, and the structures after the last block, are first checked to be
+    the layout's own: None where one is not."""
+    items = layout.items
+    needed = None  # the query's constants, once a block of several lanes asks
+    seen = given = 0  # the structures before the block, and the lanes they got
+    for packed, lanes, marks in layout.blocks:
+        end = marks[-1]
+        if suite is not None and not _same(suite, items, seen, end):
+            return None
+        if len(lanes) > 1 and needed is None:
+            needed = _constants(gamma + delta)
+        if len(lanes) == 1 or needed <= lanes[0].masks.keys():
+            found = _first_failure(kind, packed, gamma, delta, free, pos)
+            if found:
+                return _refutation(kind, found, lanes, marks, given)
+        else:
+            # A constant of the query is missing: decide each lane alone,
+            # so that `UnassignedConstant` is raised exactly where one
+            # structure by itself raises it.
+            for k, s in enumerate(lanes):
+                found = _first_failure(kind, s, gamma, delta, free, pos)
                 if found:
-                    return _refutation(kind, found, lanes, marks, given)
-            else:
-                # A constant of the query is missing: decide each lane alone,
-                # so that `UnassignedConstant` is raised exactly where one
-                # structure by itself raises it.
-                for k, s in enumerate(lanes):
-                    found = _first_failure(kind, s, gamma, delta, free, pos)
-                    if found:
-                        return _refutation(kind, found, [s], [marks[k]], given + k)
-            seen = end
-            given += len(lanes)
-            j += 1
-    finally:
-        if kept and layout.whole:
-            _kept[:] = [layout]
+                    return _refutation(kind, found, [s], [marks[k]], given + k)
+        seen = end
+        given += len(lanes)
+    end = len(items)
+    if suite is not None and not _same(suite, items, seen, end):
+        return None
+    return Verdict(True, kind, end, structures_skipped=end - given)
 
 
-def _same(suite: Sequence, items: list, lo: int, hi: int, last: bool) -> bool:
-    """``suite`` holds the structures ``items`` holds at positions [lo, hi),
-    the same objects, and when ``last``, none after them."""
-    if len(suite) != hi if last else len(suite) < hi:
-        return False
+def _same(suite: Sequence, items: list, lo: int, hi: int) -> bool:
+    """``suite``, as long as ``items``, holds the structures ``items`` holds
+    at positions [lo, hi), the same objects."""
     if hi - lo == 1:  # one structure, as at the start of a run: no slices
         return suite[lo] is items[lo]
     return all(map(is_, suite[lo:hi], items[lo:hi]))
@@ -614,81 +608,45 @@ class _Block:
         return ((((x & low) + low | x) & self.high) >> self.n - 1) * self.lane_full
 
 
-
 class _Layout:
-    """A suite cut into lane blocks as the module describes, whatever the
-    query.  The suite is read and cut only as far as a decision asks for,
-    and a block is packed when a decision first reaches it."""
+    """A suite laid out in lane blocks as the module describes, whatever the
+    query, and never changed: ``items``, a copy of the suite, and
+    ``blocks``, a ``(packed, lanes, marks)`` triple per block in suite
+    order.  ``packed`` is the block's `_Block`, or its structure if it has
+    one lane; a structure's mark counts the suite's structures up to and
+    including it."""
 
-    __slots__ = ("items", "blocks", "whole", "_cutter")
+    __slots__ = ("items", "blocks")
 
     def __init__(self, suite: Iterable[Structure]) -> None:
-        self.items: list[Structure] = []  # the structures read so far
-        self.blocks: list[_Lanes] = []
-        self.whole = True  # False once the cutter has raised
-        self._cutter = self._cut(iter(suite))
-
-    def block(self, j: int) -> _Lanes | None:
-        """Block j, or None if the suite has no more than j blocks."""
-        blocks = self.blocks
-        while len(blocks) <= j:
-            try:
-                block = next(self._cutter, None)
-            except BaseException:
-                # The cutter is closed with structures read but given no
-                # block: this layout must not be reused.
-                self.whole = False
-                raise
-            if block is None:
-                return None
-            blocks.append(block)
-        return blocks[j]
-
-    def _cut(self, suite: Iterator[Structure]) -> Iterator[_Lanes]:
-        items = self.items
+        self.items = list(suite)
         decided: set = set()  # ids; ``items`` keeps their structures alive
-        lanes: list = []
-        marks: list = []
+        runs: list = []  # each run's lanes and their marks
         full = names = None
-        size = 0
-        for s in suite:
-            items.append(s)
+        for mark, s in enumerate(self.items, 1):
             if s.twin is not None and id(s.twin) in decided:
                 continue
             decided.add(id(s))
             if s.full != full or s.masks.keys() != names:
-                if lanes:
-                    yield _Lanes(lanes, marks)
-                    lanes, marks = [], []
-                full, names, size = s.full, s.masks.keys(), 1
+                full, names = s.full, s.masks.keys()
+                lanes, marks = [], []
+                runs.append((lanes, marks))
             lanes.append(s)
-            marks.append(len(items))
-            if len(lanes) == size:
-                yield _Lanes(lanes, marks)
-                lanes, marks, size = [], [], size * _BLOCK_GROWTH
-        if lanes:
-            yield _Lanes(lanes, marks)
-
-
-class _Lanes:
-    """One block of a `_Layout`: its structures, their marks (a structure's
-    mark counts the suite's structures up to and including it), and its
-    `_Block`, packed on first use; a block of one lane is its structure."""
-
-    __slots__ = ("lanes", "marks", "_packed")
-
-    def __init__(self, lanes: list, marks: list) -> None:
-        self.lanes, self.marks, self._packed = lanes, marks, None
-
-    def packed(self):
-        if self._packed is None:
-            lanes = self.lanes
-            self._packed = lanes[0] if len(lanes) == 1 else _Block(lanes)
-        return self._packed
+            marks.append(mark)
+        self.blocks: list[tuple] = []
+        for lanes, marks in runs:
+            lo, size = 0, 1
+            while lo < len(lanes):
+                hi = lo + size
+                block = lanes[lo:hi]
+                packed = block[0] if len(block) == 1 else _Block(block)
+                self.blocks.append((packed, block, marks[lo:hi]))
+                lo, size = hi, size * _BLOCK_GROWTH
 
 
 # The slot: the layout of the last list or tuple that `consequence`
-# decided, if any; it keeps that suite's structures alive (see there).
+# decided, if any; it keeps that suite's structures and blocks alive until
+# the next such call replaces it (see there).
 _kept: list[_Layout] = []
 
 

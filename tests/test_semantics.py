@@ -2,9 +2,11 @@
 relations, exercised against their defining identities."""
 
 import dataclasses
+import gc
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -1108,8 +1110,8 @@ class TestLayoutReuse:
 
     @pytest.mark.parametrize("error", [AttributeError, KeyboardInterrupt])
     def test_a_suite_whose_reading_raises(self, error):
-        # The second and third items would share a block, so the error
-        # comes before the second structure, which refutes, is decided.
+        # The suite is read whole before any structure is decided, so the
+        # error comes first even where a structure before it refutes.
         class Junk:
             @property
             def twin(self):
@@ -1117,17 +1119,40 @@ class TestLayoutReuse:
 
         refutes = next(s for s in _PAIRS if not models(s, _LATE))
         holds = next(s for s in _PAIRS if models(s, _LATE) and s.masks.keys() == refutes.masks.keys())
-        suite = [holds, refutes, Junk()]
-        for _ in range(3):
-            with pytest.raises(error):
-                consequence("strong", [], [_LATE], suite)
-            assert semantics._kept == []
+        for suite in ([refutes, Junk()], [holds, refutes, Junk()]):
+            for _ in range(3):
+                with pytest.raises(error):
+                    consequence("strong", [], [_LATE], suite)
+                assert semantics._kept == []
         del suite[2]
         _agrees_with_the_oracle("strong", [], [_LATE], suite)
 
+    def test_the_callers_list_is_not_kept_alive(self):
+        class Suite(list):  # a list that can be weakly referenced
+            pass
+
+        suite = Suite(_REUSE_POOL)
+        ref = weakref.ref(suite)
+        assert consequence(*_REUSE_QUERIES[0], suite).structures_checked == 1
+        assert semantics._kept
+        del suite
+        gc.collect()
+        assert ref() is None
+
+    def test_the_structures_after_the_last_block(self):
+        # The suite ends in a twin that got no lane, so no block's span
+        # covers it: only the check after a sweep sees it replaced.
+        end = max(i for i in range(139) if _C_SUITE[i].twin is not None)
+        suite = _C_SUITE[:end + 1]
+        assert _skipped(suite, end + 1) > _skipped(suite, end)
+        assert _agrees_with_the_oracle("strong", [], [_LATE], suite).holds
+        suite[end] = _FAILS_LATE
+        got = _agrees_with_the_oracle("strong", [], [_LATE], suite)
+        assert got.structure is _FAILS_LATE and got.structures_checked == end + 1
+
     def test_threads_deciding_at_once(self):
         # Four threads on two cores, switching as often as the interpreter
-        # allows: no call may meet a layout another call is still using.
+        # allows, sharing the kept layout and replacing it as they go.
         suites = [list(_REUSE_POOL), _REUSE_POOL[::-1], _REUSE_POOL[:60]]
         want = {}
         for i, suite in enumerate(suites):
