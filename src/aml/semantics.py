@@ -372,17 +372,18 @@ def consequence(
     an empty ``gamma`` the intersection is the whole universe, so strong
     consequence from nothing is validity).
 
-    The suite is read to its end and decided over its layout (see the
-    module); an item that is not a `Structure` raises, wherever it sits.
-    The layout of the last list or tuple decided is kept in one slot and
-    reused, blocks packed, by a call on a list or tuple of the same length
-    holding the same structure objects in the same order (identical, not
-    merely equal): checked a block at a time as the decision reaches it,
-    and after a sweep, over the structures after the last block.  Where the
-    check fails, the suite is laid out afresh, decided from its first
-    structure and kept.  Any other iterable gets a layout of its own, which
-    is not kept.  A kept layout never changes, so calls in several threads
-    share it.
+    The suite is decided over its layout (see the module).  Laying a suite
+    out reads it to its end, so an item that is not a `Structure` raises
+    there, wherever it sits; a call that reuses the kept layout reads the
+    suite only as far as its decision goes.  The layout of the last list or
+    tuple laid out is kept in one slot and reused, blocks packed, by a call
+    on a list or tuple of the same length holding the same structure
+    objects in the same order (identical, not merely equal): checked a
+    block at a time as the decision reaches it, and after a sweep, over the
+    structures after the last block.  Where the check fails, the suite is
+    laid out afresh, decided from its first structure and kept.  Any other
+    iterable gets a layout of its own, which is not kept.  A kept layout
+    never changes, so calls in several threads share it.
 
     The slot keeps the last list or tuple's structures and packed blocks
     alive until the next call on a list or tuple replaces them; it holds a
