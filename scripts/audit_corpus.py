@@ -35,7 +35,7 @@ class AuditConfig:
 def run(cfg: AuditConfig) -> int:
     sig = load_signature(cfg.corpus / "sig.txt")
     spec = SuiteSpec(sig, max_size=cfg.max_size, seed=cfg.seed, samples=cfg.samples)
-    suite = list(spec.structures())
+    suite = spec.suite()
     print(f"suite: {spec.describe()}, {len(suite)} structure(s)")
 
     bad = 0

@@ -8,16 +8,23 @@ script belongs to and, with ``--parent``, in a checkout of another commit
 (a `git clone` of the parent, say), and writes
 
     {commit, python, nproc, seeds, seconds, workloads: {name: {metric: median}},
-     traced: {name: {counter: value}}}
+     traced: {name: {counter: value}},
+     oneshot: {proof_check_audit_ms: median, PYTHONDONTWRITEBYTECODE: value}}
 
 where each median is over the seeds and ``traced`` holds the traced run's
 per-layer counters: its call and outcome counts, which depend on the seed
-alone.  With ``--parent`` the file also holds the same for that checkout
+alone.  ``oneshot`` is the wall time of a fresh
+``python3 -m aml.cli proof check --audit --json`` process, with the
+corpus-audit workload's suite options, the median over the 33 corpus
+scripts on each seed and then over the seeds, beside the value of
+``PYTHONDONTWRITEBYTECODE`` in the environment (unset: None), which decides
+whether every process compiles ``src/`` again.  With ``--parent`` the file also holds the same for that checkout
 under ``parent``.  The two checkouts take turns on each seed, the first to
 run alternating from seed to seed, and the table printed at the end gives,
 per workload and metric, each side's median and quartiles and on how many
 seeds the change won (ties count for neither), so that a claimed gain can
 be read off it, and then the traced counters that differ between the two.
+The one-shot processes take turns in the same way, after the workloads.
 Each untraced run takes ``--seconds``; a run that reports wrong outputs
 stops the script.
 """
@@ -31,6 +38,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +64,26 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) ->
         raise SystemExit(f"{tree}: {workload} seed {seed}: {wrong}")
     return {name: m["value"] for name, m in doc["metrics"].items()
             if not trace or m["unit"] == "count"}
+
+
+def oneshot(tree: Path, seed: int) -> float:
+    """The median wall time, in ms, of a fresh `proof check --audit` process
+    per corpus script in ``tree``, with that tree's ``src/`` first on the
+    path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    times = []
+    with tempfile.TemporaryDirectory() as out:
+        for script in sorted((tree / "corpus" / "proofs").glob("*/*.prf")):
+            argv = [sys.executable, "-m", "aml.cli", "proof", "check", "--audit", "--json",
+                    "--sig", "corpus/sig.txt", "--max-size", "3", "--samples", "200",
+                    "--seed", str(seed), "--out", out, str(script.relative_to(tree))]
+            t0 = time.perf_counter()
+            code = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL).returncode
+            times.append(time.perf_counter() - t0)
+            if code not in (0, 1):
+                raise SystemExit(f"{tree}: {script.name} seed {seed}: exit {code}")
+    return statistics.median(times) * 1e3
 
 
 def commit(tree: Path) -> str:
@@ -87,12 +116,22 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: done", file=sys.stderr)
     traced = {side: {w: run(tree, w, args.seeds[0], args.seconds, trace=1) for w in WORKLOADS}
               for side, tree in trees.items()}
+    shots: dict = {side: [] for side in trees}
+    for i, seed in enumerate(args.seeds):
+        for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+            shots[side].append(oneshot(trees[side], seed))
+            print(f"one-shot seed {seed} {side}: done", file=sys.stderr)
+    bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE")
 
     def medians(side: str) -> dict:
         return {
             w: {m: statistics.median(r[m] for r in rs) for m in rs[0]}
             for w, rs in runs[side].items()
         }
+
+    def oneshots(side: str) -> dict:
+        return {"proof_check_audit_ms": statistics.median(shots[side]),
+                "PYTHONDONTWRITEBYTECODE": bytecode}
 
     doc = {
         "commit": commit(ROOT),
@@ -102,12 +141,14 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "workloads": medians("change"),
         "traced": traced["change"],
+        "oneshot": oneshots("change"),
     }
     if args.parent:
         doc["parent"] = {
             "commit": commit(trees["parent"]),
             "workloads": medians("parent"),
             "traced": traced["parent"],
+            "oneshot": oneshots("parent"),
         }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -123,6 +164,11 @@ def main(argv=None) -> int:
                 fmt = "/".join(f"{v:.4g}" for v in quartiles(old))
                 fmt_new = "/".join(f"{v:.4g}" for v in quartiles(new))
                 print(f"{w:<16} {m:<18} {fmt:<32} {fmt_new:<32} {wins}/{len(new)}")
+        old, new = shots["parent"], shots["change"]
+        wins = sum(b < a for a, b in zip(old, new))
+        fmt, fmt_new = ("/".join(f"{v:.4g}" for v in quartiles(x)) for x in (old, new))
+        print(f"{'one-shot':<16} {'audit_ms':<18} {fmt:<32} {fmt_new:<32} {wins}/{len(new)}"
+              f"  (PYTHONDONTWRITEBYTECODE={bytecode})")
         print(f"\ntraced counts that differ, seed {args.seeds[0]}: parent -> change")
         for w in WORKLOADS:
             old, new = traced["parent"][w], traced["change"][w]

@@ -10,8 +10,11 @@ and without `--defined`, exhaustive and sampled, plus one failing
 `consequence --defined`; group `consequence` is `consequence` at all three
 kinds over the default suite and a sampled one, on queries that hold and
 that fail (early, and late in the suite, after structures the symmetry
-reduction skips).  Every run goes with and without `--json`; where
-`--json` is not an option, the usage error is what gets hashed.  Every run
+reduction skips).  Every run of these four groups goes with and without
+`--json`; where `--json` is not an option, the usage error is what gets
+hashed.  Group `help` is `aml --help`, every `aml <command> --help` and
+three usage errors (an unknown command, a missing required option, a bad
+`--max-size`), each with `COLUMNS` at 50 and at 120.  Every run
 names its files by paths relative to the temporary directory, so the hashes
 do not depend on where the checkout is.  Compare two trees with
 `PYTHONPATH=<tree>/src python3 scripts/cli_digest.py`, or run each tree's
@@ -42,20 +45,43 @@ MODEL = '{"universe": ["0", "1"], "constants": {"c": ["0", "1"], "d": ["1"]},' \
     ' "app": [{"left": "0", "right": "1", "result": ["0", "1"]}]}'
 
 
+def run(argv) -> tuple:
+    """One in-process run's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def digest(runs) -> str:
     h = hashlib.sha256()
     for argv in runs:
         for as_json in (False, True):
             shutil.rmtree("out", ignore_errors=True)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli(argv + ["--json"] * as_json)
-                except SystemExit as exc:
-                    code = exc.code
-            h.update(repr((argv, as_json, code, out.getvalue(), err.getvalue())).encode())
+            h.update(repr((argv, as_json, *run(argv + ["--json"] * as_json))).encode())
             for f in sorted(Path(".").glob("out/**/*")):
                 h.update(str(f).encode() + (f.read_bytes() if f.is_file() else b""))
+    return h.hexdigest()
+
+
+def help_digest(runs) -> str:
+    """The hash of ``runs`` that print help or a usage error, each under two
+    terminal widths."""
+    h = hashlib.sha256()
+    old = os.environ.get("COLUMNS")
+    try:
+        for columns in ("50", "120"):
+            os.environ["COLUMNS"] = columns
+            for argv in runs:
+                h.update(repr((columns, argv, *run(argv))).encode())
+    finally:
+        if old is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = old
     return h.hexdigest()
 
 
@@ -83,6 +109,9 @@ def main() -> None:
               for kind in ("global", "local", "strong")
               for size in ([], ["--max-size", "3", "--samples", "30", "--seed", "3"])
               for name, (_, gamma) in QUERIES.items()]
+    commands = ("parse", "analyze", "eval", "check", "taut", "consequence", "proof", "gen-models")
+    helps = [["--help"], *([cmd, "--help"] for cmd in commands), ["frobnicate"],
+             ["eval", "c.pat"], ["consequence", "--max-size", "0", "c.pat"]]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temporary name out of the output
@@ -103,6 +132,7 @@ def main() -> None:
             print(f"taut  {digest(taut)} ({2 * len(taut)} runs)")
             print(f"suite {digest(suite_runs)} ({2 * len(suite_runs)} runs)")
             print(f"consequence {digest(conseq)} ({2 * len(conseq)} runs)")
+            print(f"help  {help_digest(helps)} ({2 * len(helps)} runs)")
         finally:
             os.chdir(home)
 

@@ -16,11 +16,14 @@ counterexample of `check` and `consequence`, and every audit violation of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import signal
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .model import (
     ModelError,
@@ -135,9 +138,10 @@ def _load_model_dir(path: str, sig: Signature | None) -> list[Structure]:
 
 def _suite(
     args, sig: Signature, loaded: list[Structure] | None = None
-) -> tuple[list[Structure], str]:
-    """The suite the arguments name; ``loaded`` is the ``--models``
-    directory's structures when the caller has read them already."""
+) -> tuple[Sequence[Structure], str]:
+    """The suite the arguments name, a generated one as a `model.Suite`;
+    ``loaded`` is the ``--models`` directory's structures when the caller
+    has read them already."""
     if args.models:
         suite = loaded if loaded is not None else _load_model_dir(args.models, None)
         return suite, f"directory {args.models}"
@@ -148,7 +152,7 @@ def _suite(
         samples=args.samples,
         defined=args.defined,
     )
-    return list(spec.structures()), spec.describe()
+    return spec.suite(), spec.describe()
 
 
 def _constants_of(structure: Structure) -> tuple[str, ...]:
@@ -560,13 +564,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The terminal's width, read once: argparse's default formatter reads it
+    # again for every argument added and every message formatted.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     ap = _Parser(
         prog="aml",
         description="Workbench for applicative matching logic over finite structures.",
+        formatter_class=formatter,
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("parse", help="parse a pattern file and re-emit it")
+    p = add("parse", help="parse a pattern file and re-emit it")
     _add_mode(p)
     _add_sig(p)
     _add_json(p)
@@ -577,14 +588,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_parse)
 
-    p = sub.add_parser("analyze", help="variables, occurrence table, polarity")
+    p = add("analyze", help="variables, occurrence table, polarity")
     _add_mode(p)
     _add_sig(p)
     _add_json(p)
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("eval", help="evaluate patterns in one structure")
+    p = add("eval", help="evaluate patterns in one structure")
     _add_mode(p)
     _add_sig(p)
     _add_json(p)
@@ -593,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("check", help="validity in one structure (all assignments)")
+    p = add("check", help="validity in one structure (all assignments)")
     _add_mode(p)
     _add_sig(p)
     _add_json(p)
@@ -602,14 +613,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("taut", help="propositional tautology test")
+    p = add("taut", help="propositional tautology test")
     _add_mode(p)
     _add_sig(p)
     _add_json(p)
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_taut)
 
-    p = sub.add_parser("consequence", help="decide a consequence relation over a suite")
+    p = add("consequence", help="decide a consequence relation over a suite")
     _add_mode(p)
     _add_sig(p)
     _add_json(p)
@@ -627,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_file", help="conclusion patterns")
     p.set_defaults(fn=_cmd_consequence)
 
-    p = sub.add_parser("proof", help="check a proof script")
+    p = add("proof", help="check a proof script")
     p.add_argument("action", choices=("check",))
     _add_sig(p)
     _add_json(p)
@@ -638,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("script")
     p.set_defaults(fn=_cmd_proof)
 
-    p = sub.add_parser("gen-models", help="materialize a deterministic suite to files")
+    p = add("gen-models", help="materialize a deterministic suite to files")
     _add_sig(p)
     _add_suite(p)
     p.add_argument("--out", metavar="DIR", required=True)

@@ -18,12 +18,22 @@ structures and must apply it totally: ``def`` applied to any singleton
 yields the whole universe.  In a suite's exhaustive two-element block, a
 structure whose 0<->1 image came earlier carries that image as its ``twin``,
 found by position, not by hashing; no other structure has one.
+
+A generated suite is a `Suite`, a sequence over its positions: every
+structure of size one, then of size two, each a number whose base-2^n
+digits are its masks (the free application cells row by row, then the free
+constants), then the samples, whose masks are drawn when the suite is made.
+It builds a structure only when asked, and gives `semantics` the masks of
+its lanes by position, so that deciding a suite builds neither its twins
+nor the structures it lays out in blocks.  `enumerate_structures` iterates
+one.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -54,6 +64,7 @@ __all__ = [
     "valuation_to_doc",
     "load_valuation",
     "SuiteSpec",
+    "Suite",
     "enumerate_structures",
 ]
 
@@ -427,6 +438,10 @@ class SuiteSpec:
             defined=self.defined,
         )
 
+    def suite(self) -> Suite:
+        """The stream as a `Suite`, which builds a structure only when asked."""
+        return Suite(self)
+
     def describe(self) -> str:
         parts = [f"exhaustive |A|<={min(self.max_size, 2)}"]
         if self.samples and self.max_size >= 3:
@@ -454,47 +469,124 @@ def enumerate_structures(
     application rows forced total, so every emitted structure satisfies the
     definedness law.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    _check_cap(range(max_size))
-    names = list(sig.constants)
-    if defined and DEFINEDNESS not in names:
-        names = names + [DEFINEDNESS]
-    for size in range(1, min(max_size, 2) + 1):
-        yield from _exhaustive(size, names, defined)
-    if samples and max_size >= 3:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            yield _sample(rng, rng.randint(3, max_size), names, defined)
+    yield from Suite(SuiteSpec(sig, max_size, seed, samples, defined))
 
 
+class Suite(Sequence[Structure]):
+    """The structures of a `SuiteSpec`, in stream order, as a sequence.
+
+    Its length comes from counts.  Structure k is built the first time it is
+    asked for and kept in ``made``, so ``suite[k] is suite[k]``.  An exhaustive structure
+    is built from its position within the block of its size: the position
+    read in base 2^size, most significant digit first, gives one mask per
+    digit, the free application cells row by row and then the free
+    constants; with ``defined``, ``def`` is the first element and its row is
+    total.  A two-element structure's ``twin`` is the structure at its swap
+    image's position (`_swap_images`) when that comes earlier.  The samples'
+    masks are drawn when the suite is made, in the stream's order, and a
+    sample is built from them.  `runs` gives the lanes' masks without
+    building any structure, and ``layout`` is where `semantics` keeps the
+    suite's lane layout once it has made one."""
+
+    def __init__(self, spec: SuiteSpec) -> None:
+        if spec.max_size < 1:
+            raise ValueError("max_size must be at least 1")
+        _check_cap(range(spec.max_size))
+        names = list(spec.sig.constants)
+        if spec.defined and DEFINEDNESS not in names:
+            names.append(DEFINEDNESS)
+        self._names, self._defined = names, spec.defined
+        self._free_names = [n for n in names if n != DEFINEDNESS] if spec.defined else names
+        # Each exhaustive block: its start, size, count, free cells, the
+        # shifts that read a position's digits, most significant first, and
+        # the swap images of its positions where it has twins.
+        self._blocks: list[tuple] = []
+        start = 0
+        for size in range(1, min(spec.max_size, 2) + 1):
+            cells = (size - spec.defined) * size
+            digits = cells + len(self._free_names)
+            shifts = range(size * (digits - 1), -1, -size)
+            images = _swap_images(len(self._free_names)) if size == 2 and not spec.defined else None
+            self._blocks.append((start, size, 1 << size * digits, cells, shifts, images))
+            start += 1 << size * digits
+        self._first_sample = start
+        self._drawn: list[tuple] = []  # each sample's size, cells and constants
+        if spec.samples and spec.max_size >= 3:
+            rng = random.Random(spec.seed)
+            for _ in range(spec.samples):
+                self._drawn.append(_draw(rng, rng.randint(3, spec.max_size), names, spec.defined))
+        self._length = start + len(self._drawn)
+        self.made: dict[int, Structure] = {}
+        self.layout = None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index: int) -> Structure:
+        k = operator.index(index)
+        if k < 0:
+            k += self._length
+        s = self.made.get(k)
+        if s is None:
+            if not 0 <= k < self._length:
+                raise IndexError("suite index out of range")
+            # setdefault: of two threads building k at once, both keep the first.
+            s = self.made.setdefault(k, self._build(k))
+        return s
+
+    def __iter__(self) -> Iterator[Structure]:
+        return map(self.__getitem__, range(self._length))
+
+    def _build(self, k: int) -> Structure:
+        for start, size, count, cells, shifts, images in self._blocks:
+            if k < start + count:
+                p = k - start
+                full = (1 << size) - 1
+                digits = [p >> shift & full for shift in shifts]
+                rows = _rows(digits[:cells], size)
+                masks = {}
+                if self._defined:
+                    rows = ((full,) * size,) + rows
+                    masks[DEFINEDNESS] = 1
+                masks.update(zip(self._free_names, digits[cells:]))
+                twin = self[start + images[p]] if images and images[p] < p else None
+                return Structure(_universe(size), rows, masks, twin)
+        size, cells, masks = self._drawn[k - self._first_sample]
+        return Structure(_universe(size), _rows(cells, size), dict(zip(self._names, masks)))
+
+    def runs(self) -> Iterator[tuple]:
+        """The lanes of each run of structures of one size, building none:
+        ``(marks, cells, masks)``, where a lane's mark counts the
+        structures up to and including it, ``cells`` holds one column of the
+        lanes' masks per application cell, row by row, and ``masks`` one per
+        constant name.  A structure whose twin comes earlier gets no lane."""
+        for start, size, count, cells, shifts, images in self._blocks:
+            full = (1 << size) - 1
+            positions = range(count)
+            if images is not None:
+                positions = list(itertools.compress(positions, map(operator.ge, images, positions)))
+            digits = [[p >> shift & full for p in positions] for shift in shifts]
+            masks = {}
+            if self._defined:
+                digits[:0] = [[full] * len(positions)] * size
+                masks[DEFINEDNESS] = [1] * len(positions)
+            masks.update(zip(self._free_names, digits[size * size:]))
+            yield [start + p + 1 for p in positions], digits[:size * size], masks
+        drawn = enumerate(self._drawn, self._first_sample + 1)
+        for _, run in itertools.groupby(drawn, key=lambda d: d[1][0]):
+            marks, samples = zip(*run)
+            _, cells, masks = zip(*samples)
+            yield marks, list(zip(*cells)), dict(zip(self._names, zip(*masks)))
+
+
+@lru_cache(maxsize=None)
 def _universe(size: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(size))
 
 
-def _exhaustive(size: int, names: list[str], defined: bool) -> Iterator[Structure]:
-    universe = _universe(size)
-    subsets = range(1 << size)
-    forced_rows: tuple[tuple[int, ...], ...] = ()
-    forced_masks: dict[str, int] = {}
-    free_names = names
-    if defined:
-        # Pin def to the first element (bit 1) and make its row total; the
-        # rest of the grid stays free.
-        forced_rows = ((subsets[-1],) * size,)
-        forced_masks = {DEFINEDNESS: 1}
-        free_names = [n for n in names if n != DEFINEDNESS]
-    free_cells = (size - len(forced_rows)) * size
-    images = _swap_images(len(free_names)) if size == 2 and not defined else None
-    made: list[Structure] = []
-    for grid in itertools.product(subsets, repeat=free_cells):
-        rows = forced_rows + tuple(grid[i:i + size] for i in range(0, free_cells, size))
-        for choice in itertools.product(subsets, repeat=len(free_names)):
-            masks = dict(forced_masks)
-            masks.update(zip(free_names, choice))
-            at = images[len(made)] if images else len(made)
-            made.append(Structure(universe, rows, masks, made[at] if at < len(made) else None))
-            yield made[-1]
+def _rows(cells: Sequence[int], size: int) -> tuple[tuple[int, ...], ...]:
+    """``cells`` cut into rows of ``size``."""
+    return tuple(zip(*[iter(cells)] * size))
 
 
 @lru_cache(maxsize=None)
@@ -507,11 +599,13 @@ def _swap_images(free: int) -> tuple[int, ...]:
                  for d in itertools.product(range(4), repeat=n))
 
 
-def _sample(rng: random.Random, size: int, names: list[str], defined: bool) -> Structure:
-    rows = [[rng.getrandbits(size) for _ in range(size)] for _ in range(size)]
-    masks = {name: rng.getrandbits(size) for name in names}
+def _draw(rng: random.Random, size: int, names: list[str], defined: bool) -> tuple:
+    """A sample's size, its cells row by row and its constants in ``names``
+    order, drawn in the stream's order."""
+    cells = [rng.getrandbits(size) for _ in range(size * size)]
+    masks = [rng.getrandbits(size) for _ in names]
     if defined:
         # def holds the first element and maybe more; that element's row is total.
-        masks[DEFINEDNESS] = 1 | rng.getrandbits(size)
-        rows[0] = [(1 << size) - 1] * size
-    return Structure(_universe(size), tuple(map(tuple, rows)), masks)
+        masks[names.index(DEFINEDNESS)] = 1 | rng.getrandbits(size)
+        cells[:size] = [(1 << size) - 1] * size
+    return size, cells, masks

@@ -18,7 +18,7 @@ comes with a replayable counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import sugar
 from .context import match_singleton
@@ -591,10 +591,13 @@ def audit_soundness(
 ) -> AuditReport:
     """Replay every accepted line as a consequence of the hypotheses, at the
     script's level, over the given suite.  Any violation means the checker
-    accepted an unsound step, so the counterexample is attached verbatim."""
+    accepted an unsound step, so the counterexample is attached verbatim.
+    A sequence, such as a `model.Suite`, is decided as it is; any other
+    iterable is read into a list first."""
     if report is None:
         report = check_proof(script)
-    suite = list(suite)
+    if not isinstance(suite, Sequence):
+        suite = list(suite)
     kind = ConsequenceKind(report.level)
     gamma = list(script.hypotheses.values())
     violations = []

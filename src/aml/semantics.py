@@ -40,24 +40,31 @@ alone costs.  A block reports its lowest failing lane with that lane's
 first counterexample, which is the first in suite order.  All three
 relations are invariant under renaming the universe, so a structure whose
 ``twin`` (see `model`) got a lane earlier gets none, though it still counts
-in ``structures_checked``.  A suite is read whole and laid out once, every
-block packed, and the layout never changes after that; `consequence` keeps
-the last one in a single slot, which threads share, and reuses it for the
-next list or tuple that holds the same structure objects, checked by
-identity as the decision goes, so that many queries of one suite pack it
-once.  The slot keeps the last suite's structures alive.
+in ``structures_checked``.  A suite is laid out once, every block packed,
+and the layout never changes after that.  A block is packed from its lanes'
+masks in columns, one per application cell and one per constant, which
+come from one of two sources.  A generated `model.Suite` gives them from
+its structures' positions and drawn masks, its twins skipped by position,
+so that no structure is built but the one-lane blocks' and a
+counterexample's; the suite owns its layout, made on its first decision.
+Any other suite is read whole and its structures transposed; `consequence`
+keeps the last such layout in a single slot, which threads share, and
+reuses it for the next list or tuple that holds the same structure objects,
+checked by identity as the decision goes, so that many queries of one
+suite pack it once.  The slot keeps the last list's structures alive.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter, is_, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import sugar
-from .model import Structure, Valuation
+from .model import Structure, Suite, Valuation
 from .syntax import (
     Appl,
     Const,
@@ -372,16 +379,19 @@ def consequence(
     an empty ``gamma`` the intersection is the whole universe, so strong
     consequence from nothing is validity).
 
-    The suite is decided over its layout (see the module).  Laying a suite
-    out reads it to its end, so an item that is not a `Structure` raises
-    there, wherever it sits; a call that reuses the kept layout reads the
-    suite only as far as its decision goes.  The layout of the last list or
-    tuple laid out is kept in one slot and reused, blocks packed, by a call
-    on a list or tuple of the same length holding the same structure
-    objects in the same order (identical, not merely equal): checked a
-    block at a time as the decision reaches it, and after a sweep, over the
-    structures after the last block.  Where the check fails, the suite is
-    laid out afresh, decided from its first structure and kept.  Any other
+    The suite is decided over its layout (see the module).  A `model.Suite`
+    owns its layout: the first call on it makes the layout, later calls
+    reuse it, and the slot below is neither read nor written.  Laying any
+    other suite out reads it to its end, so an item that is not a
+    `Structure` raises there, wherever it sits; a call that reuses the kept
+    layout reads the suite only as far as its decision goes.  The layout of
+    the last list or tuple laid out is kept in one slot and reused, blocks
+    packed, by a call on a list or tuple of the same length holding the
+    same structure objects in the same order (identical, not merely equal):
+    checked a block at a time as the decision reaches it, and after a
+    sweep, over the structures after the last block.  Where the check
+    fails, the suite is laid out afresh, decided from its first structure
+    and kept.  Any other
     iterable gets a layout of its own, which is not kept.  A kept layout
     never changes, so calls in several threads share it.
 
@@ -400,6 +410,11 @@ def consequence(
     else:
         free = _free_lists(gamma + delta)
     pos: dict = {}
+    if isinstance(suite, Suite):
+        layout = suite.layout
+        if layout is None:
+            layout = suite.layout = _Layout(suite)
+        return _decide(kind, gamma, delta, free, pos, layout, None)
     kept = isinstance(suite, (list, tuple))
     layout = _kept[0] if kept and _kept else None
     if layout is not None and len(layout.items) == len(suite):
@@ -419,26 +434,27 @@ def _decide(kind, gamma, delta, free, pos, layout: _Layout, suite) -> Verdict | 
     items = layout.items
     needed = None  # the query's constants, once a block of several lanes asks
     seen = given = 0  # the structures before the block, and the lanes they got
-    for packed, lanes, marks in layout.blocks:
+    for packed, marks in layout.blocks:
         end = marks[-1]
         if suite is not None and not _same(suite, items, seen, end):
             return None
-        if len(lanes) > 1 and needed is None:
+        if len(marks) > 1 and needed is None:
             needed = _constants(gamma + delta)
-        if len(lanes) == 1 or needed <= lanes[0].masks.keys():
+        if len(marks) == 1 or needed <= packed.masks.keys():
             found = _first_failure(kind, packed, gamma, delta, free, pos)
             if found:
-                return _refutation(kind, found, lanes, marks, given)
+                return _refutation(kind, found, packed, items, marks, given)
         else:
             # A constant of the query is missing: decide each lane alone,
             # so that `UnassignedConstant` is raised exactly where one
             # structure by itself raises it.
-            for k, s in enumerate(lanes):
+            for k, mark in enumerate(marks):
+                s = items[mark - 1]
                 found = _first_failure(kind, s, gamma, delta, free, pos)
                 if found:
-                    return _refutation(kind, found, [s], [marks[k]], given + k)
+                    return _refutation(kind, found, s, items, (mark,), given + k)
         seen = end
-        given += len(lanes)
+        given += len(marks)
     end = len(items)
     if suite is not None and not _same(suite, items, seen, end):
         return None
@@ -453,17 +469,19 @@ def _same(suite: Sequence, items: list, lo: int, hi: int) -> bool:
     return all(map(is_, suite[lo:hi], items[lo:hi]))
 
 
-def _refutation(kind, found, lanes: list, marks: list, given: int) -> Verdict:
-    """The verdict on the lowest failing lane of a block of ``lanes``, the
-    ``given`` lanes before them having held."""
+def _refutation(kind, found, packed, items: Sequence, marks: Sequence, given: int) -> Verdict:
+    """The verdict on the lowest failing lane of the block ``packed``, whose
+    lanes are the structures of ``items`` at ``marks``, the ``given`` lanes
+    before them having held."""
     low, ev, sv, p = found
-    shift = low.bit_length() - 1
-    k = shift // len(lanes[0].universe)
-    structure = lanes[k]
-    if len(lanes) > 1:
-        full = structure.full
+    k = 0
+    if len(marks) > 1:
+        shift = low.bit_length() - 1
+        k = shift // packed.n
+        full = packed.lane_full
         ev = {i: m >> shift & full for i, m in ev.items()}
         sv = {i: m >> shift & full for i, m in sv.items()}
+    structure = items[marks[k] - 1]
     return Verdict(
         False, kind, marks[k], structure, _valuation(structure, ev, sv), p,
         _NOTES[kind], marks[k] - given - k - 1,
@@ -562,25 +580,24 @@ def _pack(lanes: tuple, n: int) -> int:
 
 
 class _Block:
-    """Structures of one universe size and one set of constant names, packed
-    lane by lane (see the module).  It offers what `_ev` and `_assignments`
-    read of a `Structure`: ``full``, ``singletons``, ``subset_masks``,
-    ``masks``, ``apply`` and ``lanes``."""
+    """Structures of one universe size n and one set of constant names,
+    packed lane by lane (see the module) from their masks in columns, one
+    per application cell, row by row, and one per constant name.  It offers
+    what `_ev` and `_assignments` read of a `Structure`: ``full``,
+    ``singletons``, ``subset_masks``, ``masks``, ``apply`` and ``lanes``."""
 
     __slots__ = (
         "n", "rep", "lane_full", "full", "singletons", "subset_masks", "masks", "rows",
         "low", "high",
     )
 
-    def __init__(self, structures: Sequence[Structure]) -> None:
-        n = len(structures[0].universe)
-        masks = list(map(_MASKS, structures))
-        # zip transposes: the rows of every lane, then each cell across lanes.
-        cells = [_pack(lanes, n) for row in zip(*map(_ROWS, structures)) for lanes in zip(*row)]
+    def __init__(self, cells: Sequence[Sequence[int]], masks: dict) -> None:
+        n = math.isqrt(len(cells))
         self.n = n
+        self.rep = rep = _pack((1,) * len(cells[0]), n)
+        cells = [_pack(lanes, n) for lanes in cells]
         self.rows = [cells[i:i + n] for i in range(0, n * n, n)]
-        self.masks = {name: _pack(tuple(map(itemgetter(name), masks)), n) for name in masks[0]}
-        self.rep = rep = _pack((1,) * len(structures), n)
+        self.masks = {name: _pack(lanes, n) for name, lanes in masks.items()}
         self.lane_full = (1 << n) - 1
         self.full = rep * self.lane_full
         self.singletons = tuple(rep << i for i in range(n))
@@ -611,38 +628,67 @@ class _Block:
 
 class _Layout:
     """A suite laid out in lane blocks as the module describes, whatever the
-    query, and never changed: ``items``, a copy of the suite, and
-    ``blocks``, a ``(packed, lanes, marks)`` triple per block in suite
-    order.  ``packed`` is the block's `_Block`, or its structure if it has
-    one lane; a structure's mark counts the suite's structures up to and
-    including it."""
+    query, and never changed: ``items``, the suite (a `Suite` itself, any
+    other suite copied into a list), and ``blocks``, a ``(packed, marks)``
+    pair per block in suite order.  ``packed`` is the block's `_Block`, or
+    its structure if it has one lane; a lane's mark counts the suite's
+    structures up to and including it, so its structure is
+    ``items[mark - 1]``."""
 
     __slots__ = ("items", "blocks")
 
     def __init__(self, suite: Iterable[Structure]) -> None:
-        self.items = list(suite)
-        decided: set = set()  # ids; ``items`` keeps their structures alive
-        runs: list = []  # each run's lanes and their marks
-        full = names = None
-        for mark, s in enumerate(self.items, 1):
-            if s.twin is not None and id(s.twin) in decided:
-                continue
-            decided.add(id(s))
-            if s.full != full or s.masks.keys() != names:
-                full, names = s.full, s.masks.keys()
-                lanes, marks = [], []
-                runs.append((lanes, marks))
-            lanes.append(s)
-            marks.append(mark)
+        if isinstance(suite, Suite):
+            self.items = suite
+            runs = suite.runs()
+        else:
+            self.items = list(suite)
+            runs = _runs(self.items)
         self.blocks: list[tuple] = []
-        for lanes, marks in runs:
+        for marks, cells, masks in runs:
             lo, size = 0, 1
-            while lo < len(lanes):
+            while lo < len(marks):
                 hi = lo + size
-                block = lanes[lo:hi]
-                packed = block[0] if len(block) == 1 else _Block(block)
-                self.blocks.append((packed, block, marks[lo:hi]))
+                block = marks[lo:hi]
+                if len(block) == 1:
+                    packed = self.items[block[0] - 1]
+                else:
+                    packed = _Block(
+                        [c[lo:hi] for c in cells], {k: c[lo:hi] for k, c in masks.items()}
+                    )
+                self.blocks.append((packed, block))
                 lo, size = hi, size * _BLOCK_GROWTH
+
+
+def _runs(items: list) -> Iterator[tuple]:
+    """The runs of a list of structures, as `model.Suite.runs` gives a
+    suite's: consecutive structures of one universe size and one set of
+    constant names, a structure whose twin got a lane earlier getting none,
+    and the lanes' masks in columns, by transposing the structures."""
+    decided: set = set()  # ids; ``items`` keeps their structures alive
+    runs: list = []  # each run's lanes and their marks
+    full = names = None
+    for mark, s in enumerate(items, 1):
+        if s.twin is not None and id(s.twin) in decided:
+            continue
+        decided.add(id(s))
+        if s.full != full or s.masks.keys() != names:
+            full, names = s.full, s.masks.keys()
+            lanes, marks = [], []
+            runs.append((lanes, marks))
+        lanes.append(s)
+        marks.append(mark)
+    for lanes, marks in runs:
+        yield (marks, *_columns(lanes))
+
+
+def _columns(structures: Sequence[Structure]) -> tuple[list, dict]:
+    """The masks of ``structures`` in columns, as `_Block` packs them: one
+    per application cell, row by row, and one per constant name."""
+    masks = list(map(_MASKS, structures))
+    # zip transposes: the rows of every lane, then each cell across lanes.
+    cells = [lanes for row in zip(*map(_ROWS, structures)) for lanes in zip(*row)]
+    return cells, {name: tuple(map(itemgetter(name), masks)) for name in masks[0]}
 
 
 # The slot: the layout of the last list or tuple that `consequence`

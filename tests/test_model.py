@@ -25,6 +25,7 @@ from aml.model import (
     MissingConstant,
     ModelError,
     Structure,
+    Suite,
     SuiteSpec,
     UniverseTooLarge,
     Valuation,
@@ -355,3 +356,60 @@ class TestEnumeration:
     def test_max_size_must_be_positive(self):
         with pytest.raises(ValueError):
             list(enumerate_structures(Signature(()), 0))
+
+
+class TestSuite:
+    """A `Suite` is the stream as a sequence: the same structures at the
+    same indices, twins included, each built once and only when asked."""
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    @pytest.mark.parametrize("samples", [0, 30])
+    @pytest.mark.parametrize("max_size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("defined", [False, True])
+    @pytest.mark.parametrize("names", [(), ("c",), ("c", "d")])
+    def test_a_suite_is_its_stream(self, names, defined, max_size, samples, seed):
+        sig = Signature(names)
+        suite = SuiteSpec(sig, max_size, seed, samples, defined).suite()
+        stream = list(enumerate_structures(sig, max_size, seed=seed, samples=samples, defined=defined))
+        want = list(structures_by_frozensets(sig, max_size, seed=seed, samples=samples, defined=defined))
+        assert len(suite) == len(stream) == len(want)
+        # Last to first, so that a structure's twin is built when it is.
+        for k in reversed(range(len(suite))):
+            assert suite[k] == stream[k], k
+        where = {id(s): k for k, s in enumerate(stream)}
+        for k, s in enumerate(suite):
+            assert s is suite[k] is suite[k - len(suite)], k
+            universe, app, constants = want[k]
+            assert (s.universe, dict(s.app), dict(s.constants)) == (universe, app, constants), k
+            if stream[k].twin is None:
+                assert s.twin is None, k
+            else:
+                assert s.twin is suite[where[id(stream[k].twin)]], k
+        for k in (len(suite), -len(suite) - 1):
+            with pytest.raises(IndexError):
+                suite[k]
+
+    @pytest.mark.parametrize("defined", [False, True])
+    @pytest.mark.parametrize("names", [(), ("c",), ("c", "d")])
+    def test_runs_are_the_lanes_of_the_structures(self, names, defined):
+        suite = SuiteSpec(Signature(names), 4, 5, 30, defined).suite()
+        runs = list(suite.runs())
+        assert suite.made == {}  # nothing is built
+        marks, sizes = [], []
+        for run_marks, cells, masks in runs:
+            marks += run_marks
+            sizes.append(len(suite[run_marks[0] - 1].universe))
+            for lane, mark in enumerate(run_marks):
+                s = suite[mark - 1]
+                assert len(s.universe) == sizes[-1]
+                assert [c[lane] for c in cells] == [m for row in s.rows for m in row]
+                assert {name: c[lane] for name, c in masks.items()} == dict(s.masks)
+        # Every structure has a lane but those whose twin comes earlier,
+        # and a run changes with the universe size.
+        assert marks == [k + 1 for k, s in enumerate(suite) if s.twin is None]
+        assert all(a != b for a, b in zip(sizes, sizes[1:]))
+
+    def test_the_corpus_suite(self):
+        suite = SuiteSpec(Signature(("c",)), max_size=3, seed=1, samples=200).suite()
+        assert len(suite) == 1228 and suite.made == {}
+        assert sum(s.twin is not None for s in suite) == 496

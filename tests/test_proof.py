@@ -349,6 +349,21 @@ class TestAudit:
         text = format_audit(audit)
         assert "VIOLATION" in text
 
+    def test_a_suite_is_audited_as_it_is(self):
+        # A `Suite` is decided over its own layout, without being read into
+        # a list: only the structures of its one-lane blocks are built.
+        script = read_script(CORPUS / "proofs" / "positive" / "s03-exists-intro.prf")
+        spec = SuiteSpec(SIG, max_size=3, seed=1, samples=40)
+        suite = spec.suite()
+        got = audit_soundness(script, suite)
+        assert len(suite.made) == 3
+        for other in (list(spec.structures()), spec.structures()):
+            want = audit_soundness(script, other)
+            assert (got.structures, got.lines_audited, got.violations) == (
+                want.structures, want.lines_audited, want.violations,
+            )
+        assert got.ok and got.structures == len(suite)
+
     def test_format_audit_clean(self):
         text = "1: c -> c ; taut\n"
         audit = audit_soundness(parse_proof(text, SIG), self.suite()[:3])

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import weakref
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from strategies import patterns, structure_with_valuation
 from aml.context import ApplL, ApplR, Box, plug
 from aml.model import (
     Structure,
+    Suite,
     SuiteSpec,
     UniverseTooLarge,
     Valuation,
@@ -41,9 +43,9 @@ from aml.semantics import (
 )
 # The block form the tests below hold lane by lane against `evaluate`, and
 # the module whose kept layout they reset.
-from aml.semantics import _BLOCK_GROWTH, _Block, _ev
+from aml.semantics import _BLOCK_GROWTH, _Block, _columns, _ev
 import aml.semantics as semantics
-from aml.sugar import BOT, TOP, and_, ceil, forall, iff, neg, nu, or_
+from aml.sugar import BOT, TOP, and_, ceil, eq, forall, iff, neg, nu, or_
 from aml.syntax import (
     Appl,
     Const,
@@ -737,7 +739,7 @@ class TestLaneBlocks:
     """Lane k of a block's value is the value on structure k alone."""
 
     def check_lanes(self, lanes, p, elements, sets):
-        block = _Block(lanes)
+        block = _Block(*_columns(lanes))
         ev = {i: block.singletons[e] for i, e in elements.items()}
         sv = {i: b * block.rep for i, b in sets.items()}
         value = _ev(p, block, ev, sv, {})
@@ -773,7 +775,7 @@ class TestLaneBlocks:
     @pytest.mark.parametrize("size", [1, 2, 3, 5])
     def test_lanes_reports_every_non_empty_lane(self, size):
         rng = random.Random(size)
-        block = _Block([_random_structure(rng, size) for _ in range(9)])
+        block = _Block(*_columns([_random_structure(rng, size) for _ in range(9)]))
         values = [rng.getrandbits(size) if k % 3 else 0 for k in range(9)]
         x = sum(v << k * size for k, v in enumerate(values))
         full = (1 << size) - 1
@@ -1229,3 +1231,154 @@ class TestLayoutReuse:
             elif change == "copy":
                 suite = list(suite)
             _agrees_with_the_oracle(*data.draw(queries), suite)
+
+
+# ---------------------------------------------------------------------------
+# A generated `Suite` owns its layout, laid out from positions and drawn masks.
+
+_SUITE_SPEC = SuiteSpec(Signature(("c",)), max_size=3, seed=3, samples=30)
+# 66 exhaustive structures, then samples of sizes 3, 3, 4, 3, 3, 4, ...
+_DEFINED_SPEC = SuiteSpec(Signature(("c",)), max_size=4, seed=2, samples=30, defined=True)
+# Refuted at the second structure, where c is the whole one-element universe.
+_SIZE_ONE = neg(C)
+
+
+def _suite_agrees(kind, gamma, delta, spec):
+    """`consequence` over a fresh `Suite` of ``spec`` against the same call
+    on ``list(suite)``, which takes the list path, and the frozenset
+    oracle; with the structures the decision built."""
+    suite = spec.suite()
+    got = consequence(kind, gamma, delta, suite)
+    built = list(suite.made.values())
+    structures = list(suite)
+    want = consequence(kind, gamma, delta, structures)
+    oracle = oracles.consequence_by_frozensets(kind, gamma, delta, structures)
+    for v in (want, oracle):
+        assert (got.holds, got.kind, got.structures_checked) == (
+            v.holds, v.kind, v.structures_checked,
+        )
+        assert got.valuation == v.valuation
+        assert got.pattern is v.pattern
+    assert got.structures_skipped == want.structures_skipped
+    assert got.structures_skipped == _skipped(structures, got.structures_checked)
+    assert got.note == want.note
+    if got.holds:
+        assert got.structure is want.structure is None
+    else:
+        k = got.structures_checked - 1
+        assert got.structure is suite[k] is want.structure is oracle.structure
+    return got, suite, built
+
+
+class TestSuiteDifferential:
+    """`consequence` on a `Suite` agrees, field by field, with the list of
+    its structures and with the oracle, and builds only what it returns."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "gamma, delta, where",
+        [
+            ([], [_SIZE_ONE], 2),  # at size one
+            ([], [_CLOSED], 11),  # early in the size-two run
+            ([], [_OPEN], 11),
+            ([], [_LATE], 139),  # late in it, after skipped twins
+            ([C], [_CLOSED], None),  # holds everywhere
+            ([], [Imp(C, C)], None),
+        ],
+    )
+    def test_the_generated_suite(self, kind, gamma, delta, where):
+        got, suite, built = _suite_agrees(kind, gamma, delta, _SUITE_SPEC)
+        if where is None:
+            assert got.holds and got.structures_checked == len(suite)
+            assert got.structures_skipped == 496
+        else:
+            assert got.structures_checked == where
+        # Only the one-lane blocks' structures and the counterexample's.
+        assert len(built) <= 4 and not any(s.twin for s in built)
+        assert got.holds or got.structure in built
+
+    @pytest.mark.parametrize("kind, n", [*((kind, 3) for kind in KINDS), ("local", 4)])
+    def test_at_a_sampled_structure_of_a_defined_suite(self, kind, n):
+        # n elements, no two of them equal, exist only among the samples.
+        pigeons = [eq(EVar(i), EVar(j)) for i in range(n) for j in range(i + 1, n)]
+        distinct = pigeons[0]
+        for p in pigeons[1:]:
+            distinct = or_(distinct, p)
+        got, suite, _ = _suite_agrees(kind, [], [distinct], _DEFINED_SPEC)
+        assert not got.holds and len(got.structure.universe) == n
+        assert got.structures_checked == {3: 67, 4: 69}[n]
+        _suite_agrees(kind, [], [Imp(ceil(C), C)], _DEFINED_SPEC)
+        _suite_agrees(kind, [ceil(C)], [C], _DEFINED_SPEC)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "gamma, delta",
+        [
+            ([], [Const("d")]),  # raises at the first structure
+            ([], [C, Const("d")]),  # refuted there before d is reached
+            ([C], [Const("d")]),  # raises where c is everything, if at all
+            ([Imp(X0, C)], [Imp(X0, Appl(C, C)), Imp(Const("d"), Const("d"))]),
+        ],
+    )
+    def test_a_query_constant_the_suite_lacks(self, kind, gamma, delta):
+        # Each structure is decided alone where d is missing, so the error
+        # comes exactly where it comes deciding one structure at a time.
+        structures = list(_SUITE_SPEC.suite())
+        try:
+            oracles.consequence_by_frozensets(kind, gamma, delta, structures)
+        except UnassignedConstant:
+            with pytest.raises(UnassignedConstant, match="constant 'd' has no denotation"):
+                consequence(kind, gamma, delta, _SUITE_SPEC.suite())
+            return
+        _suite_agrees(kind, gamma, delta, _SUITE_SPEC)
+
+    def test_two_suites_of_different_specs(self):
+        # Each suite has a layout of its own.
+        specs = [_SUITE_SPEC, SuiteSpec(Signature(("c",)), max_size=3, seed=4, samples=30),
+                 SuiteSpec(Signature(("c",)), max_size=2), _DEFINED_SPEC]
+        suites = [spec.suite() for spec in specs]
+        for _ in range(2):
+            for spec, suite in zip(specs, suites):
+                for query in _REUSE_QUERIES:
+                    got = consequence(*query, suite)
+                    want = oracles.consequence_by_frozensets(*query, list(suite))
+                    assert (got.holds, got.structures_checked, got.valuation) == (
+                        want.holds, want.structures_checked, want.valuation,
+                    )
+                    assert got.structure is want.structure
+
+    @given(st.sampled_from(KINDS), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_queries(self, kind, data):
+        gamma = data.draw(st.lists(_c_patterns(max_leaves=3), max_size=1))
+        delta = data.draw(st.lists(_c_patterns(max_leaves=3), min_size=1, max_size=2))
+        _suite_agrees(kind, gamma, delta, _SUITE_SPEC)
+
+
+class TestSuiteLayout:
+    """A `Suite` keeps its layout itself: the slot is left alone, and the
+    layout goes with the suite."""
+
+    @pytest.mark.parametrize("before", ["empty", "a list"])
+    def test_the_slot_is_left_as_it_was(self, before):
+        semantics._kept.clear()
+        if before == "a list":
+            consequence(*_REUSE_QUERIES[0], list(_REUSE_POOL))
+        kept = list(semantics._kept)
+        suite = _SUITE_SPEC.suite()
+        for query in _REUSE_QUERIES:
+            consequence(*query, suite)
+        assert len(semantics._kept) == len(kept)
+        assert all(map(is_, semantics._kept, kept))
+        layout = suite.layout
+        consequence(*_REUSE_QUERIES[1], suite)
+        assert suite.layout is layout
+
+    def test_a_dropped_suite_is_freed_with_its_layout(self):
+        suite = _SUITE_SPEC.suite()
+        assert consequence("global", [C], [_CLOSED], suite).holds
+        structure = weakref.ref(suite.layout.blocks[0][0])
+        ref = weakref.ref(suite)
+        del suite
+        gc.collect()
+        assert ref() is None and structure() is None
