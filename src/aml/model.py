@@ -542,15 +542,13 @@ class Suite(Sequence[Structure]):
             if k < start + count:
                 p = k - start
                 full = (1 << size) - 1
-                digits = [p >> shift & full for shift in shifts]
-                rows = _rows(digits[:cells], size)
-                masks = {}
-                if self._defined:
-                    rows = ((full,) * size,) + rows
-                    masks[DEFINEDNESS] = 1
-                masks.update(zip(self._free_names, digits[cells:]))
+                # The cells' digits are the high ones: structures that share
+                # them share their rows.
+                grid, choice = divmod(p, 1 << size * (len(shifts) - cells))
+                masks = {DEFINEDNESS: 1} if self._defined else {}
+                masks.update(zip(self._free_names, [choice >> s & full for s in shifts[cells:]]))
                 twin = self[start + images[p]] if images and images[p] < p else None
-                return Structure(_universe(size), rows, masks, twin)
+                return Structure(_universe(size), _grid(size, self._defined, grid), masks, twin)
         size, cells, masks = self._drawn[k - self._first_sample]
         return Structure(_universe(size), _rows(cells, size), dict(zip(self._names, masks)))
 
@@ -587,6 +585,16 @@ def _universe(size: int) -> tuple[str, ...]:
 def _rows(cells: Sequence[int], size: int) -> tuple[tuple[int, ...], ...]:
     """``cells`` cut into rows of ``size``."""
     return tuple(zip(*[iter(cells)] * size))
+
+
+@lru_cache(maxsize=None)
+def _grid(size: int, defined: bool, index: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the exhaustive structures of ``size`` whose free cells,
+    row by row, are the base-2^size digits of ``index``, most significant
+    first; with ``defined``, the first row, which is ``def``'s, is total."""
+    full, cells = (1 << size) - 1, (size - defined) * size
+    rows = _rows([index >> size * t & full for t in range(cells - 1, -1, -1)], size)
+    return ((full,) * size,) * defined + rows
 
 
 @lru_cache(maxsize=None)

@@ -410,12 +410,14 @@ def consequence(
     else:
         free = _free_lists(gamma + delta)
     pos: dict = {}
-    if isinstance(suite, Suite):
+    # A list or tuple first: that check costs a list far less than the one
+    # against the abstract `Sequence` under `Suite`.
+    kept = isinstance(suite, (list, tuple))
+    if not kept and isinstance(suite, Suite):
         layout = suite.layout
         if layout is None:
             layout = suite.layout = _Layout(suite)
         return _decide(kind, gamma, delta, free, pos, layout, None)
-    kept = isinstance(suite, (list, tuple))
     layout = _kept[0] if kept and _kept else None
     if layout is not None and len(layout.items) == len(suite):
         verdict = _decide(kind, gamma, delta, free, pos, layout, suite)
