@@ -481,7 +481,8 @@ class Suite(Sequence[Structure]):
     read in base 2^size, most significant digit first, gives one mask per
     digit, the free application cells row by row and then the free
     constants; with ``defined``, ``def`` is the first element and its row is
-    total.  A two-element structure's ``twin`` is the structure at its swap
+    total; structures whose cells agree share one ``rows`` tuple (`_grid`).
+    A two-element structure's ``twin`` is the structure at its swap
     image's position (`_swap_images`) when that comes earlier.  The samples'
     masks are drawn when the suite is made, in the stream's order, and a
     sample is built from them.  `runs` gives the lanes' masks without

@@ -417,28 +417,28 @@ def consequence(
         layout = suite.layout
         if layout is None:
             layout = suite.layout = _Layout(suite)
-        return _decide(kind, gamma, delta, free, pos, layout, None)
+        return _decide(kind, gamma, delta, free, pos, layout, suite)
     layout = _kept[0] if kept and _kept else None
     if layout is not None and len(layout.items) == len(suite):
-        verdict = _decide(kind, gamma, delta, free, pos, layout, suite)
+        verdict = _decide(kind, gamma, delta, free, pos, layout, suite, check=True)
         if verdict is not None:
             return verdict
     layout = _Layout(suite)
     if kept:
         _kept[:] = [layout]
-    return _decide(kind, gamma, delta, free, pos, layout, None)
+    return _decide(kind, gamma, delta, free, pos, layout, layout.items)
 
 
-def _decide(kind, gamma, delta, free, pos, layout: _Layout, suite) -> Verdict | None:
-    """The verdict over ``layout``.  With ``suite``, each block's span of
-    it, and the structures after the last block, are first checked to be
-    the layout's own: None where one is not."""
-    items = layout.items
+def _decide(kind, gamma, delta, free, pos, layout: _Layout, items: Sequence, check=False):
+    """The verdict over ``layout``, whose lanes are the structures of
+    ``items`` at their marks.  With ``check``, each block's span of
+    ``items``, and the structures after the last block, are first checked
+    to be the layout's own: None where one is not."""
     needed = None  # the query's constants, once a block of several lanes asks
     seen = given = 0  # the structures before the block, and the lanes they got
     for packed, marks in layout.blocks:
         end = marks[-1]
-        if suite is not None and not _same(suite, items, seen, end):
+        if check and not _same(items, layout.items, seen, end):
             return None
         if len(marks) > 1 and needed is None:
             needed = _constants(gamma + delta)
@@ -458,7 +458,7 @@ def _decide(kind, gamma, delta, free, pos, layout: _Layout, suite) -> Verdict | 
         seen = end
         given += len(marks)
     end = len(items)
-    if suite is not None and not _same(suite, items, seen, end):
+    if check and not _same(items, layout.items, seen, end):
         return None
     return Verdict(True, kind, end, structures_skipped=end - given)
 
@@ -630,22 +630,22 @@ class _Block:
 
 class _Layout:
     """A suite laid out in lane blocks as the module describes, whatever the
-    query, and never changed: ``items``, the suite (a `Suite` itself, any
-    other suite copied into a list), and ``blocks``, a ``(packed, marks)``
-    pair per block in suite order.  ``packed`` is the block's `_Block`, or
-    its structure if it has one lane; a lane's mark counts the suite's
-    structures up to and including it, so its structure is
-    ``items[mark - 1]``."""
+    query, and never changed: ``items``, a copy of the suite, and
+    ``blocks``, a ``(packed, marks)`` pair per block in suite order.
+    ``packed`` is the block's `_Block`, or its structure if it has one lane;
+    a lane's mark counts the suite's structures up to and including it, so
+    its structure is ``suite[mark - 1]``.  The layout of a `Suite`, which
+    the suite owns, has no ``items``: were it to refer back to the suite,
+    every dropped suite would wait for the cycle collector."""
 
     __slots__ = ("items", "blocks")
 
     def __init__(self, suite: Iterable[Structure]) -> None:
         if isinstance(suite, Suite):
-            self.items = suite
-            runs = suite.runs()
+            items, runs, self.items = suite, suite.runs(), None
         else:
-            self.items = list(suite)
-            runs = _runs(self.items)
+            items = self.items = list(suite)
+            runs = _runs(items)
         self.blocks: list[tuple] = []
         for marks, cells, masks in runs:
             lo, size = 0, 1
@@ -653,7 +653,7 @@ class _Layout:
                 hi = lo + size
                 block = marks[lo:hi]
                 if len(block) == 1:
-                    packed = self.items[block[0] - 1]
+                    packed = items[block[0] - 1]
                 else:
                     packed = _Block(
                         [c[lo:hi] for c in cells], {k: c[lo:hi] for k, c in masks.items()}

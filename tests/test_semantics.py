@@ -1380,5 +1380,6 @@ class TestSuiteLayout:
         structure = weakref.ref(suite.layout.blocks[0][0])
         ref = weakref.ref(suite)
         del suite
-        gc.collect()
+        # At once: the layout does not refer back to the suite, so no cycle
+        # waits for the collector.
         assert ref() is None and structure() is None
