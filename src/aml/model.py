@@ -476,8 +476,9 @@ class Suite(Sequence[Structure]):
     """The structures of a `SuiteSpec`, in stream order, as a sequence.
 
     Its length comes from counts.  Structure k is built the first time it is
-    asked for and kept in ``made``, so ``suite[k] is suite[k]``.  An exhaustive structure
-    is built from its position within the block of its size: the position
+    asked for and kept in ``made``, so ``suite[k] is suite[k]``.  An
+    exhaustive structure is built from its position within the block of its
+    size: the position
     read in base 2^size, most significant digit first, gives one mask per
     digit, the free application cells row by row and then the free
     constants; with ``defined``, ``def`` is the first element and its row is
