@@ -9,16 +9,20 @@ script belongs to and, with ``--parent``, in a checkout of another commit
 
     {commit, python, nproc, seeds, seconds, workloads: {name: {metric: median}},
      traced: {name: {counter: value}},
-     oneshot: {proof_check_audit_ms: median, PYTHONDONTWRITEBYTECODE: value}}
+     oneshot: {proof_check_audit_ms: median, consequence_ms: median,
+               PYTHONDONTWRITEBYTECODE: value}}
 
 where each median is over the seeds and ``traced`` holds the traced run's
 per-layer counters: its call and outcome counts, which depend on the seed
-alone.  ``oneshot`` is the wall time of a fresh
-``python3 -m aml.cli proof check --audit --json`` process, with the
-corpus-audit workload's suite options, the median over the 33 corpus
-scripts on each seed and then over the seeds, beside the value of
-``PYTHONDONTWRITEBYTECODE`` in the environment (unset: None), which decides
-whether every process compiles ``src/`` again.  With ``--parent`` the file also holds the same for that checkout
+alone.  ``oneshot`` holds wall times of fresh ``python3 -m aml.cli``
+processes with the corpus-audit workload's suite options:
+``proof_check_audit_ms`` of ``proof check --audit --json``, the median over
+the 33 corpus scripts on each seed, and ``consequence_ms`` of
+``consequence --json``, the median over the three kinds and the queries in
+CONSEQUENCE (one that holds and sweeps the suite under two free variables,
+one refuted early) on each seed; each then the median over the seeds,
+beside the value of ``PYTHONDONTWRITEBYTECODE`` in the environment (unset:
+None), which decides whether every process compiles ``src/`` again.  With ``--parent`` the file also holds the same for that checkout
 under ``parent``.  The two checkouts take turns on each seed, the first to
 run alternating from seed to seed, and the table printed at the end gives,
 per workload and metric, each side's median and quartiles and on how many
@@ -49,6 +53,9 @@ BETTER = {
     m["name"]: m["better"]
     for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 }
+# One-shot `aml consequence` queries over the signature `c`: conclusions.
+CONSEQUENCE = {"holds.pat": "x0 X0 -> x0 X0", "fails.pat": "c c -> c"}
+ONESHOT_KEYS = ("proof_check_audit_ms", "consequence_ms")
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -66,24 +73,36 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) ->
             if not trace or m["unit"] == "count"}
 
 
-def oneshot(tree: Path, seed: int) -> float:
-    """The median wall time, in ms, of a fresh `proof check --audit` process
-    per corpus script in ``tree``, with that tree's ``src/`` first on the
-    path."""
+def oneshot(tree: Path, seed: int) -> dict:
+    """The median wall times, in ms, of fresh `proof check --audit`
+    processes, one per corpus script, and of fresh `consequence` processes,
+    one per kind and query, in ``tree``, with that tree's ``src/`` first on
+    the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
-    times = []
-    with tempfile.TemporaryDirectory() as out:
-        for script in sorted((tree / "corpus" / "proofs").glob("*/*.prf")):
-            argv = [sys.executable, "-m", "aml.cli", "proof", "check", "--audit", "--json",
-                    "--sig", "corpus/sig.txt", "--max-size", "3", "--samples", "200",
-                    "--seed", str(seed), "--out", out, str(script.relative_to(tree))]
-            t0 = time.perf_counter()
-            code = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL).returncode
-            times.append(time.perf_counter() - t0)
-            if code not in (0, 1):
-                raise SystemExit(f"{tree}: {script.name} seed {seed}: exit {code}")
-    return statistics.median(times) * 1e3
+    suite = ["--sig", "corpus/sig.txt", "--max-size", "3", "--samples", "200", "--seed", str(seed)]
+
+    def wall(argv) -> float:
+        t0 = time.perf_counter()
+        code = subprocess.run(
+            [sys.executable, "-m", "aml.cli", *argv], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+        ).returncode
+        if code not in (0, 1):
+            raise SystemExit(f"{tree}: {' '.join(argv)}: exit {code}")
+        return time.perf_counter() - t0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "out")
+        audits = [wall(["proof", "check", "--audit", "--json", *suite, "--out", out,
+                        str(script.relative_to(tree))])
+                  for script in sorted((tree / "corpus" / "proofs").glob("*/*.prf"))]
+        for name, text in CONSEQUENCE.items():
+            (Path(tmp) / name).write_text(text + "\n")
+        decisions = [wall(["consequence", "--json", "--kind", kind, *suite, "--out", out,
+                           str(Path(tmp) / name)])
+                     for kind in ("global", "local", "strong") for name in CONSEQUENCE]
+    return {"proof_check_audit_ms": statistics.median(audits) * 1e3,
+            "consequence_ms": statistics.median(decisions) * 1e3}
 
 
 def commit(tree: Path) -> str:
@@ -130,7 +149,8 @@ def main(argv=None) -> int:
         }
 
     def oneshots(side: str) -> dict:
-        return {"proof_check_audit_ms": statistics.median(shots[side]),
+        return {**{key: statistics.median(shot[key] for shot in shots[side])
+                   for key in ONESHOT_KEYS},
                 "PYTHONDONTWRITEBYTECODE": bytecode}
 
     doc = {
@@ -164,11 +184,12 @@ def main(argv=None) -> int:
                 fmt = "/".join(f"{v:.4g}" for v in quartiles(old))
                 fmt_new = "/".join(f"{v:.4g}" for v in quartiles(new))
                 print(f"{w:<16} {m:<18} {fmt:<32} {fmt_new:<32} {wins}/{len(new)}")
-        old, new = shots["parent"], shots["change"]
-        wins = sum(b < a for a, b in zip(old, new))
-        fmt, fmt_new = ("/".join(f"{v:.4g}" for v in quartiles(x)) for x in (old, new))
-        print(f"{'one-shot':<16} {'audit_ms':<18} {fmt:<32} {fmt_new:<32} {wins}/{len(new)}"
-              f"  (PYTHONDONTWRITEBYTECODE={bytecode})")
+        for key in ONESHOT_KEYS:
+            old, new = ([shot[key] for shot in shots[side]] for side in ("parent", "change"))
+            wins = sum(b < a for a, b in zip(old, new))
+            fmt, fmt_new = ("/".join(f"{v:.4g}" for v in quartiles(x)) for x in (old, new))
+            print(f"{'one-shot':<16} {key:<18} {fmt:<32} {fmt_new:<32} {wins}/{len(new)}"
+                  f"  (PYTHONDONTWRITEBYTECODE={bytecode})")
         print(f"\ntraced counts that differ, seed {args.seeds[0]}: parent -> change")
         for w in WORKLOADS:
             old, new = traced["parent"][w], traced["change"][w]

@@ -22,6 +22,22 @@ A `Structure` is the one-lane block (``rep`` is 1, nothing is packed), so
 `evaluate`, `satisfies`, `models`, `is_predicate` and `eval_definedness`
 read it directly, naming elements only on the way in and out.
 
+*Valuation lanes.*  `consequence` slices a block of L lanes a second
+time, along the assignments of the query's free variables: this is
+pattern-parallel simulation (Waicukauski et al., "Fault Simulation for
+Structured VLSI", VLSI Systems Design 1985).  The block's *wide* form holds
+V copies of it side by side, copy a at bits [a*L*n, (a+1)*L*n), a
+following the assignments' order.  A packed value is replicated into every
+copy by shifting and OR-ing, which doubles the copies each step.  An
+element variable is a vector holding assignment a's singleton in every
+lane of copy a, a set variable one holding assignment a's subset there.
+One evaluation of a pattern over the wide form then decides every
+assignment in every lane.  The first failing structure is the lowest lane
+of the union (OR-fold) of the copies of the failures; its first failing
+assignment is the lowest copy with a failure in that lane.  The
+assignments are cut into chunks of at most ``_WIDE_BITS`` bits of wide
+form, decided in order.
+
 A ``mu`` whose body is positive in its variable (checked once per ``mu``
 node per call) is evaluated by Kleene iteration from the empty set: a
 positive body is monotone, even through nested ``mu`` that are not positive,
@@ -52,6 +68,10 @@ keeps the last such layout in a single slot, which threads share, and
 reuses it for the next list or tuple that holds the same structure objects,
 checked by identity as the decision goes, so that many queries of one
 suite pack it once.  The slot keeps the last list's structures alive.
+Packed blocks never change.  Each caches its wide forms and variable
+vectors, keyed by the numbers of free element and set variables, on
+itself; the cache only adds values that depend on the block and those
+counts alone, and each query maps them to its own variable indices.
 """
 
 from __future__ import annotations
@@ -393,7 +413,12 @@ def consequence(
     fails, the suite is laid out afresh, decided from its first structure
     and kept.  Any other
     iterable gets a layout of its own, which is not kept.  A kept layout
-    never changes, so calls in several threads share it.
+    never changes, so calls in several threads share it: its packed blocks
+    never change, and the cache each block keeps of its wide forms only
+    adds values that depend on the block and the query's variable counts
+    alone.  A block of several lanes is decided for every assignment of
+    the free variables at once, over its wide form (see the module); a
+    block of one lane, one assignment at a time.
 
     The slot keeps the last list or tuple's structures and packed blocks
     alive until the next call on a list or tuple replaces them; it holds a
@@ -440,21 +465,26 @@ def _decide(kind, gamma, delta, free, pos, layout: _Layout, items: Sequence, che
         end = marks[-1]
         if check and not _same(items, layout.items, seen, end):
             return None
-        if len(marks) > 1 and needed is None:
-            needed = _constants(gamma + delta)
-        if len(marks) == 1 or needed <= packed.masks.keys():
+        if len(marks) > 1:
+            if needed is None:
+                needed = _constants(gamma + delta)
+            if needed <= packed.masks.keys():
+                found = _block_failure(kind, packed, gamma, delta, free, pos)
+                if found:
+                    k, *found = found
+                    return _refutation(kind, found, items, marks[k], given + k)
+            else:
+                # A constant of the query is missing: decide each lane alone,
+                # so that `UnassignedConstant` is raised exactly where one
+                # structure by itself raises it.
+                for k, mark in enumerate(marks):
+                    found = _first_failure(kind, items[mark - 1], gamma, delta, free, pos)
+                    if found:
+                        return _refutation(kind, found, items, mark, given + k)
+        else:
             found = _first_failure(kind, packed, gamma, delta, free, pos)
             if found:
-                return _refutation(kind, found, packed, items, marks, given)
-        else:
-            # A constant of the query is missing: decide each lane alone,
-            # so that `UnassignedConstant` is raised exactly where one
-            # structure by itself raises it.
-            for k, mark in enumerate(marks):
-                s = items[mark - 1]
-                found = _first_failure(kind, s, gamma, delta, free, pos)
-                if found:
-                    return _refutation(kind, found, s, items, (mark,), given + k)
+                return _refutation(kind, found, items, end, given)
         seen = end
         given += len(marks)
     end = len(items)
@@ -471,81 +501,216 @@ def _same(suite: Sequence, items: list, lo: int, hi: int) -> bool:
     return all(map(is_, suite[lo:hi], items[lo:hi]))
 
 
-def _refutation(kind, found, packed, items: Sequence, marks: Sequence, given: int) -> Verdict:
-    """The verdict on the lowest failing lane of the block ``packed``, whose
-    lanes are the structures of ``items`` at ``marks``, the ``given`` lanes
-    before them having held."""
-    low, ev, sv, p = found
-    k = 0
-    if len(marks) > 1:
-        shift = low.bit_length() - 1
-        k = shift // packed.n
-        full = packed.lane_full
-        ev = {i: m >> shift & full for i, m in ev.items()}
-        sv = {i: m >> shift & full for i, m in sv.items()}
-    structure = items[marks[k] - 1]
+def _refutation(kind, found, items: Sequence, mark: int, given: int) -> Verdict:
+    """The verdict on the structure ``items[mark - 1]``, refuted by
+    ``found``, its first counterexample ``(ev, sv, p)`` in mask form, the
+    ``given`` lanes before its own having held."""
+    ev, sv, p = found
+    structure = items[mark - 1]
     return Verdict(
-        False, kind, marks[k], structure, _valuation(structure, ev, sv), p,
-        _NOTES[kind], marks[k] - given - k - 1,
+        False, kind, mark, structure, _valuation(structure, ev, sv), p,
+        _NOTES[kind], mark - given - 1,
     )
 
 
-def _first_failure(kind, s, gamma, delta, free, pos):
-    """The lowest failing lane of the block ``s``, as its lowest bit, with
-    that lane's first counterexample in the order one structure meets
-    them: ``(low, ev, sv, p)``, the assignment in mask form and the failing
-    conclusion; None if every lane holds.  Once a lane fails, only the lanes
-    below it are still searched, so the search ends when none is left; in a
-    one-lane block, at the first failure."""
-    full, lanes = s.full, s.lanes
-    found = None
+def _first_failure(kind, s: Structure, gamma, delta, free, pos):
+    """The first counterexample on the structure ``s``, in `_assignments`
+    order: ``(ev, sv, p)``, the assignment in mask form and the failing
+    conclusion; None if the query holds there."""
+    full = s.full
     if kind is ConsequenceKind.GLOBAL:
         gamma_free, delta_free = free
-        live = full  # the lanes where every hypothesis is valid
         for g, f in gamma_free:
             for ev, sv in _assignments(s, f):
-                miss = live & ~_ev(g, s, ev, sv, pos)
-                if miss:
-                    live &= ~lanes(miss)
-                    if not live:
-                        return None
+                if _ev(g, s, ev, sv, pos) != full:
+                    return None
         for p, f in delta_free:
             for ev, sv in _assignments(s, f):
-                miss = live & ~_ev(p, s, ev, sv, pos)
-                if miss:
-                    low = lanes(miss)
-                    low &= -low
-                    found, live = (low, ev, sv, p), live & low - 1
-                    if not live:
-                        return found
-        return found
-    limit = full
+                if _ev(p, s, ev, sv, pos) != full:
+                    return ev, sv, p
+        return None
+    local = kind is ConsequenceKind.LOCAL
     for ev, sv in _assignments(s, free):
-        need = limit
-        if kind is ConsequenceKind.LOCAL:
-            # The lanes where every hypothesis is satisfied.
-            for g in gamma:
-                miss = need & ~_ev(g, s, ev, sv, pos)
+        need = full
+        for g in gamma:
+            value = _ev(g, s, ev, sv, pos)
+            if local:
+                # Every hypothesis must be satisfied.
+                if value != full:
+                    break
+            else:
+                # The hypotheses' common value.
+                need &= value
+        else:
+            for p in delta:
+                if need & ~_ev(p, s, ev, sv, pos):
+                    return ev, sv, p
+    return None
+
+
+def _block_failure(kind, block: _Block, gamma, delta, free, pos):
+    """The first counterexample in the block ``block`` of several lanes:
+    ``(k, ev, sv, p)``, its lowest failing lane k with that lane's first
+    counterexample as `_first_failure` gives it; None if every lane holds.
+    Each pattern is evaluated once per chunk of the assignments over the
+    block's wide form (see `_chunks`).  Once lane k fails, later chunks
+    search only the lanes below it."""
+    n, width = block.n, block.width
+    if kind is ConsequenceKind.GLOBAL:
+        gamma_free, delta_free = free
+        live = block.full  # the lanes where every hypothesis is valid
+        for g, f in gamma_free:
+            for wide, count, ev, sv, digits in _chunks(block, f):
+                miss = wide.full & ~_ev(g, wide, ev, sv, pos)
                 if miss:
-                    need &= ~lanes(miss)
+                    live &= ~block.lanes(_fold(miss, width, count))
+                    if not live:
+                        return None
+        found, limit = None, live
+        for p, f in delta_free:
+            for wide, count, ev, sv, digits in _chunks(block, f):
+                need = wide.full if limit == block.full else _copies(limit, count, width)
+                miss = need & ~_ev(p, wide, ev, sv, pos)
+                if miss:
+                    k, a = _lowest(miss, block, count)
+                    found = (k, *_decoded(f, digits[a]), p)
+                    if not k:
+                        return found
+                    limit = live & (1 << k * n) - 1
+        return found
+    local = kind is ConsequenceKind.LOCAL
+    found, limit = None, block.full
+    for wide, count, ev, sv, digits in _chunks(block, free):
+        need = wide.full if limit == block.full else _copies(limit, count, width)
+        for g in gamma:
+            value = _ev(g, wide, ev, sv, pos)
+            if local:
+                # The lanes where every hypothesis is satisfied.
+                miss = need & ~value
+                if miss:
+                    need &= ~wide.lanes(miss)
                     if not need:
                         break
-            if not need:
-                continue
+            else:
+                need &= value
         else:
-            # The hypotheses' common value.
-            for g in gamma:
-                need &= _ev(g, s, ev, sv, pos)
-        for p in delta:
-            miss = need & ~_ev(p, s, ev, sv, pos)
+            misses = [need & ~_ev(p, wide, ev, sv, pos) for p in delta]
+            miss = 0
+            for m in misses:
+                miss |= m
             if miss:
-                low = lanes(miss)
-                low &= -low
-                found, limit = (low, ev, sv, p), low - 1
-                if not limit:
+                k, a = _lowest(miss, block, count)
+                at = a * width + k * n
+                p = next(p for p, m in zip(delta, misses) if m >> at & block.lane_full)
+                found = (k, *_decoded(free, digits[a]), p)
+                if not k:
                     return found
-                need &= limit
+                limit = block.full & (1 << k * n) - 1
     return found
+
+
+def _fold(x: int, width: int, count: int) -> int:
+    """The union of the ``count`` copies of ``width`` bits in ``x``, folding
+    the upper half of the copies onto the lower half until one is left."""
+    while count > 1:
+        keep = count - count // 2
+        x = x & (1 << keep * width) - 1 | x >> keep * width
+        count = keep
+    return x
+
+
+def _lowest(miss: int, block: _Block, count: int) -> tuple[int, int]:
+    """``(k, a)``: the lowest lane k of ``block`` with a bit of ``miss`` in
+    any of its ``count`` copies in a wide form, and the first copy a with
+    one there."""
+    n, width = block.n, block.width
+    low = _fold(miss, width, count)
+    k = ((low & -low).bit_length() - 1) // n
+    at = miss >> k * n & _copies(block.lane_full, count, width)
+    return k, ((at & -at).bit_length() - 1) // width
+
+
+def _decoded(free: tuple[list, list], digits: tuple) -> tuple[dict, dict]:
+    """The assignment of the given free variables whose digits, element
+    variables' first, are ``digits``, in mask form."""
+    e_list, s_list = free
+    ev = {i: 1 << d for i, d in zip(e_list, digits)}
+    return ev, dict(zip(s_list, digits[len(e_list):]))
+
+
+# The most bits of wide form in one chunk: L * V * n for V assignments over
+# a block of L lanes of n bits, or one copy where a copy is wider.  Holding
+# sweeps (consequence-mix's, and blocks of 3 to 8 elements under one or two
+# set variables) took about as long at 2^13 as at 2^17 bits and 10-70%
+# longer at 2^11 (best of 7, alternating in one process; 2 CPUs, Python
+# 3.11).  The bound caps every value an evaluation over a wide form makes.
+_WIDE_BITS = 1 << 15
+
+
+def _chunks(block: _Block, free: tuple[list, list]) -> Iterator[tuple]:
+    """The assignments of the given free variables over ``block``, in
+    `_assignments` order, in chunks of at most ``_WIDE_BITS`` bits of the
+    block's wide form: ``(wide, count, ev, sv, digits)`` per chunk.  Copy a
+    of the chunk's ``count`` copies of the block holds bits
+    [a*width, (a+1)*width) of ``wide``; ``ev`` and ``sv`` hold there the
+    chunk's assignment a, keyed to the variables' own indices; ``digits[a]``
+    is that assignment's value per variable, as `_decoded` reads it.  The
+    wide blocks and the vectors are made once per block and per count of
+    element and set variables, and kept on the block."""
+    e_list, s_list = free
+    counts = (len(e_list), len(s_list))
+    made = block.wide.get(counts)
+    if made is None:
+        # setdefault: of two threads making them at once, both keep the first.
+        made = block.wide.setdefault(counts, _widen(block, *counts))
+    for wide, count, e_vectors, s_vectors, digits in made:
+        yield wide, count, dict(zip(e_list, e_vectors)), dict(zip(s_list, s_vectors)), digits
+
+
+def _widen(block: _Block, elements: int, sets: int) -> list[tuple]:
+    """`_chunks`'s chunks for ``elements`` element and ``sets`` set
+    variables, with each chunk's vectors in variable order."""
+    n, width = block.n, block.width
+    radices = [range(n)] * elements + [range(1 << n)] * sets
+    total = n ** elements << n * sets
+    per = max(1, _WIDE_BITS // width)
+    assignments = itertools.product(*radices)
+    wides: dict = {}
+    made = []
+    for lo in range(0, total, per):
+        digits = list(itertools.islice(assignments, per))
+        count = len(digits)
+        wide = wides.get(count)
+        if wide is None:
+            wide = wides[count] = block.widened(count)
+        vectors = [
+            _spread([1 << d for d in column] if t < elements else column, block)
+            for t, column in enumerate(zip(*digits))
+        ]
+        made.append((wide, count, vectors[:elements], vectors[elements:], digits))
+    return made
+
+
+def _copies(x: int, count: int, width: int) -> int:
+    """``count`` copies of the ``width`` bits ``x`` side by side, copy a at
+    bits [a*width, (a+1)*width), by doubling: a multiplication by the
+    copies' ones is an order of magnitude slower on wide forms."""
+    out, have = x, 1
+    while have * 2 <= count:
+        out |= out << have * width
+        have *= 2
+    if have < count:
+        out |= (out & (1 << (count - have) * width) - 1) << have * width
+    return out
+
+
+def _spread(masks: Sequence[int], block: _Block) -> int:
+    """A vector over ``len(masks)`` copies of ``block``: ``masks[a]`` in
+    every lane of copy a.  Spelt out in binary, each copy's lanes the same
+    digits repeated."""
+    lanes, n = block.width // block.n, block.n
+    digits = {m: format(m, f"0{n}b") * lanes for m in set(masks)}
+    return int("".join([digits[m] for m in reversed(masks)]), 2)
 
 
 def _constants(patterns: Iterable[Pattern]) -> set:
@@ -585,27 +750,57 @@ class _Block:
     """Structures of one universe size n and one set of constant names,
     packed lane by lane (see the module) from their masks in columns, one
     per application cell, row by row, and one per constant name.  It offers
-    what `_ev` and `_assignments` read of a `Structure`: ``full``,
-    ``singletons``, ``subset_masks``, ``masks``, ``apply`` and ``lanes``."""
+    what `_ev` reads of a `Structure`: ``full``, ``singletons``,
+    ``subset_masks``, ``masks``, ``apply`` and ``lanes``.  A block never
+    changes once packed; ``wide`` only gains `_chunks`' wide forms and
+    vectors, which depend on the block and the variable counts alone."""
 
     __slots__ = (
-        "n", "rep", "lane_full", "full", "singletons", "subset_masks", "masks", "rows",
-        "low", "high",
+        "n", "rep", "lane_full", "full", "singletons", "masks", "rows", "low", "high",
+        "width", "wide",
     )
 
     def __init__(self, cells: Sequence[Sequence[int]], masks: dict) -> None:
         n = math.isqrt(len(cells))
+        self._fill(
+            n, _pack((1,) * len(cells[0]), n), [_pack(lanes, n) for lanes in cells],
+            {name: _pack(lanes, n) for name, lanes in masks.items()},
+        )
+        self.width = self.full.bit_length()  # L * n, for L lanes
+
+    def _fill(self, n: int, rep: int, cells: list, masks: dict) -> None:
         self.n = n
-        self.rep = rep = _pack((1,) * len(cells[0]), n)
-        cells = [_pack(lanes, n) for lanes in cells]
+        self.rep = rep
         self.rows = [cells[i:i + n] for i in range(0, n * n, n)]
-        self.masks = {name: _pack(lanes, n) for name, lanes in masks.items()}
+        self.masks = masks
         self.lane_full = (1 << n) - 1
         self.full = rep * self.lane_full
         self.singletons = tuple(rep << i for i in range(n))
-        self.subset_masks = [b * rep for b in range(1 << n)]
         self.low = rep * ((1 << n - 1) - 1)  # every bit of every lane but its top one
         self.high = rep << n - 1  # the top bit of every lane
+        self.wide = {}
+
+    @property
+    def subset_masks(self) -> Iterator[int]:
+        """Every subset b of the lane universe as ``b * rep``, in bitmask
+        order, made as iterated: a wide block's would be large to keep."""
+        return map(self.rep.__mul__, range(1 << self.n))
+
+    def widened(self, count: int) -> _Block:
+        """This block's wide form of ``count`` copies side by side: the
+        block of ``count`` * L lanes whose copy a, at bits
+        [a*width, (a+1)*width), is this block; ``width`` stays one copy's."""
+        if count == 1:
+            return self
+        width = self.width
+        wide = _Block.__new__(_Block)
+        wide._fill(
+            self.n, _copies(self.rep, count, width),
+            [_copies(c, count, width) for row in self.rows for c in row],
+            {name: _copies(m, count, width) for name, m in self.masks.items()},
+        )
+        wide.width = width
+        return wide
 
     def apply(self, left: int, right: int) -> int:
         """Application in every lane: the union of cell (i, j) over the
@@ -634,7 +829,9 @@ class _Layout:
     ``blocks``, a ``(packed, marks)`` pair per block in suite order.
     ``packed`` is the block's `_Block`, or its structure if it has one lane;
     a lane's mark counts the suite's structures up to and including it, so
-    its structure is ``suite[mark - 1]``.  The layout of a `Suite`, which
+    its structure is ``suite[mark - 1]``.  Packed blocks never change;
+    each only adds to its cache of wide forms (`_chunks`) values that
+    depend on it and the variable counts alone.  The layout of a `Suite`, which
     the suite owns, has no ``items``: were it to refer back to the suite,
     every dropped suite would wait for the cycle collector."""
 

@@ -1,6 +1,7 @@
 """Evaluation, satisfaction, tautology checking, and the three consequence
 relations, exercised against their defining identities."""
 
+import contextlib
 import dataclasses
 import gc
 import random
@@ -8,6 +9,7 @@ import sys
 import threading
 import weakref
 from operator import is_
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -825,6 +827,8 @@ _PAIRS = [dataclasses.replace(s, twin=None) for s in _C_SUITE if len(s.universe)
 # Fails where c c ⊄ c; under a valuation, where c x0 ⊄ c.
 _CLOSED = Imp(Appl(C, C), C)
 _OPEN = Imp(Appl(C, X0), C)
+# Where X0 x0 ⊄ c: the first failing valuation varies with the structure.
+_MIXED = Imp(Appl(SVar(0), X0), C)
 
 
 def _split(kind, gamma, delta, pool):
@@ -838,6 +842,21 @@ def _split(kind, gamma, delta, pool):
         else:
             fails.append((s, v.valuation))
     return holds, fails
+
+
+def _late_and_early(kind, p):
+    """A suite whose block of eight has lanes 3 and 5 failing ``p``: lane 5
+    fails first in valuation order, but lane 3 is the first failing
+    structure.  With that structure and its first counterexample."""
+    holds, fails = _split(kind, [], [p], _PAIRS)
+
+    def rank(fail):
+        s, v = fail
+        return list(oracles.fv_assignments(s, [p])).index(v)
+
+    late, early = max(fails, key=rank), min(fails, key=rank)
+    assert rank(late) > rank(early)
+    return holds[:4] + [late[0], holds[4], early[0]] + holds[5:20], *late
 
 
 class TestBlockDifferential:
@@ -857,15 +876,11 @@ class TestBlockDifferential:
         assert not got.holds and got.structures_checked == at + 1
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_a_later_lane_failing_at_an_earlier_valuation(self, kind):
-        holds, fails = _split(kind, [], [_OPEN], _PAIRS)
-        late = next(s for s, v in fails if v.element == {0: "1"})
-        early = next(s for s, v in fails if v.element == {0: "0"})
-        # Lanes 3 and 5 of the block of eight: lane 5 fails first in
-        # valuation order, but lane 3 is the first failing structure.
-        suite = holds[:4] + [late, holds[4], early] + holds[5:20]
-        got = _agrees_with_the_oracle(kind, [], [_OPEN], suite)
-        assert got.structure is late and got.valuation.element == {0: "1"}
+    @pytest.mark.parametrize("p", [_OPEN, _MIXED], ids=["x0", "x0 and X0"])
+    def test_a_later_lane_failing_at_an_earlier_valuation(self, kind, p):
+        suite, late, valuation = _late_and_early(kind, p)
+        got = _agrees_with_the_oracle(kind, [], [p], suite)
+        assert got.structure is late and got.valuation == valuation
 
     def test_global_hypotheses_valid_on_some_lanes_only(self):
         gamma = [Imp(C, Appl(C, C))]
@@ -976,6 +991,182 @@ class TestUnassignedConstantInBlocks:
         assert (got.holds, got.structures_checked, got.valuation) == (
             want.holds, want.structures_checked, want.valuation,
         )
+
+
+# ---------------------------------------------------------------------------
+# Valuation lanes: a block of several lanes is decided for every assignment
+# of the query's free variables in one evaluation, over its wide form.
+
+_LANE_VARIABLES = (X0, X1, EVar(2), SVar(0), SVar(1), SVar(2))
+
+
+@st.composite
+def _lane_queries(draw, size):
+    """A query whose free variables are among one to three of x0, x1, x2,
+    X0, X1 and X2; at most two set variables over three elements, so that
+    the oracle's sweep stays cheap."""
+    variables = draw(
+        st.lists(st.sampled_from(_LANE_VARIABLES), min_size=1, max_size=3, unique=True)
+        .filter(lambda vs: size < 3 or sum(type(v) is SVar for v in vs) < 3)
+    )
+    pattern = st.recursive(
+        st.sampled_from((*variables, C)),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda t: Appl(*t)),
+            st.tuples(inner, inner).map(lambda t: Imp(*t)),
+            st.tuples(st.integers(0, 2), inner).map(lambda t: Exists(*t)),
+            st.tuples(st.integers(0, 2), inner).map(lambda t: Mu(*t)),
+        ),
+        max_leaves=4,
+    )
+    gamma = draw(st.lists(pattern, max_size=2))
+    delta = draw(st.lists(pattern, min_size=1, max_size=2))
+    if gamma and draw(st.booleans()):
+        # A conclusion that follows, so that some queries sweep the suite.
+        delta = [gamma[0], *delta[1:]]
+    return gamma, delta
+
+
+def _lane_suite(rng, size, lanes, query=None):
+    """Structures of ``size`` elements over ``c`` laid out in blocks of 1
+    and 8 lanes, and of 64 after them if ``lanes`` is 64.  With a query
+    ``(kind, gamma, delta)``, one of the first eight on which it holds, if
+    any, comes first, so that more refutations come in blocks of several
+    lanes."""
+    suite = [_random_structure(rng, size, ("c",)) for _ in range(1 + 8 + (lanes == 64) * 64)]
+    if query is not None:
+        for i, s in enumerate(suite[:8]):
+            if oracles.consequence_by_frozensets(*query, [s]).holds:
+                suite.insert(0, suite.pop(i))
+                break
+    return suite
+
+
+@contextlib.contextmanager
+def _wide_bits(bits):
+    """``semantics._WIDE_BITS`` at ``bits`` within the block, on fresh
+    layouts: a block keeps the wide forms it made."""
+    with mock.patch.object(semantics, "_WIDE_BITS", bits):
+        semantics._kept.clear()
+        try:
+            yield
+        finally:
+            semantics._kept.clear()
+
+
+class TestValuationLanes:
+    """Every assignment of a block's lanes at once, in one or in several
+    chunks, against the oracle, which decides one structure and one
+    valuation at a time."""
+
+    @given(
+        st.sampled_from(KINDS),
+        st.sampled_from([2, 3]),
+        st.sampled_from([8, 64]),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_oracle(self, kind, size, lanes, rng, data):
+        gamma, delta = data.draw(_lane_queries(size))
+        suite = _lane_suite(rng, size, lanes, (kind, gamma, delta))
+        _agrees_with_the_oracle(kind, gamma, delta, suite)
+
+    @given(
+        st.sampled_from(KINDS),
+        st.sampled_from([2, 3]),
+        st.randoms(use_true_random=False),
+        st.sampled_from([1, 2, 3, 5]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_chunks_agree_with_the_oracle(self, kind, size, rng, copies, data):
+        # Chunks of a few copies of the block of eight lanes each.
+        gamma, delta = data.draw(_lane_queries(size))
+        suite = _lane_suite(rng, size, 8, (kind, gamma, delta))
+        with _wide_bits(copies * 8 * size):
+            _agrees_with_the_oracle(kind, gamma, delta, suite)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p", [_OPEN, _MIXED], ids=["x0", "x0 and X0"])
+    @pytest.mark.parametrize("bits", [1, 32])
+    def test_a_lower_lane_failing_in_a_later_chunk(self, kind, p, bits):
+        # One copy of the block per chunk, or two: lane 5 fails in an
+        # earlier chunk than lane 3, which must still win.
+        suite, late, valuation = _late_and_early(kind, p)
+        with _wide_bits(bits):
+            got = _agrees_with_the_oracle(kind, [], [p], suite)
+        assert got.structure is late and got.valuation == valuation
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bits", [1, 32, None])
+    def test_hypotheses_failing_in_a_later_chunk(self, kind, bits):
+        # c X1 ⊆ c fails on ``late`` only at X1 = {1} or {0, 1}, in a later
+        # chunk than X1 = {} and {0}, so that globally ``late`` is no
+        # counterexample, though the conclusion x0 c ⊆ c fails there.
+        gamma, delta = [Imp(Appl(C, SVar(1)), C)], [Imp(Appl(X0, C), C)]
+
+        def under(s, x1):
+            return s.apply(s.masks["c"], x1) & ~s.masks["c"] == 0
+
+        refuted = [s for s in _PAIRS if not models(s, delta[0])]
+        late = next(s for s in refuted if under(s, 1) and not under(s, 2))
+        real = next(s for s in refuted if under(s, 3))
+        holding = [s for s in _PAIRS if models(s, delta[0])]
+        suite = holding[:3] + [late] + holding[3:6] + [real] + holding[6:20]
+        with _wide_bits(bits or semantics._WIDE_BITS):
+            got = _agrees_with_the_oracle(kind, gamma, delta, suite)
+        assert got.structures_checked == (8 if kind == "global" else 4)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equal_counts_at_other_indices_on_one_layout(self, kind):
+        # Both queries have one element and one set variable, x0 and X1,
+        # then x3 and X0: the vectors a block keeps for the counts (1, 1)
+        # must go to each query's own indices.  Only x3 = 1 refutes the
+        # structure at lane 3 of the block of eight.
+        first = Imp(Appl(C, X0), SVar(1))
+        second = Imp(Appl(C, EVar(3)), SVar(0))
+        holds = [s for s in _PAIRS if not s.apply(s.masks["c"], 3)]
+        fails = next(s for s in _PAIRS if not s.apply(s.masks["c"], 1) and s.apply(s.masks["c"], 2))
+        suite = holds[:4] + [fails] + holds[4:20]
+        semantics._kept.clear()
+        for p in (first, second, first, second):
+            got = _agrees_with_the_oracle(kind, [], [p], suite)
+            assert got.structure is fails and got.structures_checked == 5
+        [layout] = semantics._kept
+        assert got.valuation == Valuation({3: "1"}, {0: frozenset()})
+        assert consequence(kind, [], [first], suite).valuation == Valuation(
+            {0: "1"}, {1: frozenset()}
+        )
+        assert semantics._kept == [layout]
+
+    def test_a_global_valuation_holds_the_conclusions_variables_only(self):
+        # The hypothesis has x1 and X1 free, the conclusion x0 only.
+        gamma = [Imp(Appl(Appl(C, X1), SVar(1)), C)]
+        delta = [Imp(Appl(X0, C), C)]
+        valid = [s for s in _PAIRS if models(s, gamma[0])]
+        holding = [s for s in valid if models(s, delta[0])]
+        refuted = [s for s in valid if not models(s, delta[0])]
+        skipped = [s for s in _PAIRS if not models(s, gamma[0]) and not models(s, delta[0])]
+        assert holding and refuted and skipped
+        suite = holding[:2] + skipped[:4] + refuted[:1] + skipped[4:10] + holding[2:]
+        got = _agrees_with_the_oracle("global", gamma, delta, suite)
+        assert got.structure is refuted[0] and got.structures_checked == 7
+        assert set(got.valuation.element) == {0} and got.valuation.sets == {}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_large_universes_and_two_set_variables(self, kind):
+        # Five elements and two set variables: 1,024 assignments, more
+        # than one chunk for the block of eight.  X0 X1 ⊆ c X1 holds where
+        # c is everything, on the first six structures.
+        rng = random.Random(5)
+        suite = [_random_structure(rng, 5, ("c",)) for _ in range(9)]
+        suite[:6] = [dataclasses.replace(s, masks={"c": 31}) for s in suite[:6]]
+        p = Imp(Appl(SVar(0), SVar(1)), Appl(C, SVar(1)))
+        assert 1024 * 8 * 5 > semantics._WIDE_BITS
+        semantics._kept.clear()
+        got = _agrees_with_the_oracle(kind, [], [p], suite)
+        assert not got.holds and got.structures_checked > 6
 
 
 # ---------------------------------------------------------------------------
@@ -1154,11 +1345,20 @@ class TestLayoutReuse:
 
     def test_threads_deciding_at_once(self):
         # Four threads on two cores, switching as often as the interpreter
-        # allows, sharing the kept layout and replacing it as they go.
+        # allows, sharing the kept layout and replacing it as they go, and
+        # filling its blocks' caches of wide forms at once: queries with
+        # free element and set variables in several counts and indices.
         suites = [list(_REUSE_POOL), _REUSE_POOL[::-1], _REUSE_POOL[:60]]
+        queries = _REUSE_QUERIES + [
+            ("strong", [], [_MIXED]),
+            ("local", [], [Imp(Appl(C, EVar(3)), SVar(0))]),
+            ("global", [Imp(Appl(C, SVar(1)), C)], [Imp(Appl(X0, X1), C)]),
+            ("local", [Imp(X1, Appl(C, SVar(2)))], [Imp(Appl(X1, SVar(2)), C)]),
+            ("strong", [Appl(SVar(1), X0)], [Appl(SVar(1), X0)]),  # holds everywhere
+        ]
         want = {}
         for i, suite in enumerate(suites):
-            for q, query in enumerate(_REUSE_QUERIES):
+            for q, query in enumerate(queries):
                 semantics._kept.clear()
                 v = consequence(*query, suite)
                 want[i, q] = (v.holds, v.structures_checked, v.structure, v.valuation)
@@ -1168,8 +1368,8 @@ class TestLayoutReuse:
             rng = random.Random(seed)
             try:
                 for _ in range(150):
-                    i, q = rng.randrange(len(suites)), rng.randrange(len(_REUSE_QUERIES))
-                    v = consequence(*_REUSE_QUERIES[q], suites[i])
+                    i, q = rng.randrange(len(suites)), rng.randrange(len(queries))
+                    v = consequence(*queries[q], suites[i])
                     got.append((v.holds, v.structures_checked, v.structure, v.valuation) == want[i, q])
             except Exception as exc:
                 errors.append(exc)
