@@ -670,15 +670,12 @@ def _chunks(block: _Block, free: tuple[list, list]) -> Iterator[tuple]:
 def _widen(block: _Block, elements: int, sets: int) -> list[tuple]:
     """`_chunks`'s chunks for ``elements`` element and ``sets`` set
     variables, with each chunk's vectors in variable order."""
-    n, width = block.n, block.width
-    radices = [range(n)] * elements + [range(1 << n)] * sets
-    total = n ** elements << n * sets
-    per = max(1, _WIDE_BITS // width)
-    assignments = itertools.product(*radices)
+    n = block.n
+    assignments = itertools.product(*[range(n)] * elements, *[range(1 << n)] * sets)
+    per = max(1, _WIDE_BITS // block.width)
     wides: dict = {}
     made = []
-    for lo in range(0, total, per):
-        digits = list(itertools.islice(assignments, per))
+    while digits := list(itertools.islice(assignments, per)):
         count = len(digits)
         wide = wides.get(count)
         if wide is None:
