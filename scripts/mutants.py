@@ -9,8 +9,9 @@ expected to kill it.  For each mutant the script copies ``src/`` to a
 temporary directory, applies the edit to the copy and runs the mutant's test
 files from the repository root with ``python -m pytest -x -q``,
 ``PYTHONPATH`` at the copy and a fresh Hypothesis example database.  The
-mutant is *killed* when the tests fail, *survives* when they pass, and is
-*stale* when its old text no longer occurs exactly once.  The script prints
+mutant is *killed* when the tests fail or do not finish within TIMEOUT
+seconds (a mutant can make a loop run forever), *survives* when they pass,
+and is *stale* when its old text no longer occurs exactly once.  The script prints
 one line per mutant with its outcome and run time, then the total time, and
 exits 1 if any mutant survives or is stale.  Nothing is downloaded: the
 edits are written out in the table.
@@ -39,6 +40,8 @@ SEMANTICS = "aml/semantics.py"
 MODEL = "aml/model.py"
 TEST_SEMANTICS = "tests/test_semantics.py"
 TEST_MODEL = "tests/test_model.py"
+# Seconds a mutant's tests may take; the slowest killed mutant takes about 40.
+TIMEOUT = 600
 
 
 @dataclass(frozen=True)
@@ -131,11 +134,49 @@ MUTANTS = [
         "    structure = items[mark]\n",
         (TEST_SEMANTICS,),
     ),
+    # Earlier fast paths: fixpoints, lane blocks, layout reuse and symmetry.
+    Mutant(
+        "kleene-on-every-body", SEMANTICS,
+        "    if positive:\n",
+        "    if True:\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "subsets-in-reverse-order", SEMANTICS,
+        "    subsets = s.subset_masks\n",
+        "    subsets = s.subset_masks[::-1]\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "block-apply-ignores-the-right-value", SEMANTICS,
+        "out |= mine & theirs & cell",
+        "out |= mine & cell",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "lanes-carry-misses-the-top-bit", SEMANTICS,
+        "((x & low) + low | x)",
+        "((x & low) + low)",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "kept-layout-reused-at-another-length", SEMANTICS,
+        "    if layout is not None and len(layout.items) == len(suite):\n",
+        "    if layout is not None:\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "swap-image-cells-not-reversed", MODEL,
+        "enumerate(d[3::-1] + d[4:])",
+        "enumerate(d[:4] + d[4:])",
+        (TEST_MODEL, TEST_SEMANTICS),
+    ),
 ]
 
 
 def run(mutant: Mutant) -> str:
-    """``killed``, ``survived`` or ``stale``."""
+    """``killed``, ``timed out`` (which counts as killed), ``survived`` or
+    ``stale``."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -145,10 +186,14 @@ def run(mutant: Mutant) -> str:
             return "stale"
         path.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_STORAGE_DIRECTORY=str(Path(tmp) / "hyp"))
-        code = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode
+        try:
+            code = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT,
+            ).returncode
+        except subprocess.TimeoutExpired:
+            return "timed out"
     return "survived" if code == 0 else "killed"
 
 
@@ -166,7 +211,7 @@ def main(argv=None) -> int:
     for m in chosen:
         t0 = time.perf_counter()
         outcome = run(m)
-        bad += outcome != "killed"
+        bad += outcome not in ("killed", "timed out")
         print(f"{m.name:<36} {outcome:<9} {time.perf_counter() - t0:6.1f} s  {' '.join(m.tests)}",
               flush=True)
     print(f"{len(chosen) - bad} of {len(chosen)} killed in {time.perf_counter() - start:.1f} s")
