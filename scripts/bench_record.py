@@ -22,8 +22,9 @@ the 33 corpus scripts on each seed, and ``consequence_ms`` of
 CONSEQUENCE (one that holds and sweeps the suite under two free variables,
 one refuted early) on each seed; each then the median over the seeds,
 beside the value of ``PYTHONDONTWRITEBYTECODE`` in the environment (unset:
-None), which decides whether every process compiles ``src/`` again.  With ``--parent`` the file also holds the same for that checkout
-under ``parent``.  The two checkouts take turns on each seed, the first to
+None), which decides whether every process compiles ``src/`` again.  With
+``--parent`` the file also holds the same for that checkout under
+``parent``.  The two checkouts take turns on each seed, the first to
 run alternating from seed to seed, and the table printed at the end gives,
 per workload and metric, each side's median and quartiles and on how many
 seeds the change won (ties count for neither), so that a claimed gain can

@@ -5,16 +5,19 @@
 
 A mutant is an exact edit of one file under ``src/``: a text that must occur
 there exactly once and the text that replaces it, with the test files
-expected to kill it.  For each mutant the script copies ``src/`` to a
-temporary directory, applies the edit to the copy and runs the mutant's test
-files from the repository root with ``python -m pytest -x -q``,
-``PYTHONPATH`` at the copy and a fresh Hypothesis example database.  The
-mutant is *killed* when the tests fail or do not finish within TIMEOUT
-seconds (a mutant can make a loop run forever), *survives* when they pass,
-and is *stale* when its old text no longer occurs exactly once.  The script prints
-one line per mutant with its outcome and run time, then the total time, and
-exits 1 if any mutant survives or is stale.  Nothing is downloaded: the
-edits are written out in the table.
+expected to kill it.  The script first runs each set of test files named in
+the table on ``src/`` as it is: they must pass, and their time sets the
+limit for the mutants that name them, three times it plus 30 s.  Then for
+each mutant it copies ``src/`` to a temporary directory, applies the edit to
+the copy and runs the mutant's test files from the repository root with
+``python -m pytest -x -q``, ``PYTHONPATH`` at the copy and a fresh
+Hypothesis example database.  The mutant is *killed* when the tests fail,
+or *timed out* (which counts as killed) when they run past the limit, as
+they do where a mutant makes a loop run forever; it *survives* when they
+pass, and is *stale* when its old text no longer occurs exactly once.  The
+script prints one line per mutant with its outcome and run time, then the
+total time, and exits 1 if any mutant survives or is stale.  Nothing is
+downloaded: the edits are written out in the table.
 
 The fast paths each keep a slow oracle in ``tests/``; the mutants show that
 the tests comparing them would notice the faults each path is most likely
@@ -40,8 +43,6 @@ SEMANTICS = "aml/semantics.py"
 MODEL = "aml/model.py"
 TEST_SEMANTICS = "tests/test_semantics.py"
 TEST_MODEL = "tests/test_model.py"
-# Seconds a mutant's tests may take; the slowest killed mutant takes about 40.
-TIMEOUT = 600
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,26 @@ MUTANTS = [
 ]
 
 
-def run(mutant: Mutant) -> str:
+def pytest(tests: tuple[str, ...], src: Path, tmp: str, timeout: float | None = None) -> int:
+    """The exit code of ``tests`` run on the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_STORAGE_DIRECTORY=str(Path(tmp) / "hyp"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout,
+    ).returncode
+
+
+def limit(tests: tuple[str, ...]) -> float:
+    """Three times what ``tests`` take on ``src/`` as it is, plus 30 s;
+    exits if they fail there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        if pytest(tests, ROOT / "src", tmp):
+            raise SystemExit(f"{' '.join(tests)} fail without a mutant")
+    return 3 * (time.perf_counter() - t0) + 30
+
+
+def run(mutant: Mutant, timeout: float) -> str:
     """``killed``, ``timed out`` (which counts as killed), ``survived`` or
     ``stale``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -185,13 +205,8 @@ def run(mutant: Mutant) -> str:
         if text.count(mutant.old) != 1:
             return "stale"
         path.write_text(text.replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(src), HYPOTHESIS_STORAGE_DIRECTORY=str(Path(tmp) / "hyp"))
         try:
-            code = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
-                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=TIMEOUT,
-            ).returncode
+            code = pytest(mutant.tests, src, tmp, timeout)
         except subprocess.TimeoutExpired:
             return "timed out"
     return "survived" if code == 0 else "killed"
@@ -206,11 +221,12 @@ def main(argv=None) -> int:
     if unknown:
         ap.error(f"unknown mutant(s): {', '.join(unknown)}")
     chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    bad = 0
     start = time.perf_counter()
+    limits = {tests: limit(tests) for tests in dict.fromkeys(m.tests for m in chosen)}
+    bad = 0
     for m in chosen:
         t0 = time.perf_counter()
-        outcome = run(m)
+        outcome = run(m, limits[m.tests])
         bad += outcome not in ("killed", "timed out")
         print(f"{m.name:<36} {outcome:<9} {time.perf_counter() - t0:6.1f} s  {' '.join(m.tests)}",
               flush=True)

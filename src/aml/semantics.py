@@ -237,12 +237,13 @@ def _free_lists(patterns: Iterable[Pattern]) -> tuple[list, list]:
     return sorted(evars), sorted(svars)
 
 
-def _assignments(s, free: tuple[list, list]) -> Iterator[tuple[dict, dict]]:
-    """Every assignment of the given free variables in mask form, the same
-    in every lane of ``s``: element variables vary slowest, each over the
+def _assignments(s: Structure, free: tuple[list, list]) -> Iterator[tuple[dict, dict]]:
+    """Every assignment of the given free variables over the structure
+    ``s``, in mask form: element variables vary slowest, each over the
     universe in order, then set variables over the subsets in bitmask
-    order.  One ``ev`` serves every step with the same elements; `_ev`
-    restores what it rebinds, so a kept pair still holds its assignment."""
+    order (the order of a wide form's copies, see `_chunks`).  One ``ev``
+    serves every step with the same elements; `_ev` restores what it
+    rebinds, so a kept pair still holds its assignment."""
     e_list, s_list = free
     subsets = s.subset_masks
     for elems in itertools.product(s.singletons, repeat=len(e_list)):
