@@ -41,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEMANTICS = "aml/semantics.py"
 MODEL = "aml/model.py"
+SUGAR = "aml/sugar.py"
 TEST_SEMANTICS = "tests/test_semantics.py"
 TEST_MODEL = "tests/test_model.py"
 
@@ -135,7 +136,8 @@ MUTANTS = [
         "    structure = items[mark]\n",
         (TEST_SEMANTICS,),
     ),
-    # Earlier fast paths: fixpoints, lane blocks, layout reuse and symmetry.
+    # Earlier fast paths: fixpoints, falsum, lane blocks, layout reuse and
+    # symmetry.
     Mutant(
         "kleene-on-every-body", SEMANTICS,
         "    if positive:\n",
@@ -158,6 +160,36 @@ MUTANTS = [
         "lanes-carry-misses-the-top-bit", SEMANTICS,
         "((x & low) + low | x)",
         "((x & low) + low)",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "layout-identity-by-equality", SEMANTICS,
+        "        return suite[lo] is items[lo]\n",
+        "        return suite[lo] == items[lo]\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "slot-never-filled", SEMANTICS,
+        "    if kept:\n        _kept[:] = [layout]\n",
+        "    if False:\n        _kept[:] = [layout]\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "slot-filled-by-a-generator", SEMANTICS,
+        "    if kept:\n        _kept[:] = [layout]\n",
+        "    if True:\n        _kept[:] = [layout]\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "skip-count-off-by-one", SEMANTICS,
+        "        _NOTES[kind], mark - given - 1,\n",
+        "        _NOTES[kind], mark - given,\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "falsum-only-canonical", SUGAR,
+        "    return isinstance(p, Mu) and p.body == SVar(p.var)\n",
+        "    return isinstance(p, Mu) and p.var == 0 and p.body == SVar(0)\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(

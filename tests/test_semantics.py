@@ -1222,6 +1222,16 @@ class TestLayoutReuse:
         self.sweep(copies)
         assert semantics._kept != [layout]
 
+    def test_an_equal_copy_in_a_one_lane_block(self):
+        # The first structure is a block alone, checked by one identity
+        # test; an equal copy of it is not the same object either.
+        suite = list(_REUSE_POOL)
+        self.sweep(suite)
+        [layout] = semantics._kept
+        suite[0] = dataclasses.replace(suite[0])
+        self.sweep(suite)
+        assert semantics._kept != [layout]
+
     @pytest.mark.parametrize("at", [0, 5, 80, 138, 150, 199])
     def test_a_list_mutated_in_the_middle(self, at):
         suite = list(_REUSE_POOL)
