@@ -10,7 +10,8 @@ script belongs to and, with ``--parent``, in a checkout of another commit
     {commit, python, nproc, seeds, seconds, workloads: {name: {metric: median}},
      traced: {name: {counter: value}},
      oneshot: {proof_check_audit_ms: median, consequence_ms: median,
-               PYTHONDONTWRITEBYTECODE: value}}
+               PYTHONDONTWRITEBYTECODE: value},
+     acceptance: {criterion: seconds}}
 
 where each median is over the seeds and ``traced`` holds the traced run's
 per-layer counters: its call and outcome counts, which depend on the seed
@@ -24,12 +25,17 @@ one refuted early) on each seed; each then the median over the seeds,
 beside the value of ``PYTHONDONTWRITEBYTECODE`` in the environment (unset:
 None), which decides whether every process compiles ``src/`` again.  With
 ``--parent`` the file also holds the same for that checkout under
-``parent``.  The two checkouts take turns on each seed, the first to
-run alternating from seed to seed, and the table printed at the end gives,
-per workload and metric, each side's median and quartiles and on how many
-seeds the change won (ties count for neither), so that a claimed gain can
-be read off it, and then the traced counters that differ between the two.
-The one-shot processes take turns in the same way, after the workloads.
+``parent``.  ``acceptance`` holds the wall time of each of the nine
+acceptance criteria (set-up, call and teardown, to 10 ms) from one
+``pytest --durations=0 tests/test_acceptance.py`` run in each checkout.
+The two checkouts take turns on each seed, the first to run alternating
+from seed to seed, and the table printed at the end gives, per workload and
+metric, each side's median and quartiles and on how many seeds the change
+won (ties count for neither), so that a claimed gain can be read off it,
+then the one-shot times and each criterion's time, and then the traced
+counters that differ between the two.  The one-shot processes take turns in
+the same way, after the workloads, and the acceptance runs take one more
+turn after them.
 Each untraced run takes ``--seconds``; a run that reports wrong outputs
 stops the script.
 """
@@ -40,6 +46,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -74,13 +81,19 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) ->
             if not trace or m["unit"] == "count"}
 
 
+def src_env(tree: Path) -> dict:
+    """The environment with ``tree``'s ``src/`` first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def oneshot(tree: Path, seed: int) -> dict:
     """The median wall times, in ms, of fresh `proof check --audit`
     processes, one per corpus script, and of fresh `consequence` processes,
     one per kind and query, in ``tree``, with that tree's ``src/`` first on
     the path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    env = src_env(tree)
     suite = ["--sig", "corpus/sig.txt", "--max-size", "3", "--samples", "200", "--seed", str(seed)]
 
     def wall(argv) -> float:
@@ -106,6 +119,24 @@ def oneshot(tree: Path, seed: int) -> dict:
             "consequence_ms": statistics.median(decisions) * 1e3}
 
 
+def acceptance(tree: Path) -> dict:
+    """Each acceptance criterion's wall time, in s, from one pytest run of
+    ``tests/test_acceptance.py`` in ``tree``: the set-up, call and teardown
+    times that ``--durations=0`` reports, summed."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0",
+         "--durations-min=0", "tests/test_acceptance.py"],
+        cwd=tree, env=src_env(tree), capture_output=True, text=True,
+    )
+    if done.returncode:
+        raise SystemExit(f"{tree}: tests/test_acceptance.py fails")
+    times: dict = {}
+    phases = r"^(\d+\.\d+)s\s+(?:setup|call|teardown)\s+tests/test_acceptance\.py::(\w+)$"
+    for seconds, name in re.findall(phases, done.stdout, re.M):
+        times[name] = round(times.get(name, 0.0) + float(seconds), 2)
+    return dict(sorted(times.items()))
+
+
 def commit(tree: Path) -> str:
     return subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True, check=True,
@@ -128,19 +159,24 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
     runs: dict = {side: {w: [] for w in WORKLOADS} for side in trees}
+
+    def turn(i: int) -> list:
+        """The order in which the checkouts run on turn ``i``."""
+        return list(trees) if i % 2 == 0 else list(trees)[::-1]
+
     for workload in WORKLOADS:
         for i, seed in enumerate(args.seeds):
-            order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-            for side in order:
+            for side in turn(i):
                 runs[side][workload].append(run(trees[side], workload, seed, args.seconds))
                 print(f"{workload} seed {seed} {side}: done", file=sys.stderr)
     traced = {side: {w: run(tree, w, args.seeds[0], args.seconds, trace=1) for w in WORKLOADS}
               for side, tree in trees.items()}
     shots: dict = {side: [] for side in trees}
     for i, seed in enumerate(args.seeds):
-        for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+        for side in turn(i):
             shots[side].append(oneshot(trees[side], seed))
             print(f"one-shot seed {seed} {side}: done", file=sys.stderr)
+    criteria = {side: acceptance(trees[side]) for side in turn(len(args.seeds))}
     bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE")
 
     def medians(side: str) -> dict:
@@ -163,6 +199,7 @@ def main(argv=None) -> int:
         "workloads": medians("change"),
         "traced": traced["change"],
         "oneshot": oneshots("change"),
+        "acceptance": criteria["change"],
     }
     if args.parent:
         doc["parent"] = {
@@ -170,6 +207,7 @@ def main(argv=None) -> int:
             "workloads": medians("parent"),
             "traced": traced["parent"],
             "oneshot": oneshots("parent"),
+            "acceptance": criteria["parent"],
         }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -191,6 +229,9 @@ def main(argv=None) -> int:
             fmt, fmt_new = ("/".join(f"{v:.4g}" for v in quartiles(x)) for x in (old, new))
             print(f"{'one-shot':<16} {key:<18} {fmt:<32} {fmt_new:<32} {wins}/{len(new)}"
                   f"  (PYTHONDONTWRITEBYTECODE={bytecode})")
+        print("\nacceptance criteria, s: parent -> change")
+        for name, seconds in criteria["change"].items():
+            print(f"{name:<44} {criteria['parent'].get(name)} -> {seconds}")
         print(f"\ntraced counts that differ, seed {args.seeds[0]}: parent -> change")
         for w in WORKLOADS:
             old, new = traced["parent"][w], traced["change"][w]

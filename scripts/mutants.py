@@ -42,8 +42,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SEMANTICS = "aml/semantics.py"
 MODEL = "aml/model.py"
 SUGAR = "aml/sugar.py"
+SUBSTITUTION = "aml/substitution.py"
+CLI = "aml/cli.py"
 TEST_SEMANTICS = "tests/test_semantics.py"
 TEST_MODEL = "tests/test_model.py"
+TEST_SUBSTITUTION = "tests/test_substitution.py"
+TEST_CLI = "tests/test_cli.py"
 
 
 @dataclass(frozen=True)
@@ -203,6 +207,50 @@ MUTANTS = [
         "enumerate(d[3::-1] + d[4:])",
         "enumerate(d[:4] + d[4:])",
         (TEST_MODEL, TEST_SEMANTICS),
+    ),
+    # Substitution: `is_free_for` in one walk carrying a captured flag, and
+    # the clashes that `subst_capture_avoiding` renames.
+    Mutant(
+        "captured-flag-lost-below-a-binder", SUBSTITUTION,
+        "phi.body, captured or phi.var in delta_e)",
+        "phi.body, phi.var in delta_e)",
+        (TEST_SUBSTITUTION,),
+    ),
+    Mutant(
+        "only-free-vars-of-delta-clash", SUBSTITUTION,
+        "    occ_e, occ_s = delta_e | delta_bound_e, delta_s | delta_bound_s\n",
+        "    occ_e, occ_s = delta_e, delta_s\n",
+        (TEST_SUBSTITUTION,),
+    ),
+    # The command line: a call builds the parser of its own command only.
+    Mutant(
+        "command-rows-swapped", CLI,
+        '    ("eval", "evaluate patterns in one structure", _eval_args),\n'
+        '    ("check", "validity in one structure (all assignments)", _check_args),\n',
+        '    ("eval", "evaluate patterns in one structure", _check_args),\n'
+        '    ("check", "validity in one structure (all assignments)", _eval_args),\n',
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "every-command-filled-eagerly", CLI,
+        "        self._name_parser_map[name] = fill, kwargs\n",
+        "        made = self._parser_class(prog=f\"{self._prog_prefix} {name}\", **kwargs)\n"
+        "        fill(made)\n"
+        "        self._name_parser_map[name] = made\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "parser-made-at-every-dispatch", CLI,
+        "        if isinstance(made, tuple):\n",
+        "        if True:\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "command-help-left-out", CLI,
+        "        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))\n",
+        "        if name != \"taut\":\n"
+        "            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))\n",
+        (TEST_CLI,),
     ),
 ]
 

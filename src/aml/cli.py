@@ -496,13 +496,16 @@ def _cmd_gen_models(args) -> int:
 # Argument wiring.
 
 
-def _add_mode(p) -> None:
+def _add_patterns(p) -> None:
+    """The options of a command that reads pattern files."""
     p.add_argument(
         "--mode",
         choices=("core", "sugar"),
         default="sugar",
         help="pattern syntax for input files (default sugar)",
     )
+    _add_sig(p)
+    _add_json(p)
 
 
 def _add_sig(p) -> None:
@@ -563,24 +566,29 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # The terminal's width, read once: argparse's default formatter reads it
-    # again for every argument added and every message formatted.
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-    ap = _Parser(
-        prog="aml",
-        description="Workbench for applicative matching logic over finite structures.",
-        formatter_class=formatter,
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    add = functools.partial(sub.add_parser, formatter_class=formatter)
+class _Commands(argparse._SubParsersAction):
+    """The subcommands.  ``add_parser(name, fill, help=...)`` only lists a
+    command with its help line; the command's parser is made, and ``fill``
+    adds its arguments, the first time argparse dispatches to it, so a call
+    builds the parser of the one command it runs."""
 
-    p = add("parse", help="parse a pattern file and re-emit it")
-    _add_mode(p)
-    _add_sig(p)
-    _add_json(p)
+    def add_parser(self, name, fill, help, **kwargs):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = fill, kwargs
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        made = self._name_parser_map[name]
+        if isinstance(made, tuple):
+            fill, kwargs = made
+            made = self._parser_class(prog=f"{self._prog_prefix} {name}", **kwargs)
+            fill(made)
+            self._name_parser_map[name] = made  # in place: the listing keeps its order
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _parse_args(p) -> None:
+    _add_patterns(p)
     p.add_argument(
         "--emit", choices=("core", "sugar"), default="core",
         help="output syntax (default core)",
@@ -588,42 +596,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_parse)
 
-    p = add("analyze", help="variables, occurrence table, polarity")
-    _add_mode(p)
-    _add_sig(p)
-    _add_json(p)
+
+def _analyze_args(p) -> None:
+    _add_patterns(p)
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_analyze)
 
-    p = add("eval", help="evaluate patterns in one structure")
-    _add_mode(p)
-    _add_sig(p)
-    _add_json(p)
+
+def _eval_args(p) -> None:
+    _add_patterns(p)
     p.add_argument("--model", metavar="FILE", required=True)
     p.add_argument("--valuation", metavar="FILE")
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_eval)
 
-    p = add("check", help="validity in one structure (all assignments)")
-    _add_mode(p)
-    _add_sig(p)
-    _add_json(p)
+
+def _check_args(p) -> None:
+    _add_patterns(p)
     _add_out(p)
     p.add_argument("--model", metavar="FILE", required=True)
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_check)
 
-    p = add("taut", help="propositional tautology test")
-    _add_mode(p)
-    _add_sig(p)
-    _add_json(p)
+
+def _taut_args(p) -> None:
+    _add_patterns(p)
     p.add_argument("pattern_file")
     p.set_defaults(fn=_cmd_taut)
 
-    p = add("consequence", help="decide a consequence relation over a suite")
-    _add_mode(p)
-    _add_sig(p)
-    _add_json(p)
+
+def _consequence_args(p) -> None:
+    _add_patterns(p)
     _add_models(p)
     _add_suite(p)
     _add_out(p)
@@ -638,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_file", help="conclusion patterns")
     p.set_defaults(fn=_cmd_consequence)
 
-    p = add("proof", help="check a proof script")
+
+def _proof_args(p) -> None:
     p.add_argument("action", choices=("check",))
     _add_sig(p)
     _add_json(p)
@@ -649,12 +653,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("script")
     p.set_defaults(fn=_cmd_proof)
 
-    p = add("gen-models", help="materialize a deterministic suite to files")
+
+def _gen_models_args(p) -> None:
     _add_sig(p)
     _add_suite(p)
     p.add_argument("--out", metavar="DIR", required=True)
     p.set_defaults(fn=_cmd_gen_models)
 
+
+# The commands in the order `aml --help` lists them: name, help line and the
+# function that adds the command's arguments.
+_COMMANDS = (
+    ("parse", "parse a pattern file and re-emit it", _parse_args),
+    ("analyze", "variables, occurrence table, polarity", _analyze_args),
+    ("eval", "evaluate patterns in one structure", _eval_args),
+    ("check", "validity in one structure (all assignments)", _check_args),
+    ("taut", "propositional tautology test", _taut_args),
+    ("consequence", "decide a consequence relation over a suite", _consequence_args),
+    ("proof", "check a proof script", _proof_args),
+    ("gen-models", "materialize a deterministic suite to files", _gen_models_args),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # The terminal's width, read once: argparse's default formatter reads it
+    # again for every argument added and every message formatted.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    ap = _Parser(
+        prog="aml",
+        description="Workbench for applicative matching logic over finite structures.",
+        formatter_class=formatter,
+    )
+    ap.register("action", "parsers", _Commands)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_line, fill in _COMMANDS:
+        sub.add_parser(name, fill, help=help_line, formatter_class=formatter)
     return ap
 
 

@@ -413,6 +413,72 @@ class TestNoAbbreviations:
         self._assert_unrecognized(["consequence", "--sig", sig_file, "--max", "3", pats], capsys)
 
 
+# The commands and their help lines, in the order `aml --help` lists them.
+COMMANDS = {
+    "parse": "parse a pattern file and re-emit it",
+    "analyze": "variables, occurrence table, polarity",
+    "eval": "evaluate patterns in one structure",
+    "check": "validity in one structure (all assignments)",
+    "taut": "propositional tautology test",
+    "consequence": "decide a consequence relation over a suite",
+    "proof": "check a proof script",
+    "gen-models": "materialize a deterministic suite to files",
+}
+
+
+class TestCommands:
+    """The top-level parser lists every command, but a call builds the
+    parser of the command it runs only."""
+
+    def _exit(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr()
+
+    def test_an_audit_builds_one_subcommand_parser(self, monkeypatch, capsys):
+        built = []
+
+        class Counting(aml.cli._Parser):
+            def __init__(self, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(aml.cli, "_Parser", Counting)
+        script = str(CORPUS / "proofs" / "positive" / "l03-kt-bottom.prf")
+        sig = str(CORPUS / "sig.txt")
+        assert main(["proof", "check", "--sig", sig, "--audit", "--samples", "0", script]) == 0
+        assert built == ["aml", "aml proof"]
+
+    def test_one_parser_parses_twice(self):
+        """A command's parser, made at the first dispatch, serves the next."""
+        ap = aml.cli.build_parser()
+        first = ap.parse_args(["taut", "a.pat"])
+        second = ap.parse_args(["taut", "--json", "b.pat"])
+        assert (first.pattern_file, first.json) == ("a.pat", False)
+        assert (second.pattern_file, second.json) == ("b.pat", True)
+
+    def test_the_listing(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "120")
+        code, out = self._exit(["--help"], capsys)
+        assert code == 0
+        lines = out.out.splitlines()
+        assert lines[0] == f"usage: aml [-h] {{{','.join(COMMANDS)}}} ..."
+        listed = [line.split(None, 1) for line in lines if line.startswith("    ")]
+        assert listed == [[name, help_line] for name, help_line in COMMANDS.items()]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_each_command_has_help(self, command, capsys):
+        code, out = self._exit([command, "--help"], capsys)
+        assert code == 0
+        assert out.out.startswith(f"usage: aml {command} [-h]")
+
+    def test_an_unknown_command_names_every_choice(self, capsys):
+        code, out = self._exit(["frobnicate"], capsys)
+        assert code == 2
+        choices = ", ".join(map(repr, COMMANDS))
+        assert f"invalid choice: 'frobnicate' (choose from {choices})" in out.err
+
+
 class TestDeterminism:
     def test_identical_runs_print_identical_bytes(self, tmp_path, sig_file, capsys):
         pats = write(tmp_path, "p.pat", "mu X0 . c \\/ X0\nexists x0 . x0 d\n")
