@@ -134,6 +134,8 @@ def acceptance(tree: Path) -> dict:
     phases = r"^(\d+\.\d+)s\s+(?:setup|call|teardown)\s+tests/test_acceptance\.py::(\w+)$"
     for seconds, name in re.findall(phases, done.stdout, re.M):
         times[name] = round(times.get(name, 0.0) + float(seconds), 2)
+    if not times:
+        raise SystemExit(f"{tree}: no criterion times in pytest's --durations report")
     return dict(sorted(times.items()))
 
 
