@@ -10,7 +10,8 @@ script belongs to and, with ``--parent``, in a checkout of another commit
     {commit, python, nproc, seeds, seconds, workloads: {name: {metric: median}},
      traced: {name: {counter: value}},
      oneshot: {proof_check_audit_ms: median, consequence_ms: median,
-               PYTHONDONTWRITEBYTECODE: value},
+               PYTHONDONTWRITEBYTECODE: value,
+               pairs: {key: {median_diff_ms, wins, count}}},
      acceptance: {criterion: seconds}}
 
 where each median is over the seeds and ``traced`` holds the traced run's
@@ -25,17 +26,22 @@ one refuted early) on each seed; each then the median over the seeds,
 beside the value of ``PYTHONDONTWRITEBYTECODE`` in the environment (unset:
 None), which decides whether every process compiles ``src/`` again.  With
 ``--parent`` the file also holds the same for that checkout under
-``parent``.  ``acceptance`` holds the wall time of each of the nine
-acceptance criteria (set-up, call and teardown, to 10 ms) from one
-``pytest --durations=0 tests/test_acceptance.py`` run in each checkout.
+``parent``, and each one-shot command runs in the two checkouts one right
+after the other, which goes first alternating from command to command:
+``oneshot.pairs`` gives per key the median over every command and seed of
+the change's time minus the parent's, and on how many of the ``count``
+pairs the change was faster (``wins``), since one process's time varies
+with the machine far more than from one commit to the next.
+``acceptance`` holds the wall time of each of the nine acceptance criteria
+(set-up, call and teardown, to 10 ms) from one ``pytest --durations=0
+tests/test_acceptance.py`` run in each checkout.
 The two checkouts take turns on each seed, the first to run alternating
 from seed to seed, and the table printed at the end gives, per workload and
 metric, each side's median and quartiles and on how many seeds the change
 won (ties count for neither), so that a claimed gain can be read off it,
 then the one-shot times and each criterion's time, and then the traced
-counters that differ between the two.  The one-shot processes take turns in
-the same way, after the workloads, and the acceptance runs take one more
-turn after them.
+counters that differ between the two.  The one-shot processes run after
+the workloads, and the acceptance runs take one more turn after them.
 Each untraced run takes ``--seconds``; a run that reports wrong outputs
 stops the script.
 """
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import platform
 import re
@@ -88,35 +95,49 @@ def src_env(tree: Path) -> dict:
     return env
 
 
-def oneshot(tree: Path, seed: int) -> dict:
-    """The median wall times, in ms, of fresh `proof check --audit`
-    processes, one per corpus script, and of fresh `consequence` processes,
-    one per kind and query, in ``tree``, with that tree's ``src/`` first on
-    the path."""
-    env = src_env(tree)
+def turn(trees: dict, i: int) -> list:
+    """The order in which the checkouts run on turn ``i``."""
+    return list(trees) if i % 2 == 0 else list(trees)[::-1]
+
+
+def oneshot(trees: dict, seed: int) -> dict:
+    """Wall times, in ms, of fresh processes, ``{side: {key: [ms, ...]}}``:
+    under ``proof_check_audit_ms`` one `proof check --audit` per corpus
+    script, under ``consequence_ms`` one `consequence` per kind and query.
+    Each command runs in every checkout of ``trees``, with that checkout's
+    ``src/`` first on the path, one right after the other, and which goes
+    first alternates from command to command, so that each command gives a
+    pair of times taken moments apart."""
+    envs = {side: src_env(tree) for side, tree in trees.items()}
     suite = ["--sig", "corpus/sig.txt", "--max-size", "3", "--samples", "200", "--seed", str(seed)]
 
-    def wall(argv) -> float:
+    def wall(side: str, argv: list) -> float:
         t0 = time.perf_counter()
         code = subprocess.run(
-            [sys.executable, "-m", "aml.cli", *argv], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+            [sys.executable, "-m", "aml.cli", *argv], cwd=trees[side], env=envs[side],
+            stdout=subprocess.DEVNULL,
         ).returncode
         if code not in (0, 1):
-            raise SystemExit(f"{tree}: {' '.join(argv)}: exit {code}")
-        return time.perf_counter() - t0
+            raise SystemExit(f"{trees[side]}: {' '.join(argv)}: exit {code}")
+        return (time.perf_counter() - t0) * 1e3
 
+    times = {side: {key: [] for key in ONESHOT_KEYS} for side in trees}
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "out")
-        audits = [wall(["proof", "check", "--audit", "--json", *suite, "--out", out,
-                        str(script.relative_to(tree))])
-                  for script in sorted((tree / "corpus" / "proofs").glob("*/*.prf"))]
         for name, text in CONSEQUENCE.items():
             (Path(tmp) / name).write_text(text + "\n")
-        decisions = [wall(["consequence", "--json", "--kind", kind, *suite, "--out", out,
-                           str(Path(tmp) / name)])
+        commands = [("proof_check_audit_ms",
+                     ["proof", "check", "--audit", "--json", *suite, "--out", out,
+                      str(script.relative_to(ROOT))])
+                    for script in sorted((ROOT / "corpus" / "proofs").glob("*/*.prf"))]
+        commands += [("consequence_ms",
+                      ["consequence", "--json", "--kind", kind, *suite, "--out", out,
+                       str(Path(tmp) / name)])
                      for kind in ("global", "local", "strong") for name in CONSEQUENCE]
-    return {"proof_check_audit_ms": statistics.median(audits) * 1e3,
-            "consequence_ms": statistics.median(decisions) * 1e3}
+        for i, (key, argv) in enumerate(commands, seed):
+            for side in turn(trees, i):
+                times[side][key].append(wall(side, argv))
+    return times
 
 
 def acceptance(tree: Path) -> dict:
@@ -162,23 +183,24 @@ def main(argv=None) -> int:
     trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
     runs: dict = {side: {w: [] for w in WORKLOADS} for side in trees}
 
-    def turn(i: int) -> list:
-        """The order in which the checkouts run on turn ``i``."""
-        return list(trees) if i % 2 == 0 else list(trees)[::-1]
-
     for workload in WORKLOADS:
         for i, seed in enumerate(args.seeds):
-            for side in turn(i):
+            for side in turn(trees, i):
                 runs[side][workload].append(run(trees[side], workload, seed, args.seconds))
                 print(f"{workload} seed {seed} {side}: done", file=sys.stderr)
     traced = {side: {w: run(tree, w, args.seeds[0], args.seconds, trace=1) for w in WORKLOADS}
               for side, tree in trees.items()}
-    shots: dict = {side: [] for side in trees}
-    for i, seed in enumerate(args.seeds):
-        for side in turn(i):
-            shots[side].append(oneshot(trees[side], seed))
-            print(f"one-shot seed {seed} {side}: done", file=sys.stderr)
-    criteria = {side: acceptance(trees[side]) for side in turn(len(args.seeds))}
+    shots: dict = {side: [] for side in trees}  # each seed's medians
+    pairs: dict = {key: [] for key in ONESHOT_KEYS}  # change minus parent, per command
+    for seed in args.seeds:
+        times = oneshot(trees, seed)
+        for side in trees:
+            shots[side].append({key: statistics.median(t) for key, t in times[side].items()})
+        if args.parent:
+            for key in ONESHOT_KEYS:
+                pairs[key] += map(operator.sub, times["change"][key], times["parent"][key])
+        print(f"one-shot seed {seed}: done", file=sys.stderr)
+    criteria = {side: acceptance(trees[side]) for side in turn(trees, len(args.seeds))}
     bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE")
 
     def medians(side: str) -> dict:
@@ -204,6 +226,11 @@ def main(argv=None) -> int:
         "acceptance": criteria["change"],
     }
     if args.parent:
+        doc["oneshot"]["pairs"] = {
+            key: {"median_diff_ms": statistics.median(d), "wins": sum(x < 0 for x in d),
+                  "count": len(d)}
+            for key, d in pairs.items()
+        }
         doc["parent"] = {
             "commit": commit(trees["parent"]),
             "workloads": medians("parent"),
@@ -231,6 +258,10 @@ def main(argv=None) -> int:
             fmt, fmt_new = ("/".join(f"{v:.4g}" for v in quartiles(x)) for x in (old, new))
             print(f"{'one-shot':<16} {key:<18} {fmt:<32} {fmt_new:<32} {wins}/{len(new)}"
                   f"  (PYTHONDONTWRITEBYTECODE={bytecode})")
+        for key, paired in doc["oneshot"]["pairs"].items():
+            print(f"{'one-shot pairs':<16} {key:<18} median change - parent "
+                  f"{paired['median_diff_ms']:+.4g} ms, "
+                  f"{paired['wins']}/{paired['count']} pairs won")
         print("\nacceptance criteria, s: parent -> change")
         for name, seconds in criteria["change"].items():
             print(f"{name:<44} {criteria['parent'].get(name)} -> {seconds}")

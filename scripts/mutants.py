@@ -95,7 +95,8 @@ MUTANTS = [
         "                return (k, *_decoded(free, digits[a]), p)\n",
         (TEST_SEMANTICS,),
     ),
-    # A generated `model.Suite`, laid out from its positions.
+    # A generated `model.Suite`: each sample drawn in one call, the columns
+    # laid out from a table of its positions.
     Mutant(
         "suite-digits-reversed", MODEL,
         "            shifts = range(size * (digits - 1), -1, -size)\n",
@@ -110,23 +111,41 @@ MUTANTS = [
     ),
     Mutant(
         "twin-skipped-at-its-own-position", MODEL,
-        "map(operator.ge, images, positions)",
-        "map(operator.gt, images, positions)",
+        "map(operator.ge, _swap_images(len(shifts) - 4), range(count))",
+        "map(operator.gt, _swap_images(len(shifts) - 4), range(count))",
         (TEST_MODEL,),
     ),
     Mutant(
         "sample-constants-before-cells", MODEL,
-        "    cells = [rng.getrandbits(size) for _ in range(size * size)]\n"
-        "    masks = [rng.getrandbits(size) for _ in names]\n",
-        "    masks = [rng.getrandbits(size) for _ in names]\n"
-        "    cells = [rng.getrandbits(size) for _ in range(size * size)]\n",
+        "    if defined:\n        # def holds",
+        "    first, cells = len(names), size * size\n"
+        "    values = values[first:first + cells] + values[:first] + values[first + cells:]\n"
+        "    if defined:\n        # def holds",
         (TEST_MODEL,),
     ),
     Mutant(
         "defined-row-packed-empty", MODEL,
-        "                digits[:0] = [[full] * len(positions)] * size\n",
-        "                digits[:0] = [[0] * len(positions)] * size\n",
+        "(full * lanes,) * (size * size - cells)",
+        "(bytes(lanes),) * (size * size - cells)",
         (TEST_MODEL, TEST_SEMANTICS),
+    ),
+    Mutant(
+        "low-bits-of-each-word", MODEL,
+        " >> 32 - size & mask\n",
+        " & mask\n",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "sample-column-stride-off-by-one", MODEL,
+        "joined[t::stride]",
+        "joined[t::stride + 1]",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "def-without-the-first-element", MODEL,
+        "= 1 | values[-1]",
+        "= values[-1]",
+        (TEST_MODEL,),
     ),
     Mutant(
         "one-layout-for-every-suite", SEMANTICS,

@@ -36,6 +36,7 @@ import json
 import operator
 import random
 import re
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -485,10 +486,14 @@ class Suite(Sequence[Structure]):
     total; structures whose cells agree share one ``rows`` tuple (`_grid`).
     A two-element structure's ``twin`` is the structure at its swap
     image's position (`_swap_images`) when that comes earlier.  The samples'
-    masks are drawn when the suite is made, in the stream's order, and a
-    sample is built from them.  `runs` gives the lanes' masks without
-    building any structure, and ``layout`` is where `semantics` keeps the
-    suite's lane layout once it has made one."""
+    masks are drawn when the suite is made, in the stream's order, one
+    stream word per mask and each sample's words in one call (`_draw`), and
+    a sample is built from them.  A slice of a suite is the list of its
+    structures.  `runs` gives the lanes' masks without building any
+    structure: an exhaustive block's columns come from a cached, pure table
+    of its positions (`_positions`), and a run of samples' are slices of
+    their masks joined.  ``layout`` is where `semantics` keeps the suite's
+    lane layout once it has made one."""
 
     def __init__(self, spec: SuiteSpec) -> None:
         if spec.max_size < 1:
@@ -512,11 +517,11 @@ class Suite(Sequence[Structure]):
             self._blocks.append((start, size, 1 << size * digits, cells, shifts, images))
             start += 1 << size * digits
         self._first_sample = start
-        self._drawn: list[tuple] = []  # each sample's size, cells and constants
+        self._drawn: list[tuple] = []  # each sample's size and values
         if spec.samples and spec.max_size >= 3:
             rng = random.Random(spec.seed)
-            for _ in range(spec.samples):
-                self._drawn.append(_draw(rng, rng.randint(3, spec.max_size), names, spec.defined))
+            self._drawn = [_draw(rng, rng.randint(3, spec.max_size), names, spec.defined)
+                           for _ in range(spec.samples)]
         self._length = start + len(self._drawn)
         self.made: dict[int, Structure] = {}
         self.layout = None
@@ -524,7 +529,9 @@ class Suite(Sequence[Structure]):
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, index: int) -> Structure:
+    def __getitem__(self, index: int | slice) -> Structure | list[Structure]:
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(self._length))]
         k = operator.index(index)
         if k < 0:
             k += self._length
@@ -551,8 +558,10 @@ class Suite(Sequence[Structure]):
                 masks.update(zip(self._free_names, [choice >> s & full for s in shifts[cells:]]))
                 twin = self[start + images[p]] if images and images[p] < p else None
                 return Structure(_universe(size), _grid(size, self._defined, grid), masks, twin)
-        size, cells, masks = self._drawn[k - self._first_sample]
-        return Structure(_universe(size), _rows(cells, size), dict(zip(self._names, masks)))
+        size, values = self._drawn[k - self._first_sample]
+        cells = size * size
+        return Structure(_universe(size), _rows(values[:cells], size),
+                         dict(zip(self._names, values[cells:])))
 
     def runs(self) -> Iterator[tuple]:
         """The lanes of each run of structures of one size, building none:
@@ -561,22 +570,18 @@ class Suite(Sequence[Structure]):
         lanes' masks per application cell, row by row, and ``masks`` one per
         constant name.  A structure whose twin comes earlier gets no lane."""
         for start, size, count, cells, shifts, images in self._blocks:
-            full = (1 << size) - 1
-            positions = range(count)
-            if images is not None:
-                positions = list(itertools.compress(positions, map(operator.ge, images, positions)))
-            digits = [[p >> shift & full for p in positions] for shift in shifts]
-            masks = {}
-            if self._defined:
-                digits[:0] = [[full] * len(positions)] * size
-                masks[DEFINEDNESS] = [1] * len(positions)
-            masks.update(zip(self._free_names, digits[size * size:]))
-            yield [start + p + 1 for p in positions], digits[:size * size], masks
+            marks, digits = _positions(start, size, shifts, images is not None)
+            full, lanes = bytes([(1 << size) - 1]), len(marks)
+            masks = {DEFINEDNESS: b"\1" * lanes} if self._defined else {}
+            masks.update(zip(self._free_names, digits[cells:]))
+            yield marks, (full * lanes,) * (size * size - cells) + digits[:cells], masks
         drawn = enumerate(self._drawn, self._first_sample + 1)
-        for _, run in itertools.groupby(drawn, key=lambda d: d[1][0]):
+        for size, run in itertools.groupby(drawn, key=lambda d: d[1][0]):
             marks, samples = zip(*run)
-            _, cells, masks = zip(*samples)
-            yield marks, list(zip(*cells)), dict(zip(self._names, zip(*masks)))
+            joined = list(itertools.chain.from_iterable(values for _, values in samples))
+            stride = len(samples[0][1])
+            columns = [joined[t::stride] for t in range(size * size + len(self._names))]
+            yield marks, columns[:size * size], dict(zip(self._names, columns[size * size:]))
 
 
 @lru_cache(maxsize=None)
@@ -609,13 +614,44 @@ def _swap_images(free: int) -> tuple[int, ...]:
                  for d in itertools.product(range(4), repeat=n))
 
 
+@lru_cache(maxsize=None)
+def _positions(start: int, size: int, shifts: range, twins: bool) -> tuple:
+    """The lane marks of the exhaustive block of ``size`` that starts at
+    ``start``, and one ``bytes`` column per digit of its positions, read at
+    ``shifts``.  Digit t of the positions in order is a period: each digit
+    value repeated 2^shift times.  With ``twins``, the positions whose swap
+    image comes earlier are dropped."""
+    count = 1 << size * len(shifts)
+    digits = [b"".join([bytes([d]) * (1 << s) for d in range(1 << size)]) * (count >> s + size)
+              for s in shifts]
+    marks = range(start + 1, start + count + 1)
+    if twins:
+        keep = list(map(operator.ge, _swap_images(len(shifts) - 4), range(count)))
+        marks = tuple(itertools.compress(marks, keep))
+        digits = [bytes(itertools.compress(d, keep)) for d in digits]
+    return marks, tuple(digits)
+
+
+@lru_cache(maxsize=None)
+def _reader(size: int, words: int) -> tuple:
+    """The mask that keeps ``size`` bits of each of ``words`` 32-bit words,
+    and the unpacker of the words from little-endian bytes."""
+    ones = ((1 << 32 * words) - 1) // 0xFFFFFFFF  # bit 0 of every word
+    return ((1 << size) - 1) * ones, struct.Struct(f"<{words}I").unpack
+
+
 def _draw(rng: random.Random, size: int, names: list[str], defined: bool) -> tuple:
-    """A sample's size, its cells row by row and its constants in ``names``
-    order, drawn in the stream's order."""
-    cells = [rng.getrandbits(size) for _ in range(size * size)]
-    masks = [rng.getrandbits(size) for _ in names]
+    """A sample's size and its values: its cells row by row, then its
+    constants in ``names`` order, then with ``defined`` one more word for
+    ``def``.  Each value is the top ``size`` bits of one 32-bit word of the
+    stream, as ``rng.getrandbits(size)`` gives it; all the words are read in
+    one call, whose result holds them first word lowest."""
+    words = size * size + len(names) + defined
+    mask, unpack = _reader(size, words)
+    drawn = rng.getrandbits(32 * words) >> 32 - size & mask
+    values = unpack(drawn.to_bytes(4 * words, "little"))
     if defined:
         # def holds the first element and maybe more; that element's row is total.
-        masks[names.index(DEFINEDNESS)] = 1 | rng.getrandbits(size)
-        cells[:size] = [(1 << size) - 1] * size
-    return size, cells, masks
+        values = [(1 << size) - 1] * size + list(values[size:])
+        values[size * size + names.index(DEFINEDNESS)] = 1 | values[-1]
+    return size, values

@@ -363,8 +363,11 @@ class TestSuite:
     same indices, twins included, each built once and only when asked."""
 
     @pytest.mark.parametrize("seed", [2, 9])
-    @pytest.mark.parametrize("samples", [0, 30])
-    @pytest.mark.parametrize("max_size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_size,samples", [
+        (1, 0), (1, 30), (2, 0), (2, 30), (3, 0), (3, 30), (4, 0), (4, 30),
+        # Values of more than 5 and more than 8 bits.
+        (6, 8), (9, 8), (12, 8),
+    ])
     @pytest.mark.parametrize("defined", [False, True])
     @pytest.mark.parametrize("names", [(), ("c",), ("c", "d")])
     def test_a_suite_is_its_stream(self, names, defined, max_size, samples, seed):
@@ -392,22 +395,35 @@ class TestSuite:
     @pytest.mark.parametrize("defined", [False, True])
     @pytest.mark.parametrize("names", [(), ("c",), ("c", "d")])
     def test_runs_are_the_lanes_of_the_structures(self, names, defined):
-        suite = SuiteSpec(Signature(names), 4, 5, 30, defined).suite()
-        runs = list(suite.runs())
-        assert suite.made == {}  # nothing is built
-        marks, sizes = [], []
-        for run_marks, cells, masks in runs:
-            marks += run_marks
-            sizes.append(len(suite[run_marks[0] - 1].universe))
-            for lane, mark in enumerate(run_marks):
-                s = suite[mark - 1]
-                assert len(s.universe) == sizes[-1]
-                assert [c[lane] for c in cells] == [m for row in s.rows for m in row]
-                assert {name: c[lane] for name, c in masks.items()} == dict(s.masks)
-        # Every structure has a lane but those whose twin comes earlier,
-        # and a run changes with the universe size.
-        assert marks == [k + 1 for k, s in enumerate(suite) if s.twin is None]
-        assert all(a != b for a, b in zip(sizes, sizes[1:]))
+        # The samples reach values of more than 5, and more than 8, bits.
+        for max_size, samples, widest in [(4, 30, 4), (6, 12, 6), (9, 12, 9), (12, 12, 9)]:
+            suite = SuiteSpec(Signature(names), max_size, 5, samples, defined).suite()
+            runs = list(suite.runs())
+            assert suite.made == {}  # nothing is built
+            marks, sizes = [], []
+            for run_marks, cells, masks in runs:
+                marks += run_marks
+                sizes.append(len(suite[run_marks[0] - 1].universe))
+                for lane, mark in enumerate(run_marks):
+                    s = suite[mark - 1]
+                    assert len(s.universe) == sizes[-1]
+                    assert [c[lane] for c in cells] == [m for row in s.rows for m in row]
+                    assert {name: c[lane] for name, c in masks.items()} == dict(s.masks)
+            # Every structure has a lane but those whose twin comes earlier,
+            # and a run changes with the universe size.
+            assert marks == [k + 1 for k, s in enumerate(suite) if s.twin is None]
+            assert all(a != b for a, b in zip(sizes, sizes[1:]))
+            assert max(sizes) >= widest
+
+    def test_a_slice_is_a_list_of_the_suites_structures(self):
+        suite = SuiteSpec(Signature(("c",)), 3, 4, 10).suite()
+        every = list(suite)
+        for key in [slice(None, 3), slice(-3, None), slice(5, 50, 7), slice(None, None, -1),
+                    slice(-2, 10, -3), slice(1100, None), slice(3, 3), slice(-5000, 5000, 400)]:
+            got = suite[key]
+            assert isinstance(got, list)
+            assert len(got) == len(every[key])
+            assert all(a is b for a, b in zip(got, every[key])), key
 
     def test_the_corpus_suite(self):
         suite = SuiteSpec(Signature(("c",)), max_size=3, seed=1, samples=200).suite()
