@@ -11,7 +11,8 @@ script belongs to and, with ``--parent``, in a checkout of another commit
      traced: {name: {counter: value}},
      oneshot: {proof_check_audit_ms: median, consequence_ms: median,
                PYTHONDONTWRITEBYTECODE: value,
-               pairs: {key: {median_diff_ms, wins, count}}},
+               pairs: {key: {median_diff_ms, q1_diff_ms, q3_diff_ms, wins,
+                             count}}},
      acceptance: {criterion: seconds}}
 
 where each median is over the seeds and ``traced`` holds the traced run's
@@ -28,10 +29,11 @@ None), which decides whether every process compiles ``src/`` again.  With
 ``--parent`` the file also holds the same for that checkout under
 ``parent``, and each one-shot command runs in the two checkouts one right
 after the other, which goes first alternating from command to command:
-``oneshot.pairs`` gives per key the median over every command and seed of
-the change's time minus the parent's, and on how many of the ``count``
-pairs the change was faster (``wins``), since one process's time varies
-with the machine far more than from one commit to the next.
+``oneshot.pairs`` gives per key the median and quartiles over every
+command and seed of the change's time minus the parent's, and on how many
+of the ``count`` pairs the change was faster (``wins``), since one
+process's time varies with the machine far more than from one commit to
+the next.
 ``acceptance`` holds the wall time of each of the nine acceptance criteria
 (set-up, call and teardown, to 10 ms) from one ``pytest --durations=0
 tests/test_acceptance.py`` run in each checkout.
@@ -227,8 +229,8 @@ def main(argv=None) -> int:
     }
     if args.parent:
         doc["oneshot"]["pairs"] = {
-            key: {"median_diff_ms": statistics.median(d), "wins": sum(x < 0 for x in d),
-                  "count": len(d)}
+            key: dict(zip(("q1_diff_ms", "median_diff_ms", "q3_diff_ms"), quartiles(d)),
+                      wins=sum(x < 0 for x in d), count=len(d))
             for key, d in pairs.items()
         }
         doc["parent"] = {
@@ -259,8 +261,9 @@ def main(argv=None) -> int:
             print(f"{'one-shot':<16} {key:<18} {fmt:<32} {fmt_new:<32} {wins}/{len(new)}"
                   f"  (PYTHONDONTWRITEBYTECODE={bytecode})")
         for key, paired in doc["oneshot"]["pairs"].items():
-            print(f"{'one-shot pairs':<16} {key:<18} median change - parent "
-                  f"{paired['median_diff_ms']:+.4g} ms, "
+            diffs = "/".join(f"{paired[q]:+.4g}" for q in
+                             ("q1_diff_ms", "median_diff_ms", "q3_diff_ms"))
+            print(f"{'one-shot pairs':<16} {key:<18} change - parent q1/median/q3 {diffs} ms, "
                   f"{paired['wins']}/{paired['count']} pairs won")
         print("\nacceptance criteria, s: parent -> change")
         for name, seconds in criteria["change"].items():
