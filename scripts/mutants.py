@@ -42,11 +42,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SEMANTICS = "aml/semantics.py"
 MODEL = "aml/model.py"
 SUGAR = "aml/sugar.py"
+SYNTAX = "aml/syntax.py"
 SUBSTITUTION = "aml/substitution.py"
 CLI = "aml/cli.py"
 TEST_SEMANTICS = "tests/test_semantics.py"
 TEST_MODEL = "tests/test_model.py"
 TEST_SUBSTITUTION = "tests/test_substitution.py"
+TEST_SUGAR = "tests/test_sugar.py"
+TEST_SYNTAX = "tests/test_syntax.py"
 TEST_CLI = "tests/test_cli.py"
 
 
@@ -223,9 +226,42 @@ MUTANTS = [
     ),
     Mutant(
         "swap-image-cells-not-reversed", MODEL,
-        "enumerate(d[3::-1] + d[4:])",
-        "enumerate(d[:4] + d[4:])",
+        "        images = [i | s << 2 * t for i in images for s in swap]\n",
+        "        images = [i | s << 2 * (3 - t) for i in images for s in swap]\n",
         (TEST_MODEL, TEST_SEMANTICS),
+    ),
+    Mutant(
+        "swap-image-constants-not-swapped", MODEL,
+        "        images = [i << 2 | s for i in images for s in swap]\n",
+        "        images = [i << 2 | s for i in images for s in range(4)]\n",
+        (TEST_MODEL,),
+    ),
+    # The syntax layer: nodes built through their slots, and the sugar
+    # lexer and parser.
+    Mutant(
+        "node-fields-written-swapped", SYNTAX,
+        '    body = "".join(f"\\n    _set_{n}(self, {n})" for n in names)\n',
+        '    body = "".join(f"\\n    _set_{n}(self, {m})" for n, m in zip(names, names[::-1]))\n',
+        (TEST_SYNTAX,),
+    ),
+    Mutant(
+        "lexer-skips-stray-characters", SUGAR,
+        '    if "".join(toks) != "".join(text.split()):\n',
+        "    if False:\n",
+        (TEST_SUGAR,),
+    ),
+    Mutant(
+        "leaf-table-keyed-by-prefix", SUGAR,
+        "        self.leaves[t] = leaf\n",
+        "        self.leaves[t[:2]] = leaf\n",
+        (TEST_SUGAR,),
+    ),
+    Mutant(
+        "take-reads-past-the-end", SUGAR,
+        "        if t is None:\n"
+        '            raise ArityError("input ended inside a pattern")\n',
+        "",
+        (TEST_SUGAR,),
     ),
     # Substitution: `is_free_for` in one walk carrying a captured flag, and
     # the clashes that `subst_capture_avoiding` renames.

@@ -609,9 +609,13 @@ def _swap_images(free: int) -> tuple[int, ...]:
     """Where each two-element structure's 0<->1 image sits in its block: a
     position reads in base 4, a mask per digit, cells first, then ``free``
     constants; the swap exchanges each mask's bits and reverses the cells."""
-    swap, n = (0, 2, 1, 3), 4 + free
-    return tuple(sum(swap[m] << 2 * (n - 1 - k) for k, m in enumerate(d[3::-1] + d[4:]))
-                 for d in itertools.product(range(4), repeat=n))
+    swap, images = (0, 2, 1, 3), [0]
+    for t in range(4):
+        # Cell digit t, from the most significant, lands at digit 3 - t.
+        images = [i | s << 2 * t for i in images for s in swap]
+    for _ in range(free):
+        images = [i << 2 | s for i in images for s in swap]
+    return tuple(images)
 
 
 @lru_cache(maxsize=None)

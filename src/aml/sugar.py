@@ -77,7 +77,6 @@ __all__ = [
     "match_nu",
     "match_ceil",
     "match_floor",
-    "match_eq",
     "match_mem",
     "parse_sugar",
     "render_sugar",
@@ -282,13 +281,6 @@ def match_floor(p: Pattern):
     return match_neg(arg)
 
 
-def match_eq(p: Pattern):
-    body = match_floor(p)
-    if body is None:
-        return None
-    return match_iff(body)
-
-
 def match_mem(p: Pattern):
     arg = match_ceil(p)
     if arg is None:
@@ -303,41 +295,38 @@ def match_mem(p: Pattern):
 # Lexer and parser for the infix grammar.
 
 _TOKEN = re.compile(r"<->|->|/\\|\\/|\[\]|[().!=]|[A-Za-z_][A-Za-z0-9_]*")
-_WS = re.compile(r"\s*")
+# The longest prefix that reads as tokens and whitespace.
+_READ = re.compile(rf"(?:\s*(?:{_TOKEN.pattern}))*\s*")
 
 # Tokens that end an application: none of them can start an atom.
 _NOT_ATOM = frozenset({")", ".", "<->", "->", "\\/", "/\\", "=", "in", "!"})
+_ENDS_APP = _NOT_ATOM | {None}
 
 
 def _lex(text: str) -> list[str]:
-    out = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        pos = _WS.match(text, pos).end()
-        if pos >= n:
-            break
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise Malformed(f"cannot read input at column {pos + 1}: {text[pos:pos + 10]!r}")
-        out.append(m.group(0))
-        pos = m.end()
-    return out
+    # `findall` skips whatever no token matches.  No token holds whitespace,
+    # and `\s` is exactly what `str.split` splits on, so the tokens spell the
+    # text without its whitespace exactly when nothing else was skipped.
+    toks = _TOKEN.findall(text)
+    if "".join(toks) != "".join(text.split()):
+        pos = _READ.match(text).end()
+        raise Malformed(f"cannot read input at column {pos + 1}: {text[pos:pos + 10]!r}")
+    return toks
 
 
 class _Parser:
     def __init__(self, toks: list[str], sig: Signature, allow_hole: bool):
-        self.toks = toks
+        # None marks the end, so reading the next token needs no bounds check.
+        self.toks = toks + [None]
         self.sig = sig
         self.allow_hole = allow_hole
         self.pos = 0
         self.depth = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        # The variable and constant leaves read so far, by token.
+        self.leaves = {}
 
     def take(self):
-        t = self.peek()
+        t = self.toks[self.pos]
         if t is None:
             raise ArityError("input ended inside a pattern")
         self.pos += 1
@@ -361,14 +350,14 @@ class _Parser:
     # grammar, loosest level first
     def pattern(self) -> Pattern:
         left = self.imp()
-        if self.peek() == "<->":
+        if self.toks[self.pos] == "<->":
             self.take()
             return iff(left, self.imp())
         return left
 
     def imp(self) -> Pattern:
         operands = [self.or_()]
-        while self.peek() == "->":
+        while self.toks[self.pos] == "->":
             self.take()
             operands.append(self.or_())
         acc = operands.pop()
@@ -378,21 +367,21 @@ class _Parser:
 
     def or_(self) -> Pattern:
         acc = self.and_()
-        while self.peek() == "\\/":
+        while self.toks[self.pos] == "\\/":
             self.take()
             acc = or_(acc, self.and_())
         return acc
 
     def and_(self) -> Pattern:
         acc = self.eq()
-        while self.peek() == "/\\":
+        while self.toks[self.pos] == "/\\":
             self.take()
             acc = and_(acc, self.eq())
         return acc
 
     def eq(self) -> Pattern:
         left = self.mem()
-        if self.peek() == "=":
+        if self.toks[self.pos] == "=":
             self.take()
             self._need_def("=")
             return eq(left, self.mem())
@@ -400,7 +389,7 @@ class _Parser:
 
     def mem(self) -> Pattern:
         left = self.neg()
-        if self.peek() == "in":
+        if self.toks[self.pos] == "in":
             self.take()
             if not isinstance(left, EVar):
                 raise Malformed("left operand of 'in' must be an element variable")
@@ -410,7 +399,7 @@ class _Parser:
 
     def neg(self) -> Pattern:
         count = 0
-        while self.peek() == "!":
+        while self.toks[self.pos] == "!":
             self.take()
             count += 1
         acc = self.app()
@@ -420,15 +409,15 @@ class _Parser:
 
     def app(self) -> Pattern:
         acc = self.atom()
-        while self._starts_atom(self.peek()):
+        while self.toks[self.pos] not in _ENDS_APP:
             acc = Appl(acc, self.atom())
         return acc
 
-    def _starts_atom(self, t) -> bool:
-        return t is not None and t not in _NOT_ATOM
-
     def atom(self) -> Pattern:
         t = self.take()
+        leaf = self.leaves.get(t)
+        if leaf is not None:
+            return leaf
         if t == "(":
             p = self.nested()
             self.expect(")")
@@ -458,19 +447,20 @@ class _Parser:
             p = self.nested()
             self.expect(")")
             return ceil(p) if t == "ceil" else floor(p)
-        m = EVAR_TOKEN.match(t)
-        if m:
-            return EVar(int(m.group(1)))
-        m = SVAR_TOKEN.match(t)
-        if m:
-            return SVar(int(m.group(1)))
-        if t in self.sig:
-            return Const(t)
-        if t in _NOT_ATOM:
+        if m := EVAR_TOKEN.match(t):
+            leaf = EVar(int(m.group(1)))
+        elif m := SVAR_TOKEN.match(t):
+            leaf = SVar(int(m.group(1)))
+        elif t in self.sig:
+            leaf = Const(t)
+        elif t in _NOT_ATOM:
             raise Malformed(f"unexpected {t!r}")
-        raise UnknownSymbol(
-            f"{t!r} is not a variable, a keyword, or a declared constant"
-        )
+        else:
+            raise UnknownSymbol(
+                f"{t!r} is not a variable, a keyword, or a declared constant"
+            )
+        self.leaves[t] = leaf
+        return leaf
 
     def _binder_var(self, pat, what: str, kw: str) -> int:
         t = self.take()

@@ -18,7 +18,7 @@ brute-force oracles.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Union
@@ -155,40 +155,56 @@ def load_signature(path: str | Path) -> Signature:
     return Signature(tuple(names))
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """``cls`` as a frozen dataclass with slots, whose ``__init__`` writes each
+    field through its slot descriptor instead of ``object.__setattr__``.  The
+    dataclass still makes ``__eq__``, ``__hash__`` (the hash of the field
+    tuple), ``__repr__`` and ``__match_args__``, and assigning or deleting a
+    field still raises ``FrozenInstanceError``."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    env = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+    exec(f"def __init__(self, {', '.join(names)}):{body}", env)
+    cls.__init__ = env["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@_node
 class EVar:
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class SVar:
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class Const:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Appl:
     left: "Pattern"
     right: "Pattern"
 
 
-@dataclass(frozen=True)
+@_node
 class Imp:
     left: "Pattern"
     right: "Pattern"
 
 
-@dataclass(frozen=True)
+@_node
 class Exists:
     var: int
     body: "Pattern"
 
 
-@dataclass(frozen=True)
+@_node
 class Mu:
     var: int
     body: "Pattern"

@@ -8,15 +8,18 @@ row-by-row truth table over a skeleton tree, evaluation and
 consequence from the original frozenset evaluator, which meets every ``mu``
 with the intersection of all closed sets, the structure stream from the
 original frozenset enumeration, and fixpoints of arbitrary set operators by
-Knaster-Tarski enumeration, exact-fixpoint enumeration and Kleene iteration.
+Knaster-Tarski enumeration, exact-fixpoint enumeration and Kleene iteration,
+and the sugar tokens by reading one token at a time from the left.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from aml.model import ENUMERATION_CAP, Structure, UniverseTooLarge, subsets_of
+from aml.sugar import _TOKEN
 from aml.syntax import (
     DEFINEDNESS,
     Appl,
@@ -24,6 +27,7 @@ from aml.syntax import (
     EVar,
     Exists,
     Imp,
+    Malformed,
     Mu,
     ParseError,
     Pattern,
@@ -65,6 +69,28 @@ def binary_split_by_reparse(p: Pattern, i: int, sig: Signature) -> tuple[int, in
             if parse_slice(toks[j + 1 : k + 1], sig) is not None:
                 return j, k
     raise AssertionError("no parseable operand split")
+
+
+_WS = re.compile(r"\s*")
+
+
+def lex_sequential(text: str) -> list[str]:
+    """The sugar tokens of ``text``, read one at a time: skip whitespace,
+    then take the token that starts there, or raise `Malformed` naming the
+    column where none does."""
+    out = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        pos = _WS.match(text, pos).end()
+        if pos >= n:
+            break
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise Malformed(f"cannot read input at column {pos + 1}: {text[pos:pos + 10]!r}")
+        out.append(m.group(0))
+        pos = m.end()
+    return out
 
 
 def positive_rec(p: Pattern, v: int) -> bool:

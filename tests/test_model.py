@@ -278,7 +278,7 @@ class TestEnumeration:
         assert count > 0
 
     @pytest.mark.parametrize("defined", [False, True])
-    @pytest.mark.parametrize("names", [(), ("c",), ("c", "d"), ("def",)])
+    @pytest.mark.parametrize("names", [(), ("c",), ("c", "d"), ("def",), ("c", "d", "e")])
     @pytest.mark.parametrize("max_size, samples", [(1, 5), (2, 0), (3, 40)])
     def test_twins_are_earlier_swap_images(self, names, defined, max_size, samples):
         sig = Signature(names)

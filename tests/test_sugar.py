@@ -1,8 +1,12 @@
 """Derived connectives, the human-readable syntax, and resugaring."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from strategies import SIG, patterns
 from aml.substitution import VarRef, subst_free
 from aml.sugar import (
@@ -31,6 +35,7 @@ from aml.sugar import (
     render,
     render_sugar,
 )
+from aml.sugar import _lex
 from aml.syntax import (
     Appl,
     ArityError,
@@ -172,6 +177,54 @@ class TestParsing:
         assert parse("c -> d", DSIG, "sugar") == Imp(C, D)
         with pytest.raises(ValueError):
             parse("c", DSIG, "latex")
+
+
+# Whole tokens, their characters alone and stray characters, and whitespace:
+# ASCII, the separators `str.split` also splits on (\x1c, \x85) and Unicode
+# spaces, beside U+200B, which is not whitespace.
+_LEX_PIECES = (
+    "<->", "->", "/\\", "\\/", "[]", "(", ")", ".", "!", "=",
+    "x0", "x1", "x10", "X1", "c", "in", "mu", "_a9",
+    "<", "-", ">", "/", "\\", "[", "]", "$", "\u200b", "1",
+    " ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u3000",
+)
+
+
+class TestLexer:
+    @given(st.lists(st.sampled_from(_LEX_PIECES), max_size=12).map("".join))
+    @settings(max_examples=500)
+    def test_one_call_matches_the_sequential_reading(self, text):
+        """`_lex` gives the tokens of the one-at-a-time reference, or the
+        same error, column included."""
+        try:
+            want = oracles.lex_sequential(text)
+        except Malformed as e:
+            with pytest.raises(Malformed) as got:
+                _lex(text)
+            assert str(got.value) == str(e)
+        else:
+            assert _lex(text) == want
+
+    def test_whitespace_is_what_split_splits_on(self):
+        """The premise of the one-call lexer: `\\s` and `str.split` agree on
+        every code point."""
+        text = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\s", text) == [c for c in text if not c.split()]
+
+    def test_unreadable_input_names_its_column(self):
+        with pytest.raises(Malformed) as got:
+            parse_sugar("x0 ->\u3000$ c", DSIG)
+        assert str(got.value) == "cannot read input at column 7: '$ c'"
+
+    def test_leaves_are_read_by_whole_token(self):
+        """Repeated leaves come from one table per call, keyed by the whole
+        token: ``x1`` after ``x10`` is still ``x1``."""
+        got = parse_sugar("x10 x1 X10 X1 c x10 x1 X1", DSIG)
+        want = (EVar(10), EVar(1), SVar(10), SVar(1), C, EVar(10), EVar(1), SVar(1))
+        acc = want[0]
+        for leaf in want[1:]:
+            acc = Appl(acc, leaf)
+        assert got == acc
 
 
 class TestRendering:

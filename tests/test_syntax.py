@@ -1,5 +1,7 @@
 """Core syntax: parsing, rendering, scope location, occurrence analysis."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -67,6 +69,53 @@ class TestSignature:
         f = tmp_path / "sig.txt"
         f.write_text("# two constants\nc\n\nd  # trailing\n")
         assert load_signature(f) == Signature(("c", "d"))
+
+
+# One node of each class, with the field names its dataclass declares.
+NODES = [
+    (EVar(3), ("index",)),
+    (SVar(2), ("index",)),
+    (Const("c"), ("name",)),
+    (Appl(EVar(0), Const("c")), ("left", "right")),
+    (Imp(EVar(0), Mu(0, SVar(0))), ("left", "right")),
+    (Exists(1, EVar(1)), ("var", "body")),
+    (Mu(0, SVar(0)), ("var", "body")),
+]
+
+
+class TestNodes:
+    @pytest.mark.parametrize("node, names", NODES, ids=[type(n).__name__ for n, _ in NODES])
+    def test_contract(self, node, names):
+        """Nodes are frozen, slotted dataclasses hashed by their field tuple."""
+        assert tuple(f.name for f in dataclasses.fields(node)) == names
+        assert type(node).__match_args__ == names
+        values = tuple(getattr(node, n) for n in names)
+        assert hash(node) == hash(values)
+        assert node == type(node)(*values) and node is not type(node)(*values)
+        assert not hasattr(node, "__dict__")
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, values[0])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        assert getattr(node, names[0]) == values[0]
+
+    def test_keyword_construction(self):
+        assert Exists(var=1, body=EVar(1)) == Exists(1, EVar(1))
+        assert Imp(right=EVar(1), left=EVar(0)) == Imp(EVar(0), EVar(1))
+
+    def test_repr(self):
+        assert repr(Imp(EVar(0), Mu(0, SVar(0)))) == (
+            "Imp(left=EVar(index=0), right=Mu(var=0, body=SVar(index=0)))"
+        )
+        assert repr(Appl(Const("c"), Exists(2, EVar(2)))) == (
+            "Appl(left=Const(name='c'), right=Exists(var=2, body=EVar(index=2)))"
+        )
+
+    def test_classes_with_equal_fields_differ(self):
+        assert Appl(EVar(0), EVar(1)) != Imp(EVar(0), EVar(1))
+        assert Exists(0, SVar(0)) != Mu(0, SVar(0))
+        assert EVar(0) != SVar(0)
 
 
 class TestParseRender:
