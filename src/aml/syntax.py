@@ -160,7 +160,10 @@ def _node(cls):
     field through its slot descriptor instead of ``object.__setattr__``.  The
     dataclass still makes ``__eq__``, ``__hash__`` (the hash of the field
     tuple), ``__repr__`` and ``__match_args__``, and assigning or deleting a
-    field still raises ``FrozenInstanceError``."""
+    field still raises ``FrozenInstanceError``.  Give ``cls`` a docstring:
+    without one the dataclass writes it from ``inspect.signature``, which
+    with ``init=False`` parses ``object.__init__``'s text signature, and that
+    costs about 2 ms at import."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     names = [f.name for f in fields(cls)]
     env = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
@@ -173,39 +176,53 @@ def _node(cls):
 
 @_node
 class EVar:
+    """The element variable ``x<index>``."""
+
     index: int
 
 
 @_node
 class SVar:
+    """The set variable ``X<index>``."""
+
     index: int
 
 
 @_node
 class Const:
+    """A declared constant symbol."""
+
     name: str
 
 
 @_node
 class Appl:
+    """Application of ``left`` to ``right``."""
+
     left: "Pattern"
     right: "Pattern"
 
 
 @_node
 class Imp:
+    """Implication from ``left`` to ``right``."""
+
     left: "Pattern"
     right: "Pattern"
 
 
 @_node
 class Exists:
+    """``exists x<var> . body``."""
+
     var: int
     body: "Pattern"
 
 
 @_node
 class Mu:
+    """``mu X<var> . body``, the least fixpoint."""
+
     var: int
     body: "Pattern"
 
