@@ -162,6 +162,20 @@ MUTANTS = [
         "    structure = items[mark]\n",
         (TEST_SEMANTICS,),
     ),
+    # The layout: only the suite's first structure is a block alone; every
+    # later run opens with a block of eight lanes.
+    Mutant(
+        "every-run-starts-at-one-lane", SEMANTICS,
+        "            lo = 0\n",
+        "            lo, size = 0, 1\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "first-structure-in-a-block-of-eight", SEMANTICS,
+        "        size = 1  # the suite's first structure is a block alone\n",
+        "        size = _BLOCK_GROWTH\n",
+        (TEST_SEMANTICS,),
+    ),
     # Earlier fast paths: fixpoints, falsum, lane blocks, layout reuse and
     # symmetry.
     Mutant(
@@ -192,6 +206,26 @@ MUTANTS = [
         "layout-identity-by-equality", SEMANTICS,
         "        return suite[lo] is items[lo]\n",
         "        return suite[lo] == items[lo]\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "sweep-end-unchecked", SEMANTICS,
+        "    end = len(items)\n"
+        "    if check and not _same(items, layout.items, seen, end):\n"
+        "        return None\n",
+        "    end = len(items)\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "lane-count-never-advanced", SEMANTICS,
+        "        given += len(marks)\n",
+        "",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "blocks-lacking-a-constant-packed", SEMANTICS,
+        "            if needed <= packed.masks.keys():\n",
+        "            if True:\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(

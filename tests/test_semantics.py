@@ -813,7 +813,8 @@ def _skipped(suite, count):
 
 
 def _block_starts():
-    """Where each block of a run of at least 600 structures begins."""
+    """Where each block of a suite's first run, 600 structures or more,
+    begins."""
     starts, at, size = [], 0, 1
     while at < 600:
         starts.append(at)
@@ -1451,6 +1452,33 @@ _SUITE_SPEC = SuiteSpec(Signature(("c",)), max_size=3, seed=3, samples=30)
 _DEFINED_SPEC = SuiteSpec(Signature(("c",)), max_size=4, seed=2, samples=30, defined=True)
 # Refuted at the second structure, where c is the whole one-element universe.
 _SIZE_ONE = neg(C)
+# x1 -> x0, valid exactly where the universe has one element.
+_TWO = Imp(X1, X0)
+# All samples of size 3, after 66 exhaustive structures; (!c) (c c) is valid
+# on the first seven samples but not on the eighth.
+_DEFINED_THREE = SuiteSpec(Signature(("c",)), max_size=3, seed=2, samples=30, defined=True)
+_EIGHTH = Appl(neg(C), Appl(C, C))
+
+
+def _pigeons(n):
+    """Some two of x0, ..., x(n-1) are equal: valid exactly where the
+    universe has fewer than n elements."""
+    pigeons = [eq(EVar(i), EVar(j)) for i in range(n) for j in range(i + 1, n)]
+    some = pigeons[0]
+    for p in pigeons[1:]:
+        some = or_(some, p)
+    return some
+
+
+def _block_of(layout, mark):
+    """The index in ``layout.blocks`` of the block holding ``mark``."""
+    return next(i for i, (_, marks) in enumerate(layout.blocks) if mark in marks)
+
+
+def _lane_of(layout, mark):
+    """The lane count of the block holding ``mark``, and the lane it has."""
+    marks = list(layout.blocks[_block_of(layout, mark)][1])
+    return len(marks), marks.index(mark)
 
 
 def _suite_agrees(kind, gamma, delta, spec):
@@ -1503,18 +1531,40 @@ class TestSuiteDifferential:
             assert got.structures_skipped == 496
         else:
             assert got.structures_checked == where
-        # Only the one-lane blocks' structures and the counterexample's.
-        assert len(built) <= 4 and not any(s.twin for s in built)
+        # Only the suite's first structure, its one one-lane block, and the
+        # counterexample.
+        assert len(built) <= 2 and not any(s.twin for s in built)
         assert got.holds or got.structure in built
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "delta, spec, where, lane",
+        [
+            ([_TWO], _SUITE_SPEC, 5, 0),  # the head of the two-element run
+            ([_pigeons(3)], _DEFINED_THREE, 67, 0),  # the first sample, its run's head
+            ([or_(_pigeons(3), _EIGHTH)], _DEFINED_THREE, 74, 7),  # lane 7 of that block
+        ],
+    )
+    def test_at_the_head_of_a_later_run(self, kind, delta, spec, where, lane):
+        # Only the suite's first structure is a block alone: a later run
+        # opens with a block of eight lanes.
+        got, suite, _ = _suite_agrees(kind, [], delta, spec)
+        assert not got.holds and got.structures_checked == where
+        assert _lane_of(suite.layout, where) == (8, lane)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_at_a_run_of_one_structure(self, kind):
+        # The first four-element sample sits between samples of three, a
+        # run of its own and still a block of one lane.
+        got, suite, _ = _suite_agrees(kind, [], [_pigeons(4)], _DEFINED_SPEC)
+        assert not got.holds and got.structures_checked == 69
+        assert _lane_of(suite.layout, 69) == (1, 0)
+        assert suite.layout.blocks[_block_of(suite.layout, 69)][0] is got.structure
 
     @pytest.mark.parametrize("kind, n", [*((kind, 3) for kind in KINDS), ("local", 4)])
     def test_at_a_sampled_structure_of_a_defined_suite(self, kind, n):
         # n elements, no two of them equal, exist only among the samples.
-        pigeons = [eq(EVar(i), EVar(j)) for i in range(n) for j in range(i + 1, n)]
-        distinct = pigeons[0]
-        for p in pigeons[1:]:
-            distinct = or_(distinct, p)
-        got, suite, _ = _suite_agrees(kind, [], [distinct], _DEFINED_SPEC)
+        got, suite, _ = _suite_agrees(kind, [], [_pigeons(n)], _DEFINED_SPEC)
         assert not got.holds and len(got.structure.universe) == n
         assert got.structures_checked == {3: 67, 4: 69}[n]
         _suite_agrees(kind, [], [Imp(ceil(C), C)], _DEFINED_SPEC)
@@ -1583,6 +1633,24 @@ class TestSuiteLayout:
         layout = suite.layout
         consequence(*_REUSE_QUERIES[1], suite)
         assert suite.layout is layout
+
+    @pytest.mark.parametrize(
+        "max_size, samples, lanes",
+        [
+            (3, 200, [1, 3, 8, 64, 456, 8, 64, 128]),
+            (3, 40, [1, 3, 8, 64, 456, 8, 32]),
+            (2, 100, [1, 3, 8, 64, 456]),  # the command line's default suite
+        ],
+    )
+    def test_only_the_first_structure_is_a_block_alone(self, max_size, samples, lanes):
+        # Every later run is cut from its head into blocks of 8, 64, ...
+        # lanes, through `Suite.runs` and through `_runs` on a list alike.
+        suite = SuiteSpec(Signature(("c",)), max_size, seed=1, samples=samples).suite()
+        for layout in (semantics._Layout(suite), semantics._Layout(list(suite))):
+            assert [len(marks) for _, marks in layout.blocks] == lanes
+            assert [isinstance(packed, Structure) for packed, _ in layout.blocks] == [
+                n == 1 for n in lanes
+            ]
 
     def test_a_dropped_suite_is_freed_with_its_layout(self):
         suite = _SUITE_SPEC.suite()
