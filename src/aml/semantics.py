@@ -833,9 +833,9 @@ class _Block:
 class _Layout:
     """A suite laid out in lane blocks as the module describes, whatever the
     query, and never changed: the suite's first structure alone, then each
-    run from where it stands in blocks of 8, 64, ... lanes.  It holds
-    ``items``, a copy of the suite, and
-    ``blocks``, a ``(packed, marks)`` pair per block in suite order.
+    run, the first from its second structure, in blocks of 8, 64, ...
+    lanes.  It holds ``items``, a copy of the suite, and ``blocks``, a
+    ``(packed, marks)`` pair per block in suite order.
     ``packed`` is the block's `_Block`, or its structure if it has one lane;
     a lane's mark counts the suite's structures up to and including it, so
     its structure is ``suite[mark - 1]``.  Packed blocks never change;
