@@ -10,9 +10,13 @@ and without `--defined`, exhaustive and sampled, plus one failing
 `consequence --defined`; group `consequence` is `consequence` at all three
 kinds over the default suite and a sampled one, on queries that hold and
 that fail (early, and late in the suite, after structures the symmetry
-reduction skips).  Every run of these four groups goes with and without
-`--json`; where `--json` is not an option, the usage error is what gets
-hashed.  Group `help` is `aml --help`, every `aml <command> --help` and
+reduction skips); group `frontend` is `parse` in both modes with `--emit`
+both ways, and `analyze`, on fixed files of core and sugar patterns that
+hold every node kind and every sugar form, and on malformed core files
+(truncated, tokens left over, an unknown symbol, a binder on the wrong
+kind of variable or on none, one level too deep).  Every run of these five
+groups goes with and without `--json`; where `--json` is not an option, the
+usage error is what gets hashed.  Group `help` is `aml --help`, every `aml <command> --help` and
 three usage errors (an unknown command, a missing required option, a bad
 `--max-size`), each with `COLUMNS` at 50 and at 120.  Every run
 names its files by paths relative to the temporary directory, so the hashes
@@ -41,6 +45,21 @@ CHECK = ["x0 -> x0", "(mu X3 . X3) -> c", "c -> c c", "!!c -> c", "x0 c", "mu X1
 # Consequence queries over the signature `c`: (conclusion file, hypotheses).
 QUERIES = {"holds.pat": ("c c -> c", "c"), "tautology.pat": ("x0 X0 -> x0 X0", None),
            "late.pat": ("(c c) c -> c c", None), "early.pat": ("x0 -> c x0", None)}
+# Every node kind, and in sugar every derived form, over the signature `c d def`.
+CORE = ["x3", "X2", "c", "appl c x0", "imp X0 c", "exists x1 appl c x1", "mu X1 imp X1 X0",
+        "imp c mu X0 X0", "imp imp c mu X0 X0 d", "imp mu X0 X0 mu X0 X0",
+        "imp imp imp imp c mu X0 X0 mu X0 X0 imp d mu X0 X0 mu X0 X0",
+        "mu X4 X4", "imp exists x0 imp c mu X0 X0 mu X0 X0", "appl def c",
+        "appl appl appl c d x0 imp c X1", "exists x0 exists x0 mu X0 mu X1 appl X0 X1",
+        "imp c " * 64 + "c"]
+SUGAR = ["bot", "top", "!c", "!!c", "c \\/ d", "c /\\ d", "c <-> d", "c -> d -> c",
+         "(c -> d) -> c", "forall x0 . c x0", "exists x0 . x0", "mu X0 . c X0",
+         "nu X0 . c X0 \\/ X0", "ceil(c)", "floor(c)", "x0 = c", "x0 in c", "c d x0",
+         "c (d x0)", "(mu X3 . X3) -> c", "x0 -> exists x1 . c", "(exists x0 . x0) c",
+         "!(c /\\ d) <-> !c \\/ !d", "((c))", "mu X0 . X0 -> X1"]
+BAD_CORE = {"truncated.core": "imp c", "leftover.core": "c d", "unknown.core": "imp c zebra",
+            "element-mu.core": "mu x0 X0", "set-exists.core": "exists X0 c",
+            "no-var.core": "appl c exists", "deep.core": "imp c " * 65 + "c"}
 MODEL = '{"universe": ["0", "1"], "constants": {"c": ["0", "1"], "d": ["1"]},' \
     ' "app": [{"left": "0", "right": "1", "result": ["0", "1"]}]}'
 
@@ -109,6 +128,11 @@ def main() -> None:
               for kind in ("global", "local", "strong")
               for size in ([], ["--max-size", "3", "--samples", "30", "--seed", "3"])
               for name, (_, gamma) in QUERIES.items()]
+    front_files = {"core.pat": ("core", CORE), "sugar.pat": ("sugar", SUGAR)}
+    front_files.update({name: ("core", [line]) for name, line in BAD_CORE.items()})
+    frontend = [[*cmd, "--sig", "sigcd.txt", "--mode", mode, name]
+                for name, (mode, _) in front_files.items()
+                for cmd in (("parse", "--emit", "core"), ("parse", "--emit", "sugar"), ("analyze",))]
     commands = ("parse", "analyze", "eval", "check", "taut", "consequence", "proof", "gen-models")
     helps = [["--help"], *([cmd, "--help"] for cmd in commands), ["frobnicate"],
              ["eval", "c.pat"], ["consequence", "--max-size", "0", "c.pat"]]
@@ -119,6 +143,7 @@ def main() -> None:
             shutil.copytree(CORPUS, "corpus")
             Path("sig.txt").write_text("c\nd\n")
             Path("sigdef.txt").write_text("c\ndef\n")
+            Path("sigcd.txt").write_text("c\nd\ndef\n")
             Path("fail.pat").write_text("ceil(c) -> c\n")
             Path("c.txt").write_text("c\n")
             for name, (conclusion, gamma) in QUERIES.items():
@@ -128,11 +153,14 @@ def main() -> None:
             Path("m.json").write_text(MODEL)
             for name, lines in files.items():
                 Path(name).write_text("\n".join(lines) + "\n")
+            for name, (_, lines) in front_files.items():
+                Path(name).write_text("\n".join(lines) + "\n")
             print(f"audit {digest(audit)} ({2 * len(audit)} runs)")
             print(f"taut  {digest(taut)} ({2 * len(taut)} runs)")
             print(f"suite {digest(suite_runs)} ({2 * len(suite_runs)} runs)")
             print(f"consequence {digest(conseq)} ({2 * len(conseq)} runs)")
             print(f"help  {help_digest(helps)} ({2 * len(helps)} runs)")
+            print(f"frontend {digest(frontend)} ({2 * len(frontend)} runs)")
         finally:
             os.chdir(home)
 

@@ -247,9 +247,9 @@ MUTANTS = [
         (TEST_SEMANTICS,),
     ),
     Mutant(
-        "falsum-only-canonical", SUGAR,
-        "    return isinstance(p, Mu) and p.body == SVar(p.var)\n",
-        "    return isinstance(p, Mu) and p.var == 0 and p.body == SVar(0)\n",
+        "falsum-only-canonical", SEMANTICS,
+        "        elif type(q) is Mu and type(q.body) is SVar and q.body.index == q.var:\n",
+        "        elif type(q) is Mu and type(q.body) is SVar and q.var == 0 == q.body.index:\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(
@@ -295,6 +295,47 @@ MUTANTS = [
         "        if t is None:\n"
         '            raise ArityError("input ended inside a pattern")\n',
         "",
+        (TEST_SUGAR,),
+    ),
+    # The frontend walks: the one-loop core parser, the free variables
+    # walk, shared subtrees in substitution, the postfix tautology program
+    # and the one-list sugar renderer.
+    Mutant(
+        "core-depth-limit-one-short", SYNTAX,
+        "        if len(ops) > MAX_DEPTH:\n",
+        "        if len(ops) >= MAX_DEPTH:\n",
+        (TEST_SYNTAX,),
+    ),
+    Mutant(
+        "core-leaves-keyed-without-case", SYNTAX,
+        "            leaves[t] = p\n",
+        "            leaves[t.lower()] = p\n",
+        (TEST_SYNTAX,),
+    ),
+    Mutant(
+        "free-vars-unbound-under-exists", SYNTAX,
+        "        bound = be if t is Exists else bs\n",
+        "        bound = [] if t is Exists else bs\n",
+        (TEST_SYNTAX,),
+    ),
+    Mutant(
+        "subst-shares-on-an-unchanged-left", SUBSTITUTION,
+        "        right = subst_free(phi.right, v, delta)\n"
+        "        return phi if left is phi.left and right is phi.right else t(left, right)\n",
+        "        right = subst_free(phi.right, v, delta)\n"
+        "        return phi if left is phi.left else t(left, right)\n",
+        (TEST_SUBSTITUTION,),
+    ),
+    Mutant(
+        "postfix-implication-swapped", SEMANTICS,
+        "            stack[-1] = full ^ stack[-1] | right\n",
+        "            stack[-1] = full ^ right | stack[-1]\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "render-tail-kept-inside-parentheses", SUGAR,
+        "        out.append(\"(\")\n        tail = True\n",
+        "        out.append(\"(\")\n",
         (TEST_SUGAR,),
     ),
     # Substitution: `is_free_for` in one walk carrying a captured flag, and

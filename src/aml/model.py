@@ -43,7 +43,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .syntax import DEFINEDNESS, EVAR_TOKEN, SVAR_TOKEN, Signature
+from .syntax import DEFINEDNESS, EVAR_TOKEN, SVAR_TOKEN, ParseError, Signature, read_digits
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -399,7 +399,10 @@ def _var_index(key: str, token: re.Pattern) -> int:
     m = token.match(key) if isinstance(key, str) else None
     if m is None:
         raise ModelError(f"bad variable key {key!r}")
-    return int(m.group(1))
+    try:
+        return read_digits(m.group(1))
+    except ParseError as exc:
+        raise ModelError(f"bad variable key: {exc}") from None
 
 
 def valuation_to_doc(v: Valuation, structure: Structure) -> dict:

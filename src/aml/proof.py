@@ -43,6 +43,7 @@ from .syntax import (
     Signature,
     free_vars,
     is_positive_in,
+    read_digits,
 )
 
 __all__ = [
@@ -174,54 +175,50 @@ def parse_proof(text: str, sig: Signature) -> ProofScript:
     lines: list[ProofLine] = []
     expected = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("hyp "):
-            if lines:
+        try:
+            stripped = raw.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if stripped.startswith("hyp "):
+                if lines:
+                    raise ProofSyntaxError(
+                        lineno, "hypotheses must come before the numbered lines"
+                    )
+                name, sep, pat_text = stripped[4:].partition(":=")
+                name = name.strip()
+                if not sep:
+                    raise ProofSyntaxError(lineno, "hypothesis needs ':='")
+                if not name.isidentifier():
+                    raise ProofSyntaxError(lineno, f"bad hypothesis name {name!r}")
+                if name in hypotheses:
+                    raise ProofSyntaxError(lineno, f"duplicate hypothesis {name!r}")
+                hypotheses[name] = sugar.parse_sugar(pat_text.strip(), sig)
+                continue
+            num_text, sep, rest = stripped.partition(":")
+            if not sep or not _is_number(num_text.strip()):
                 raise ProofSyntaxError(
-                    lineno, "hypotheses must come before the numbered lines"
+                    lineno, "expected '<number>: <pattern> ; <justification>'"
                 )
-            name, sep, pat_text = stripped[4:].partition(":=")
-            name = name.strip()
+            number = read_digits(num_text.strip())
+            if number != expected:
+                raise ProofSyntaxError(
+                    lineno, f"lines must be numbered densely: expected {expected}, got {number}"
+                )
+            pat_text, sep, just_text = rest.partition(";")
             if not sep:
-                raise ProofSyntaxError(lineno, "hypothesis needs ':='")
-            if not name.isidentifier():
-                raise ProofSyntaxError(lineno, f"bad hypothesis name {name!r}")
-            if name in hypotheses:
-                raise ProofSyntaxError(lineno, f"duplicate hypothesis {name!r}")
-            hypotheses[name] = _parse_pattern(pat_text, sig, lineno)
-            continue
-        num_text, sep, rest = stripped.partition(":")
-        if not sep or not _is_number(num_text.strip()):
-            raise ProofSyntaxError(
-                lineno, "expected '<number>: <pattern> ; <justification>'"
-            )
-        number = int(num_text.strip())
-        if number != expected:
-            raise ProofSyntaxError(
-                lineno, f"lines must be numbered densely: expected {expected}, got {number}"
-            )
-        pat_text, sep, just_text = rest.partition(";")
-        if not sep:
-            raise ProofSyntaxError(lineno, "missing ';' before the justification")
-        pattern = _parse_pattern(pat_text, sig, lineno)
-        just = _parse_justification(just_text.strip(), sig, lineno, number, hypotheses)
-        lines.append(ProofLine(number, pattern, just))
-        expected += 1
+                raise ProofSyntaxError(lineno, "missing ';' before the justification")
+            pattern = sugar.parse_sugar(pat_text.strip(), sig)
+            just = _parse_justification(just_text.strip(), sig, lineno, number, hypotheses)
+            lines.append(ProofLine(number, pattern, just))
+            expected += 1
+        except ParseError as exc:
+            raise ProofSyntaxError(lineno, str(exc)) from exc
     return ProofScript(hypotheses, tuple(lines))
 
 
 def _is_number(text: str) -> bool:
     """ASCII digits only: `str.isdigit` also accepts digits `int` rejects."""
     return text.isascii() and text.isdigit()
-
-
-def _parse_pattern(text: str, sig: Signature, lineno: int) -> Pattern:
-    try:
-        return sugar.parse_sugar(text.strip(), sig)
-    except ParseError as exc:
-        raise ProofSyntaxError(lineno, str(exc)) from exc
 
 
 def _parse_justification(
@@ -244,11 +241,12 @@ def _parse_justification(
     fields: dict = {"refs": ()}
     for word, tok in zip(spec.words, args):
         if word == "refs":
-            if not _is_number(tok) or int(tok) < 1:
+            ref = read_digits(tok) if _is_number(tok) else 0
+            if ref < 1:
                 raise ProofSyntaxError(lineno, f"bad line reference {tok!r}")
-            if int(tok) >= number:
-                raise ForwardReference(lineno, f"line {number} cannot cite line {int(tok)}")
-            fields["refs"] += (int(tok),)
+            if ref >= number:
+                raise ForwardReference(lineno, f"line {number} cannot cite line {ref}")
+            fields["refs"] += (ref,)
         elif word == "name":
             if tok not in hypotheses:
                 raise UnknownHypothesis(lineno, f"no hypothesis named {tok!r}")
@@ -259,11 +257,11 @@ def _parse_justification(
             what = "a set" if is_set else "an element"
             if not m:
                 raise ProofSyntaxError(lineno, f"expected {what} variable, got {tok!r}")
-            fields[word] = int(m.group(1))
+            fields[word] = read_digits(m.group(1))
     if spec.aux:
         if not extra.strip():
             raise ProofSyntaxError(lineno, f"{kind} needs '; <pattern>'")
-        fields["aux"] = _parse_pattern(extra, sig, lineno)
+        fields["aux"] = sugar.parse_sugar(extra.strip(), sig)
     return Justification(kind, **fields)
 
 

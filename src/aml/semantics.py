@@ -299,9 +299,10 @@ def is_predicate(structure: Structure, p: Pattern) -> bool:
 # realises any two-valued assignment (its subsets are just false and true).
 # Hence: a pattern denotes everything under every interpretation of its
 # atoms if and only if its skeleton is a propositional tautology, which a
-# truth table decides.  The table is evaluated over all rows at once: bit r
-# of a value is its truth in row r, atom i is true in the rows whose index
-# has bit i set, and implication is ``full ^ left | right``, as in `_ev`.
+# truth table decides.  One walk writes the skeleton as a postfix program,
+# and a stack loop runs it over all rows at once: bit r of a value is its
+# truth in row r, atom i is true in the rows whose index has bit i set, and
+# implication is ``full ^ left | right``, as in `_ev`.
 # The acceptance suite cross-checks this against brute force over one- and
 # two-element powerset algebras.
 
@@ -310,16 +311,17 @@ def is_tautology(p: Pattern, max_atoms: int = MAX_SKELETON_ATOMS) -> bool:
     """The skeleton over maximal non-implication subpatterns (equal ones
     share a column) is a tautology; any ``mu X . X`` is falsum."""
     atoms: dict[Pattern, int] = {}
-    leaves: list = []  # each leaf's atom index, or None for falsum
+    program: list = []  # postfix: atom indices, -1 for falsum, None for imp
 
     def name(q: Pattern) -> None:
         if type(q) is Imp:
             name(q.left)
             name(q.right)
-        elif sugar.is_bot_like(q):
-            leaves.append(None)
+            program.append(None)
+        elif type(q) is Mu and type(q.body) is SVar and q.body.index == q.var:
+            program.append(-1)
         else:
-            leaves.append(atoms.setdefault(q, len(atoms)))
+            program.append(atoms.setdefault(q, len(atoms)))
 
     name(p)
     if len(atoms) > max_atoms:
@@ -331,15 +333,15 @@ def is_tautology(p: Pattern, max_atoms: int = MAX_SKELETON_ATOMS) -> bool:
         columns = [c | c << rows for c in columns] + [((1 << rows) - 1) << rows]
         rows *= 2
     full = (1 << rows) - 1
-    values = iter([0 if i is None else columns[i] for i in leaves])
-
-    def value(q: Pattern) -> int:
-        if type(q) is Imp:
-            left = value(q.left)
-            return full ^ left | value(q.right)
-        return next(values)
-
-    return value(p) == full
+    columns.append(0)  # falsum
+    stack = []
+    for op in program:
+        if op is None:
+            right = stack.pop()
+            stack[-1] = full ^ stack[-1] | right
+        else:
+            stack.append(columns[op])
+    return stack[0] == full
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 is allowed to capture.  `subst_bound` renames a bound variable wholesale.
 `subst_capture_avoiding` composes the two, renaming clashing bound variables
 to fresh indices first, so that the usual semantic substitution equations
-hold without side conditions.
+hold without side conditions.  Both substitutions share every subtree they
+leave unchanged (nodes are immutable), so a pattern without a free
+occurrence of the variable comes back itself.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Literal
 
 from .syntax import (
     Appl,
-    Const,
     EVar,
     Exists,
     Imp,
@@ -74,48 +75,47 @@ def is_free_for(v: VarRef, delta: Pattern, phi: Pattern) -> bool:
 def _free_for(v: VarRef, delta_e, delta_s, phi: Pattern, captured: bool) -> bool:
     """One walk; ``captured`` says a binder above ``phi`` binds a free
     variable of ``delta``."""
-    if isinstance(phi, EVar):
-        return not (captured and v.kind == "element" and phi.index == v.index)
-    if isinstance(phi, SVar):
-        return not (captured and v.kind == "set" and phi.index == v.index)
-    if isinstance(phi, Const):
-        return True
-    if isinstance(phi, (Appl, Imp)):
+    t = type(phi)
+    if t is Appl or t is Imp:
         return _free_for(v, delta_e, delta_s, phi.left, captured) and _free_for(
             v, delta_e, delta_s, phi.right, captured
         )
-    if isinstance(phi, Exists):
+    if t is Exists:
         if v.kind == "element" and v.index == phi.var:
             return True
         return _free_for(v, delta_e, delta_s, phi.body, captured or phi.var in delta_e)
-    # Mu
-    if v.kind == "set" and v.index == phi.var:
-        return True
-    return _free_for(v, delta_e, delta_s, phi.body, captured or phi.var in delta_s)
+    if t is Mu:
+        if v.kind == "set" and v.index == phi.var:
+            return True
+        return _free_for(v, delta_e, delta_s, phi.body, captured or phi.var in delta_s)
+    if t is EVar:
+        return not (captured and v.kind == "element" and phi.index == v.index)
+    if t is SVar:
+        return not (captured and v.kind == "set" and phi.index == v.index)
+    return True
 
 
 def subst_free(phi: Pattern, v: VarRef, delta: Pattern) -> Pattern:
     """Replace every free occurrence of ``v`` in ``phi`` by ``delta``.
 
-    Purely textual; capture is permitted.
+    Purely textual; capture is permitted.  Subtrees without a free
+    occurrence of ``v`` are shared, not copied: ``phi`` itself comes back
+    when ``v`` is not free in it.
     """
-    if isinstance(phi, EVar):
-        return delta if v.kind == "element" and phi.index == v.index else phi
-    if isinstance(phi, SVar):
-        return delta if v.kind == "set" and phi.index == v.index else phi
-    if isinstance(phi, Const):
-        return phi
-    if isinstance(phi, Appl):
-        return Appl(subst_free(phi.left, v, delta), subst_free(phi.right, v, delta))
-    if isinstance(phi, Imp):
-        return Imp(subst_free(phi.left, v, delta), subst_free(phi.right, v, delta))
-    if isinstance(phi, Exists):
-        if v.kind == "element" and phi.var == v.index:
+    t = type(phi)
+    if t is Appl or t is Imp:
+        left = subst_free(phi.left, v, delta)
+        right = subst_free(phi.right, v, delta)
+        return phi if left is phi.left and right is phi.right else t(left, right)
+    if t is Exists or t is Mu:
+        if phi.var == v.index and v.kind == ("element" if t is Exists else "set"):
             return phi
-        return Exists(phi.var, subst_free(phi.body, v, delta))
-    if v.kind == "set" and phi.var == v.index:
-        return phi
-    return Mu(phi.var, subst_free(phi.body, v, delta))
+        body = subst_free(phi.body, v, delta)
+        return phi if body is phi.body else t(phi.var, body)
+    if t is EVar or t is SVar:
+        if phi.index == v.index and v.kind == ("element" if t is EVar else "set"):
+            return delta
+    return phi
 
 
 def subst_bound(phi: Pattern, v: VarRef, w: VarRef) -> Pattern:
@@ -131,23 +131,19 @@ def subst_bound(phi: Pattern, v: VarRef, w: VarRef) -> Pattern:
 
 
 def _subb(phi: Pattern, v: VarRef, w: VarRef) -> Pattern:
-    if isinstance(phi, (EVar, SVar, Const)):
-        return phi
-    if isinstance(phi, Appl):
-        return Appl(_subb(phi.left, v, w), _subb(phi.right, v, w))
-    if isinstance(phi, Imp):
-        return Imp(_subb(phi.left, v, w), _subb(phi.right, v, w))
-    if isinstance(phi, Exists):
-        if v.kind == "element" and phi.var == v.index:
+    t = type(phi)
+    if t is Appl or t is Imp:
+        left = _subb(phi.left, v, w)
+        right = _subb(phi.right, v, w)
+        return phi if left is phi.left and right is phi.right else t(left, right)
+    if t is Exists or t is Mu:
+        body = _subb(phi.body, v, w)
+        if phi.var == v.index and v.kind == ("element" if t is Exists else "set"):
             # Rename the binder itself, then redirect the occurrences it
             # used to bind.  Deeper binders on v were rewritten first.
-            body = subst_free(_subb(phi.body, v, w), v, w.as_pattern())
-            return Exists(w.index, body)
-        return Exists(phi.var, _subb(phi.body, v, w))
-    if v.kind == "set" and phi.var == v.index:
-        body = subst_free(_subb(phi.body, v, w), v, w.as_pattern())
-        return Mu(w.index, body)
-    return Mu(phi.var, _subb(phi.body, v, w))
+            return t(w.index, subst_free(body, v, w.as_pattern()))
+        return phi if body is phi.body else t(phi.var, body)
+    return phi
 
 
 def fresh_variables(used_max: int, count: int, kind: Kind) -> list[VarRef]:

@@ -18,8 +18,8 @@ Operator precedence, tightest first:
     <->           (no chaining)
 
 Binders (``exists``, ``forall``, ``mu``, ``nu``) extend as far right as
-possible.  The renderer emits minimal parentheses under the same table and
-`parse`/`render` round-trip exactly in both modes.
+possible.  The renderer emits minimal parentheses under the same table, into
+one list joined once, and `parse`/`render` round-trip exactly in both modes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .syntax import (
     ArityError,
     Const,
     DEFINEDNESS,
-    EVAR_TOKEN,
     EVar,
     Exists,
     Imp,
@@ -40,13 +39,14 @@ from .syntax import (
     Malformed,
     Mu,
     Pattern,
-    SVAR_TOKEN,
     SVar,
     Signature,
     TooDeep,
     UnknownSymbol,
     check_depth,
     parse_core,
+    read_bound,
+    read_leaf,
     render_core,
 )
 
@@ -68,7 +68,6 @@ __all__ = [
     "fold_conj",
     "fold_disj",
     "EmptyList",
-    "is_bot_like",
     "match_neg",
     "match_or_shape",
     "match_and",
@@ -168,18 +167,13 @@ def fold_disj(parts: list) -> Pattern:
     return acc
 
 
-def is_bot_like(p: Pattern) -> bool:
-    """True for every pattern of the shape ``mu X . X``, canonical or not."""
-    return isinstance(p, Mu) and p.body == SVar(p.var)
-
-
 # ---------------------------------------------------------------------------
 # Shape matchers.  All of them are strict about the canonical falsum; only
 # the tautology skeleton is lenient, and that lives in the semantics module.
 
 
 def match_neg(p: Pattern):
-    if isinstance(p, Imp) and p.right == BOT:
+    if type(p) is Imp and p.right == BOT:
         return p.left
     return None
 
@@ -189,7 +183,7 @@ def match_or_shape(p: Pattern):
     right operand is accepted, so double negation matches too.  The renderer
     prints that case as double negation itself; axiom matching must not
     refuse it."""
-    if isinstance(p, Imp):
+    if type(p) is Imp:
         inner = match_neg(p.left)
         if inner is not None:
             return inner, p.right
@@ -218,19 +212,14 @@ def match_iff(p: Pattern):
 
 def _iff_sides(u: Pattern, v: Pattern):
     """``(a, b)`` when the conjuncts ``u``, ``v`` are ``a -> b`` and ``b -> a``."""
-    if (
-        isinstance(u, Imp)
-        and isinstance(v, Imp)
-        and u.left == v.right
-        and u.right == v.left
-    ):
+    if type(u) is Imp and type(v) is Imp and u.left == v.right and u.right == v.left:
         return u.left, u.right
     return None
 
 
 def match_forall(p: Pattern):
     body = match_neg(p)
-    if isinstance(body, Exists):
+    if type(body) is Exists:
         inner = match_neg(body.body)
         if inner is not None:
             return body.var, inner
@@ -238,23 +227,18 @@ def match_forall(p: Pattern):
 
 
 def _rewrite_subterm(p: Pattern, old: Pattern, new: Pattern) -> Pattern:
-    if isinstance(p, (EVar, SVar, Const)):
-        return new if p == old else p
-    if isinstance(p, Appl):
-        q = Appl(_rewrite_subterm(p.left, old, new), _rewrite_subterm(p.right, old, new))
-    elif isinstance(p, Imp):
-        q = Imp(_rewrite_subterm(p.left, old, new), _rewrite_subterm(p.right, old, new))
-    elif isinstance(p, Exists):
-        q = Exists(p.var, _rewrite_subterm(p.body, old, new))
-    else:
-        q = Mu(p.var, _rewrite_subterm(p.body, old, new))
-    return new if q == old else q
+    t = type(p)
+    if t is Appl or t is Imp:
+        p = t(_rewrite_subterm(p.left, old, new), _rewrite_subterm(p.right, old, new))
+    elif t is Exists or t is Mu:
+        p = t(p.var, _rewrite_subterm(p.body, old, new))
+    return new if p == old else p
 
 
 def match_nu(p: Pattern):
     """Invert the greatest-fixpoint abbreviation, verifying by re-expansion."""
     outer = match_neg(p)
-    if not isinstance(outer, Mu):
+    if type(outer) is not Mu:
         return None
     inner = match_neg(outer.body)
     if inner is None:
@@ -266,7 +250,7 @@ def match_nu(p: Pattern):
 
 
 def match_ceil(p: Pattern):
-    if isinstance(p, Appl) and p.left == Const(DEFINEDNESS):
+    if type(p) is Appl and type(p.left) is Const and p.left.name == DEFINEDNESS:
         return p.right
     return None
 
@@ -286,7 +270,7 @@ def match_mem(p: Pattern):
     if arg is None:
         return None
     m = match_and(arg)
-    if m is not None and isinstance(m[0], EVar):
+    if m is not None and type(m[0]) is EVar:
         return m[0].index, m[1]
     return None
 
@@ -431,12 +415,12 @@ class _Parser:
         if t == "top":
             return TOP
         if t in ("exists", "forall"):
-            var = self._binder_var(EVAR_TOKEN, "an element variable", t)
+            var = read_bound(t, self.take(), True)
             self.expect(".")
             body = self.nested()
             return Exists(var, body) if t == "exists" else forall(var, body)
         if t in ("mu", "nu"):
-            var = self._binder_var(SVAR_TOKEN, "a set variable", t)
+            var = read_bound(t, self.take(), False)
             self.expect(".")
             body = self.nested()
             # Check before nu's substitution walks the body.
@@ -447,27 +431,15 @@ class _Parser:
             p = self.nested()
             self.expect(")")
             return ceil(p) if t == "ceil" else floor(p)
-        if m := EVAR_TOKEN.match(t):
-            leaf = EVar(int(m.group(1)))
-        elif m := SVAR_TOKEN.match(t):
-            leaf = SVar(int(m.group(1)))
-        elif t in self.sig:
-            leaf = Const(t)
-        elif t in _NOT_ATOM:
-            raise Malformed(f"unexpected {t!r}")
-        else:
+        leaf = read_leaf(t, self.sig)
+        if leaf is None:
+            if t in _NOT_ATOM:
+                raise Malformed(f"unexpected {t!r}")
             raise UnknownSymbol(
                 f"{t!r} is not a variable, a keyword, or a declared constant"
             )
         self.leaves[t] = leaf
         return leaf
-
-    def _binder_var(self, pat, what: str, kw: str) -> int:
-        t = self.take()
-        m = pat.match(t)
-        if not m:
-            raise Malformed(f"{kw} must bind {what}, got {t!r}")
-        return int(m.group(1))
 
     def _need_def(self, what: str) -> None:
         if DEFINEDNESS not in self.sig:
@@ -495,9 +467,9 @@ def parse_sugar(text: str, sig: Signature, allow_hole: bool = False) -> Pattern:
 # text, or an operand with the level it requires and its trailing position
 # (None inherits the node's own, False never takes it, True always does).
 # `_render` wraps a node in parentheses when its level is below what its
-# slot requires, then joins the pieces.  Binders count as level 0 and are
-# left bare exactly in trailing positions, where the grammar would give
-# them maximal scope anyway.
+# slot requires, and appends the pieces to one list that `render_sugar`
+# joins once.  Binders count as level 0 and are left bare exactly in
+# trailing positions, where the grammar would give them maximal scope anyway.
 #
 # Every derived form except disjunction is a negation, and the type of the
 # negated operand says which one it can be: an application gives `=` or
@@ -517,39 +489,41 @@ _LVL_ATOM = 9
 
 
 def _shape(p: Pattern):
-    if isinstance(p, Imp):
+    t = type(p)
+    if t is Imp:
         if p.right != BOT:
             a = match_neg(p.left)
             if a is None:
                 return _LVL_IMP, ((p.left, _LVL_OR, False), " -> ", (p.right, _LVL_IMP, None))
             return _LVL_OR, ((a, _LVL_OR, False), " \\/ ", (p.right, _LVL_AND, None))
         q = p.left
-        if isinstance(q, Appl):
+        u = type(q)
+        if u is Appl:
             f = match_floor(p)
             if f is not None:
                 m = match_iff(f)
                 if m is not None:
                     return _LVL_EQ, ((m[0], _LVL_MEM, False), " = ", (m[1], _LVL_MEM, None))
                 return _LVL_ATOM, ("floor(", (f, 0, True), ")")
-        elif isinstance(q, Imp):
+        elif u is Imp:
             m = match_and(p)
             if m is not None:
                 e = _iff_sides(*m)
                 if e is not None:
                     return _LVL_IFF, ((e[0], _LVL_IMP, False), " <-> ", (e[1], _LVL_IMP, None))
                 return _LVL_AND, ((m[0], _LVL_AND, False), " /\\ ", (m[1], _LVL_EQ, None))
-        elif isinstance(q, Exists):
+        elif u is Exists:
             m = match_forall(p)
             if m is not None:
                 return _LVL_BINDER, (f"forall x{m[0]} . ", (m[1], 0, True))
-        elif isinstance(q, Mu):
+        elif u is Mu:
             if q == BOT:
                 return _LVL_ATOM, ("top",)
             m = match_nu(p)
             if m is not None:
                 return _LVL_BINDER, (f"nu X{m[0]} . ", (m[1], 0, True))
         return _LVL_NEG, ("!", (q, _LVL_NEG, None))
-    if isinstance(p, Appl):
+    if t is Appl:
         arg = match_ceil(p)
         if arg is None:
             return _LVL_APP, ((p.left, _LVL_APP, False), " ", (p.right, _LVL_ATOM, False))
@@ -557,36 +531,42 @@ def _shape(p: Pattern):
         if m is not None:
             return _LVL_MEM, (f"x{m[0]} in ", (m[1], _LVL_NEG, None))
         return _LVL_ATOM, ("ceil(", (arg, 0, True), ")")
-    if isinstance(p, Exists):
+    if t is Exists:
         return _LVL_BINDER, (f"exists x{p.var} . ", (p.body, 0, True))
-    if isinstance(p, Mu):
+    if t is Mu:
         if p == BOT:
             return _LVL_ATOM, ("bot",)
         return _LVL_BINDER, (f"mu X{p.var} . ", (p.body, 0, True))
-    if isinstance(p, EVar):
+    if t is EVar:
         return _LVL_ATOM, (f"x{p.index}",)
-    if isinstance(p, SVar):
+    if t is SVar:
         return _LVL_ATOM, (f"X{p.index}",)
     return _LVL_ATOM, (p.name,)
 
 
 def render_sugar(p: Pattern) -> str:
-    return _render(p, 0, True)
+    out: list[str] = []
+    _render(p, 0, True, out)
+    return "".join(out)
 
 
-def _render(p: Pattern, require: int, tail: bool) -> str:
+def _render(p: Pattern, require: int, tail: bool, out: list[str]) -> None:
     level, pieces = _shape(p)
     if level == _LVL_BINDER:
         wrap = require > 0 and not tail
     else:
         wrap = level < require
-    inner_tail = True if wrap else tail
-    s = "".join(
-        piece if isinstance(piece, str)
-        else _render(piece[0], piece[1], inner_tail if piece[2] is None else piece[2])
-        for piece in pieces
-    )
-    return f"({s})" if wrap else s
+    if wrap:
+        out.append("(")
+        tail = True
+    for piece in pieces:
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            sub, need, trailing = piece
+            _render(sub, need, tail if trailing is None else trailing, out)
+    if wrap:
+        out.append(")")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ pattern, and no proper prefix of a pattern's token string is itself a pattern.
 The positional analyses in this module (binder scopes, occurrence
 classification, the left-implication counter `n_left` that defines polarity)
 all lean on that property, and the test suite re-checks it against
-brute-force oracles.
+brute-force oracles.  It also lets `parse_core` read the tokens in one
+forward loop that keeps only a stack of the operators still open.
 """
 
 from __future__ import annotations
@@ -238,27 +239,20 @@ def tokens(p: Pattern) -> tuple[str, ...]:
 
 
 def _emit(p: Pattern, out: list[str]) -> None:
-    if isinstance(p, EVar):
+    t = type(p)
+    if t is EVar:
         out.append(f"x{p.index}")
-    elif isinstance(p, SVar):
+    elif t is SVar:
         out.append(f"X{p.index}")
-    elif isinstance(p, Const):
+    elif t is Const:
         out.append(p.name)
-    elif isinstance(p, Appl):
-        out.append("appl")
+    elif t is Appl or t is Imp:
+        out.append("appl" if t is Appl else "imp")
         _emit(p.left, out)
         _emit(p.right, out)
-    elif isinstance(p, Imp):
-        out.append("imp")
-        _emit(p.left, out)
-        _emit(p.right, out)
-    elif isinstance(p, Exists):
-        out.append("exists")
-        out.append(f"x{p.var}")
-        _emit(p.body, out)
-    elif isinstance(p, Mu):
-        out.append("mu")
-        out.append(f"X{p.var}")
+    elif t is Exists or t is Mu:
+        out.append("exists" if t is Exists else "mu")
+        out.append(f"x{p.var}" if t is Exists else f"X{p.var}")
         _emit(p.body, out)
     else:
         raise TypeError(f"not a pattern node: {p!r}")
@@ -276,57 +270,78 @@ def render_core(p: Pattern) -> str:
     return " ".join(tokens(p))
 
 
+def read_digits(digits: str) -> int:
+    """The number ASCII ``digits`` spell, or `Malformed` past ``int``'s digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise Malformed(f"a number of {len(digits)} digits is too long to read") from None
+
+
+def read_leaf(t: str, sig: Signature):
+    """The variable or constant that the token ``t`` spells, else None."""
+    if m := EVAR_TOKEN.match(t):
+        return EVar(read_digits(m.group(1)))
+    if m := SVAR_TOKEN.match(t):
+        return SVar(read_digits(m.group(1)))
+    return Const(t) if t in sig else None
+
+
+def read_bound(kw: str, t: str, element: bool) -> int:
+    """The index of ``t``, the element or set variable that ``kw`` binds."""
+    m = (EVAR_TOKEN if element else SVAR_TOKEN).match(t)
+    if not m:
+        what = "an element" if element else "a set"
+        raise Malformed(f"{kw} must bind {what} variable, got {t!r}")
+    return read_digits(m.group(1))
+
+
 def parse_core(text: str, sig: Signature) -> Pattern:
-    """Parse whitespace separated Polish core tokens against ``sig``."""
+    """Parse whitespace separated Polish core tokens against ``sig``, in one
+    loop: ``ops`` holds the open operators, so its length is the depth, and
+    ``firsts`` their first fields (None while a binary one lacks its left)."""
     toks = text.split()
-    if not toks:
+    n = len(toks)
+    if not n:
         raise Malformed("empty input")
-    p, end = _parse_at(toks, 0, sig, 0)
-    if end != len(toks):
-        raise Malformed(
-            f"pattern complete at token {end} but {len(toks) - end} token(s) remain"
-        )
-    return p
-
-
-def _parse_at(toks: list[str], i: int, sig: Signature, depth: int) -> tuple[Pattern, int]:
-    if i >= len(toks):
-        raise ArityError("pattern truncated, operand missing")
-    if depth > MAX_DEPTH:
-        raise TooDeep(f"token {i}: pattern nests deeper than {MAX_DEPTH} levels")
-    t = toks[i]
-    if t in ("appl", "imp"):
-        left, j = _parse_at(toks, i + 1, sig, depth + 1)
-        right, k = _parse_at(toks, j, sig, depth + 1)
-        node = Appl(left, right) if t == "appl" else Imp(left, right)
-        return node, k
-    if t == "exists":
-        if i + 1 >= len(toks):
-            raise ArityError("exists is missing its variable")
-        m = EVAR_TOKEN.match(toks[i + 1])
-        if not m:
-            raise Malformed(f"exists must bind an element variable, got {toks[i + 1]!r}")
-        body, k = _parse_at(toks, i + 2, sig, depth + 1)
-        return Exists(int(m.group(1)), body), k
-    if t == "mu":
-        if i + 1 >= len(toks):
-            raise ArityError("mu is missing its variable")
-        m = SVAR_TOKEN.match(toks[i + 1])
-        if not m:
-            raise Malformed(f"mu must bind a set variable, got {toks[i + 1]!r}")
-        body, k = _parse_at(toks, i + 2, sig, depth + 1)
-        return Mu(int(m.group(1)), body), k
-    m = EVAR_TOKEN.match(t)
-    if m:
-        return EVar(int(m.group(1))), i + 1
-    m = SVAR_TOKEN.match(t)
-    if m:
-        return SVar(int(m.group(1))), i + 1
-    if t in sig:
-        return Const(t), i + 1
-    raise UnknownSymbol(
-        f"token {i}: {t!r} is not a variable, a keyword, or a declared constant"
-    )
+    # The operators, and the leaves read so far, by token.
+    leaves = {"appl": Appl, "imp": Imp, "exists": Exists, "mu": Mu}
+    ops, firsts = [], []
+    i = 0
+    while True:
+        if i >= n:
+            raise ArityError("pattern truncated, operand missing")
+        if len(ops) > MAX_DEPTH:
+            raise TooDeep(f"token {i}: pattern nests deeper than {MAX_DEPTH} levels")
+        t = toks[i]
+        i += 1
+        p = leaves.get(t)
+        if p is Appl or p is Imp:
+            ops.append(p)
+            firsts.append(None)
+            continue
+        if p is Exists or p is Mu:
+            if i >= n:
+                raise ArityError(f"{t} is missing its variable")
+            ops.append(p)
+            firsts.append(read_bound(t, toks[i], p is Exists))
+            i += 1
+            continue
+        if p is None:
+            p = read_leaf(t, sig)
+            if p is None:
+                raise UnknownSymbol(
+                    f"token {i - 1}: {t!r} is not a variable, a keyword, or a declared constant"
+                )
+            leaves[t] = p
+        while ops and firsts[-1] is not None:
+            p = ops.pop()(firsts.pop(), p)
+        if ops:
+            firsts[-1] = p
+        elif i != n:
+            raise Malformed(f"pattern complete at token {i} but {n - i} token(s) remain")
+        else:
+            return p
 
 
 def check_depth(p: Pattern) -> Pattern:
@@ -359,21 +374,28 @@ def subpatterns(p: Pattern) -> frozenset:
 
 def free_vars(p: Pattern) -> tuple[frozenset, frozenset]:
     """Free element and set variable indices, as a pair of frozensets."""
-    if isinstance(p, EVar):
-        return frozenset((p.index,)), frozenset()
-    if isinstance(p, SVar):
-        return frozenset(), frozenset((p.index,))
-    if isinstance(p, Const):
-        return frozenset(), frozenset()
-    if isinstance(p, (Appl, Imp)):
-        le, ls = free_vars(p.left)
-        re_, rs = free_vars(p.right)
-        return le | re_, ls | rs
-    if isinstance(p, Exists):
-        be, bs = free_vars(p.body)
-        return be - {p.var}, bs
-    be, bs = free_vars(p.body)
-    return be, bs - {p.var}
+    fe, fs = set(), set()
+    _free(p, [], [], fe, fs)
+    return frozenset(fe), frozenset(fs)
+
+
+def _free(p: Pattern, be: list, bs: list, fe: set, fs: set) -> None:
+    """Add to ``fe``, ``fs`` the indices free in ``p`` and unbound above it (``be``, ``bs``)."""
+    t = type(p)
+    if t is EVar:
+        if p.index not in be:
+            fe.add(p.index)
+    elif t is SVar:
+        if p.index not in bs:
+            fs.add(p.index)
+    elif t is Appl or t is Imp:
+        _free(p.left, be, bs, fe, fs)
+        _free(p.right, be, bs, fe, fs)
+    elif t is Exists or t is Mu:
+        bound = be if t is Exists else bs
+        bound.append(p.var)
+        _free(p.body, be, bs, fe, fs)
+        bound.pop()
 
 
 def bound_binder_indices(p: Pattern) -> tuple[frozenset, frozenset]:
@@ -451,40 +473,37 @@ class OccurrenceKind(Enum):
     NOT_A_VARIABLE = "not-a-variable"
 
 
+_FREE_ELEMENT, _BOUND_ELEMENT, _FREE_SET, _BOUND_SET, _NOT_A_VARIABLE = OccurrenceKind
+
+
 def occurrence_kinds(p: Pattern) -> tuple[OccurrenceKind, ...]:
     """Classification of every token position in one pass."""
-    out: list[OccurrenceKind] = []
-    _occ_emit(p, frozenset(), frozenset(), out)
+    out, bound_e, bound_s = [], [], []  # and the binders above, by kind
+
+    def walk(q: Pattern) -> None:
+        t = type(q)
+        if t is EVar:
+            out.append(_BOUND_ELEMENT if q.index in bound_e else _FREE_ELEMENT)
+        elif t is SVar:
+            out.append(_BOUND_SET if q.index in bound_s else _FREE_SET)
+        elif t is Appl or t is Imp:
+            out.append(_NOT_A_VARIABLE)
+            walk(q.left)
+            walk(q.right)
+        elif t is Exists or t is Mu:
+            # The head variable token sits inside the binder's own scope, so
+            # it is a bound occurrence.
+            bound = bound_e if t is Exists else bound_s
+            out.append(_NOT_A_VARIABLE)
+            out.append(_BOUND_ELEMENT if t is Exists else _BOUND_SET)
+            bound.append(q.var)
+            walk(q.body)
+            bound.pop()
+        else:
+            out.append(_NOT_A_VARIABLE)
+
+    walk(p)
     return tuple(out)
-
-
-def _occ_emit(p, bound_e, bound_s, out) -> None:
-    if isinstance(p, EVar):
-        out.append(
-            OccurrenceKind.BOUND_ELEMENT
-            if p.index in bound_e
-            else OccurrenceKind.FREE_ELEMENT
-        )
-    elif isinstance(p, SVar):
-        out.append(
-            OccurrenceKind.BOUND_SET if p.index in bound_s else OccurrenceKind.FREE_SET
-        )
-    elif isinstance(p, Const):
-        out.append(OccurrenceKind.NOT_A_VARIABLE)
-    elif isinstance(p, (Appl, Imp)):
-        out.append(OccurrenceKind.NOT_A_VARIABLE)
-        _occ_emit(p.left, bound_e, bound_s, out)
-        _occ_emit(p.right, bound_e, bound_s, out)
-    elif isinstance(p, Exists):
-        # The head variable token sits inside the binder's own scope, so it
-        # is a bound occurrence.
-        out.append(OccurrenceKind.NOT_A_VARIABLE)
-        out.append(OccurrenceKind.BOUND_ELEMENT)
-        _occ_emit(p.body, bound_e | {p.var}, bound_s, out)
-    else:
-        out.append(OccurrenceKind.NOT_A_VARIABLE)
-        out.append(OccurrenceKind.BOUND_SET)
-        _occ_emit(p.body, bound_e, bound_s | {p.var}, out)
 
 
 def occurrence_kind(p: Pattern, k: int) -> OccurrenceKind:

@@ -9,7 +9,10 @@ consequence from the original frozenset evaluator, which meets every ``mu``
 with the intersection of all closed sets, the structure stream from the
 original frozenset enumeration, and fixpoints of arbitrary set operators by
 Knaster-Tarski enumeration, exact-fixpoint enumeration and Kleene iteration,
-and the sugar tokens by reading one token at a time from the left.
+the sugar tokens by reading one token at a time from the left, and the
+frontend walks as first written: the core parser recursing once per token,
+free variables as a union of frozensets per node, substitution rebuilding
+every node, and the sugar renderer joining its pieces at every node.
 """
 
 from __future__ import annotations
@@ -19,10 +22,15 @@ import random
 import re
 
 from aml.model import ENUMERATION_CAP, Structure, UniverseTooLarge, subsets_of
-from aml.sugar import _TOKEN
+from aml.sugar import _LVL_BINDER, _TOKEN, _shape
+from aml.substitution import VarRef, fresh_variables
 from aml.syntax import (
     DEFINEDNESS,
+    EVAR_TOKEN,
+    MAX_DEPTH,
+    SVAR_TOKEN,
     Appl,
+    ArityError,
     Const,
     EVar,
     Exists,
@@ -33,6 +41,9 @@ from aml.syntax import (
     Pattern,
     SVar,
     Signature,
+    TooDeep,
+    UnknownSymbol,
+    bound_binder_indices,
     parse_core,
     tokens,
 )
@@ -91,6 +102,174 @@ def lex_sequential(text: str) -> list[str]:
         out.append(m.group(0))
         pos = m.end()
     return out
+
+
+def parse_core_recursive(text: str, sig: Signature) -> Pattern:
+    """The core parser as first written: one recursive call per token, which
+    checks the depth and bounds in each frame."""
+    toks = text.split()
+    if not toks:
+        raise Malformed("empty input")
+    p, end = _parse_at(toks, 0, sig, 0)
+    if end != len(toks):
+        raise Malformed(
+            f"pattern complete at token {end} but {len(toks) - end} token(s) remain"
+        )
+    return p
+
+
+def _parse_at(toks: list[str], i: int, sig: Signature, depth: int) -> tuple[Pattern, int]:
+    if i >= len(toks):
+        raise ArityError("pattern truncated, operand missing")
+    if depth > MAX_DEPTH:
+        raise TooDeep(f"token {i}: pattern nests deeper than {MAX_DEPTH} levels")
+    t = toks[i]
+    if t in ("appl", "imp"):
+        left, j = _parse_at(toks, i + 1, sig, depth + 1)
+        right, k = _parse_at(toks, j, sig, depth + 1)
+        node = Appl(left, right) if t == "appl" else Imp(left, right)
+        return node, k
+    if t == "exists":
+        if i + 1 >= len(toks):
+            raise ArityError("exists is missing its variable")
+        m = EVAR_TOKEN.match(toks[i + 1])
+        if not m:
+            raise Malformed(f"exists must bind an element variable, got {toks[i + 1]!r}")
+        body, k = _parse_at(toks, i + 2, sig, depth + 1)
+        return Exists(int(m.group(1)), body), k
+    if t == "mu":
+        if i + 1 >= len(toks):
+            raise ArityError("mu is missing its variable")
+        m = SVAR_TOKEN.match(toks[i + 1])
+        if not m:
+            raise Malformed(f"mu must bind a set variable, got {toks[i + 1]!r}")
+        body, k = _parse_at(toks, i + 2, sig, depth + 1)
+        return Mu(int(m.group(1)), body), k
+    m = EVAR_TOKEN.match(t)
+    if m:
+        return EVar(int(m.group(1))), i + 1
+    m = SVAR_TOKEN.match(t)
+    if m:
+        return SVar(int(m.group(1))), i + 1
+    if t in sig:
+        return Const(t), i + 1
+    raise UnknownSymbol(
+        f"token {i}: {t!r} is not a variable, a keyword, or a declared constant"
+    )
+
+
+def free_vars_by_union(p: Pattern) -> tuple[frozenset, frozenset]:
+    """Free element and set variable indices, two frozensets per node."""
+    if isinstance(p, EVar):
+        return frozenset((p.index,)), frozenset()
+    if isinstance(p, SVar):
+        return frozenset(), frozenset((p.index,))
+    if isinstance(p, Const):
+        return frozenset(), frozenset()
+    if isinstance(p, (Appl, Imp)):
+        le, ls = free_vars_by_union(p.left)
+        re_, rs = free_vars_by_union(p.right)
+        return le | re_, ls | rs
+    if isinstance(p, Exists):
+        be, bs = free_vars_by_union(p.body)
+        return be - {p.var}, bs
+    be, bs = free_vars_by_union(p.body)
+    return be, bs - {p.var}
+
+
+def subst_free_rebuild(phi: Pattern, v: VarRef, delta: Pattern) -> Pattern:
+    """Textual substitution of ``delta`` for the free ``v``, every node
+    built anew."""
+    if isinstance(phi, EVar):
+        return delta if v.kind == "element" and phi.index == v.index else phi
+    if isinstance(phi, SVar):
+        return delta if v.kind == "set" and phi.index == v.index else phi
+    if isinstance(phi, Const):
+        return phi
+    if isinstance(phi, Appl):
+        return Appl(subst_free_rebuild(phi.left, v, delta), subst_free_rebuild(phi.right, v, delta))
+    if isinstance(phi, Imp):
+        return Imp(subst_free_rebuild(phi.left, v, delta), subst_free_rebuild(phi.right, v, delta))
+    if isinstance(phi, Exists):
+        if v.kind == "element" and phi.var == v.index:
+            return phi
+        return Exists(phi.var, subst_free_rebuild(phi.body, v, delta))
+    if v.kind == "set" and phi.var == v.index:
+        return phi
+    return Mu(phi.var, subst_free_rebuild(phi.body, v, delta))
+
+
+def _subb_rebuild(phi: Pattern, v: VarRef, w: VarRef) -> Pattern:
+    """Rename the bound occurrences of ``v`` to ``w``, innermost first."""
+    if isinstance(phi, (EVar, SVar, Const)):
+        return phi
+    if isinstance(phi, Appl):
+        return Appl(_subb_rebuild(phi.left, v, w), _subb_rebuild(phi.right, v, w))
+    if isinstance(phi, Imp):
+        return Imp(_subb_rebuild(phi.left, v, w), _subb_rebuild(phi.right, v, w))
+    renamed = (Exists if v.kind == "element" else Mu) is type(phi) and phi.var == v.index
+    body = _subb_rebuild(phi.body, v, w)
+    if renamed:
+        return type(phi)(w.index, subst_free_rebuild(body, v, w.as_pattern()))
+    return type(phi)(phi.var, body)
+
+
+def _captures(v: VarRef, delta_e, delta_s, phi: Pattern, captured: bool) -> bool:
+    """Some free ``v`` in ``phi`` sits under a binder on a free variable of
+    ``delta`` (``captured``: a binder above ``phi`` does)."""
+    if isinstance(phi, (EVar, SVar)):
+        kind = "element" if isinstance(phi, EVar) else "set"
+        return captured and v.kind == kind and phi.index == v.index
+    if isinstance(phi, Const):
+        return False
+    if isinstance(phi, (Appl, Imp)):
+        return _captures(v, delta_e, delta_s, phi.left, captured) or _captures(
+            v, delta_e, delta_s, phi.right, captured
+        )
+    kind, heads = ("element", delta_e) if isinstance(phi, Exists) else ("set", delta_s)
+    if v.kind == kind and v.index == phi.var:
+        return False
+    return _captures(v, delta_e, delta_s, phi.body, captured or phi.var in heads)
+
+
+def subst_capture_avoiding_rebuild(phi: Pattern, v: VarRef, delta: Pattern) -> Pattern:
+    """Capture-avoiding substitution over the rebuilding walks above: when
+    ``delta`` would be captured, every bound variable of ``phi`` that also
+    occurs in ``delta`` is renamed to a fresh index first, innermost last."""
+    delta_e, delta_s = free_vars_by_union(delta)
+    if not _captures(v, delta_e, delta_s, phi, False):
+        return subst_free_rebuild(phi, v, delta)
+    bound_e, bound_s = bound_binder_indices(phi)
+    free_e, free_s = free_vars_by_union(phi)
+    delta_bound_e, delta_bound_s = bound_binder_indices(delta)
+    occ_e, occ_s = delta_e | delta_bound_e, delta_s | delta_bound_s
+    clash_e = sorted(bound_e & occ_e)
+    clash_s = sorted(bound_s & occ_s)
+    fresh_e = fresh_variables(max(bound_e | free_e | occ_e, default=-1), len(clash_e), "element")
+    fresh_s = fresh_variables(max(bound_s | free_s | occ_s, default=-1), len(clash_s), "set")
+    theta = phi
+    for old, new in reversed(list(zip(clash_e, fresh_e))):
+        theta = _subb_rebuild(theta, VarRef.element(old), new)
+    for old, new in reversed(list(zip(clash_s, fresh_s))):
+        theta = _subb_rebuild(theta, VarRef.set(old), new)
+    return subst_free_rebuild(theta, v, delta)
+
+
+def render_sugar_joined(p: Pattern, require: int = 0, tail: bool = True) -> str:
+    """The sugar rendering of ``p`` over `aml.sugar._shape`, each node's
+    pieces joined into a string of their own."""
+    level, pieces = _shape(p)
+    if level == _LVL_BINDER:
+        wrap = require > 0 and not tail
+    else:
+        wrap = level < require
+    inner_tail = True if wrap else tail
+    s = "".join(
+        piece if isinstance(piece, str)
+        else render_sugar_joined(piece[0], piece[1], inner_tail if piece[2] is None else piece[2])
+        for piece in pieces
+    )
+    return f"({s})" if wrap else s
 
 
 def positive_rec(p: Pattern, v: int) -> bool:
@@ -310,12 +489,10 @@ def tautology_by_rows(p: Pattern) -> bool:
     the skeleton is a tuple tree ``("bot",)``, ``("imp", l, r)`` or
     ``("atom", i)`` over the maximal non-implication subpatterns, and it is
     walked again for each row.  Any ``mu X . X`` counts as falsum."""
-    from aml.sugar import is_bot_like
-
     atoms: dict = {}
 
     def skeleton(q: Pattern):
-        if is_bot_like(q):
+        if isinstance(q, Mu) and q.body == SVar(q.var):
             return ("bot",)
         if isinstance(q, Imp):
             return ("imp", skeleton(q.left), skeleton(q.right))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from oracles import structure_from_cells
+from aml import sugar
 from aml.model import Structure, Valuation
 from aml.syntax import Appl, Const, EVar, Exists, Imp, Mu, SVar, Signature
 
@@ -23,6 +24,32 @@ def patterns(max_leaves: int = 12):
             st.tuples(inner, inner).map(lambda t: Imp(*t)),
             st.tuples(st.integers(0, 2), inner).map(lambda t: Exists(*t)),
             st.tuples(st.integers(0, 2), inner).map(lambda t: Mu(*t)),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+def sugared_patterns(max_leaves: int = 10):
+    """Patterns built with the derived forms as well as the core ones, so
+    that every sugar notation turns up, nested in every other."""
+    index = st.integers(0, 2)
+    return st.recursive(
+        st.one_of(_evar, _svar, _const, st.sampled_from((sugar.BOT, sugar.TOP))),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda t: Appl(*t)),
+            st.tuples(inner, inner).map(lambda t: Imp(*t)),
+            st.tuples(index, inner).map(lambda t: Exists(*t)),
+            st.tuples(index, inner).map(lambda t: Mu(*t)),
+            inner.map(sugar.neg),
+            inner.map(sugar.ceil),
+            inner.map(sugar.floor),
+            st.tuples(inner, inner).map(lambda t: sugar.or_(*t)),
+            st.tuples(inner, inner).map(lambda t: sugar.and_(*t)),
+            st.tuples(inner, inner).map(lambda t: sugar.iff(*t)),
+            st.tuples(inner, inner).map(lambda t: sugar.eq(*t)),
+            st.tuples(index, inner).map(lambda t: sugar.mem(*t)),
+            st.tuples(index, inner).map(lambda t: sugar.forall(*t)),
+            st.tuples(index, inner).map(lambda t: sugar.nu(*t)),
         ),
         max_leaves=max_leaves,
     )

@@ -658,6 +658,52 @@ class TestNonAsciiDigits:
         self._assert_usage_error(code, capsys, "expected '<number>:")
 
 
+LONG = "1" * 5000  # more digits than `int` reads from a string by default
+
+
+class TestLongIndices:
+    """An index or line number longer than `int` reads is a usage error
+    naming the line, not a traceback; nothing changes the process limit."""
+
+    def _assert_usage_error(self, code, capsys, words):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and words in err
+        assert "5000 digits is too long to read" in err
+
+    @pytest.mark.parametrize(
+        "mode, text",
+        [("core", f"x{LONG}"), ("core", f"exists x{LONG} x0"),
+         ("sugar", f"x{LONG}"), ("sugar", f"exists x{LONG} . c")],
+        ids=["core-variable", "core-binder", "sugar-variable", "sugar-binder"],
+    )
+    def test_pattern(self, tmp_path, capsys, mode, text):
+        sig = str(CORPUS / "sig.txt")
+        pats = write(tmp_path, "p.pat", text + "\n")
+        limit = sys.get_int_max_str_digits()
+        code = main(["parse", "--sig", sig, "--mode", mode, pats])
+        self._assert_usage_error(code, capsys, f"{pats}:1:")
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"{LONG}: c -> c ; taut\n", f"1: c -> c ; taut\n2: c -> c ; mp {LONG} 1\n"],
+        ids=["line-number", "mp-reference"],
+    )
+    def test_proof_line(self, tmp_path, capsys, text):
+        script = write(tmp_path, "s.prf", text)
+        code = main(["proof", "check", "--sig", str(CORPUS / "sig.txt"), script])
+        line = text.count("\n")
+        self._assert_usage_error(code, capsys, f"line {line}:")
+
+    def test_valuation_key(self, tmp_path, model_file, capsys):
+        pats = write(tmp_path, "p.pat", "x0\n")
+        doc = {"element": {f"x{LONG}": "0"}, "set": {}}
+        valuation = write(tmp_path, "v.json", json.dumps(doc))
+        code = main(["eval", "--model", model_file, "--valuation", valuation, pats])
+        self._assert_usage_error(code, capsys, f"{valuation}: bad variable key")
+
+
 def nested(construct: str, levels: int) -> str:
     """Pattern text nesting one construct around ``c``, ``levels`` deep:
     in parentheses, or in levels of the pattern tree."""

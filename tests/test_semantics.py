@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import kt_gfp, kt_lfp, structure_from_cells
-from strategies import patterns, structure_with_valuation
+from strategies import patterns, structure_with_valuation, sugared_patterns
 from aml.context import ApplL, ApplR, Box, plug
 from aml.model import (
     Structure,
@@ -493,6 +493,15 @@ class TestTautology:
             assert verdict == tautology_by_rows(p), p
             verdicts.append(verdict)
         assert 150 < sum(verdicts) < 450
+
+    @given(sugared_patterns(max_leaves=5), sugared_patterns(max_leaves=5), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_truth_table_on_generated_patterns(self, f, g, shape):
+        """Generated patterns, alone and in three tautology schemes."""
+        from oracles import tautology_by_rows
+
+        p = (f, Imp(f, Imp(g, f)), Imp(neg(f), Imp(f, g)), Imp(Imp(Imp(f, g), f), f))[shape]
+        assert is_tautology(p) == tautology_by_rows(p)
 
     @given(st.integers(0, 10**9), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)

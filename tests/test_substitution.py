@@ -2,7 +2,9 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from strategies import SIG, patterns, structure_with_valuation
 from aml.semantics import evaluate
 from aml.substitution import (
@@ -29,6 +31,7 @@ from aml.syntax import (
 X0 = VarRef.set(0)
 x0 = VarRef.element(0)
 x1 = VarRef.element(1)
+VARS = st.sampled_from([VarRef(kind, i) for kind in ("element", "set") for i in range(3)])
 
 
 class TestFreeSubstitution:
@@ -57,6 +60,22 @@ class TestFreeSubstitution:
     def test_identity_when_absent(self):
         p = Appl(Const("c"), EVar(1))
         assert subst_free(p, x0, Const("d")) is p or subst_free(p, x0, Const("d")) == p
+
+    def test_unchanged_subtrees_are_shared(self):
+        """``phi`` itself comes back when ``v`` is not free in it, and every
+        subtree without a free ``v`` is kept, not copied."""
+        left = Appl(Const("c"), Exists(0, EVar(0)))
+        for phi in (left, Mu(0, SVar(0)), Exists(0, Imp(EVar(0), SVar(1))), EVar(1), SVar(0)):
+            assert subst_free(phi, x0, Const("d")) is phi
+        got = subst_free(Imp(left, EVar(0)), x0, Const("d"))
+        assert got == Imp(left, Const("d")) and got.left is left
+        got = subst_free(Imp(EVar(0), left), x0, Const("d"))
+        assert got == Imp(Const("d"), left) and got.right is left
+
+    @given(patterns(max_leaves=24), VARS, patterns(max_leaves=4))
+    @settings(max_examples=300)
+    def test_matches_the_rebuilding_oracle(self, p, v, delta):
+        assert subst_free(p, v, delta) == oracles.subst_free_rebuild(p, v, delta)
 
 
 class TestFreeFor:
@@ -162,6 +181,19 @@ class TestCaptureAvoiding:
         delta = Appl(EVar(1), Exists(2, EVar(2)))
         got = subst_capture_avoiding(p, x0, delta)
         assert got == Exists(4, Exists(3, delta))
+
+    @given(patterns(max_leaves=16), VARS, patterns(max_leaves=6), st.booleans())
+    @settings(max_examples=300)
+    def test_matches_the_rebuilding_oracle(self, p, v, delta, under_binders):
+        if under_binders:
+            # A free v under binders on x0, x1, X0 and X1, which most
+            # generated deltas use, so that most cases rename.
+            p = Appl(p, v.as_pattern())
+            for i in (0, 1):
+                p = p if v == VarRef.element(i) else Exists(i, p)
+                p = p if v == VarRef.set(i) else Mu(i, p)
+        want = oracles.subst_capture_avoiding_rebuild(p, v, delta)
+        assert subst_capture_avoiding(p, v, delta) == want
 
     def test_result_never_captures(self):
         p = Exists(1, Mu(0, Appl(EVar(0), Appl(EVar(1), SVar(0)))))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import SIG, patterns
+from strategies import SIG, patterns, sugared_patterns
 from aml.substitution import VarRef, subst_free
 from aml.sugar import (
     BOT,
@@ -250,6 +250,19 @@ class TestRendering:
     def test_applied_binder_is_parenthesized(self):
         p = Appl(Exists(0, EVar(0)), C)
         assert render_sugar(p) == "(exists x0 . x0) c"
+
+    def test_a_binder_trails_inside_parentheses(self):
+        """Parentheses end a trailing position of their own: a binder last
+        inside them prints bare, wherever they stand."""
+        assert render_sugar(Appl(Imp(C, Exists(0, C)), D)) == "(c -> exists x0 . c) d"
+        assert render_sugar(Imp(Imp(C, Mu(0, SVar(1))), C)) == "(c -> mu X0 . X1) -> c"
+        assert render_sugar(and_(or_(C, forall(0, C)), D)) == "(c \\/ forall x0 . c) /\\ d"
+
+    @given(sugared_patterns())
+    @settings(max_examples=400)
+    def test_matches_the_joining_oracle(self, p):
+        """One output list joined once gives what joining at every node did."""
+        assert render_sugar(p) == oracles.render_sugar_joined(p)
 
     @given(patterns())
     @settings(max_examples=400)

@@ -1,9 +1,11 @@
 """Core syntax: parsing, rendering, scope location, occurrence analysis."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from strategies import SIG, patterns
@@ -14,14 +16,17 @@ from aml.syntax import (
     EVar,
     Exists,
     Imp,
+    MAX_DEPTH,
     Malformed,
     Mu,
     NotABinary,
     NotABinder,
     OccurrenceKind,
     OutOfRange,
+    ParseError,
     SVar,
     Signature,
+    TooDeep,
     UnknownSymbol,
     binary_scopes,
     binder_scope,
@@ -161,6 +166,89 @@ class TestParseRender:
             parse_core("", SIG)
 
 
+# Tokens that edits put into a core token string: keywords, variables of
+# both kinds (one spelled with a leading zero), constants declared and not,
+# a bare variable letter, a sugar keyword and a non-ASCII digit.
+_VOCAB = ("appl", "imp", "exists", "mu", "x0", "x1", "X0", "X1", "X01", "x12",
+          "c", "d", "q", "x", "X", "bot", "x\u00b2")
+# The ways to open one level: a prefix and the operand that closes it.
+_LEVELS = (("imp c", ""), ("appl x1", ""), ("exists x0", ""), ("mu X1", ""),
+           ("imp", "c"), ("appl", "X0"))
+
+
+def _outcome(parse, text):
+    """The tree ``parse`` reads from ``text``, or its error's class and message."""
+    try:
+        return parse(text, SIG)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+def _edited(rng: random.Random, toks: list) -> str:
+    """``toks`` after up to three deletions, insertions, replacements or cuts."""
+    toks = list(toks)
+    for _ in range(rng.randrange(4)):
+        edit, pos = rng.randrange(4), rng.randrange(len(toks) + 1)
+        if edit == 0:
+            toks.insert(pos, rng.choice(_VOCAB))
+        elif edit == 1:
+            del toks[pos:]
+        elif pos < len(toks):
+            if edit == 2:
+                del toks[pos]
+            else:
+                toks[pos] = rng.choice(_VOCAB)
+    return " ".join(toks)
+
+
+def _nested(rng: random.Random, levels: int, inner: list) -> list:
+    """``inner`` under ``levels`` levels of operators drawn from `_LEVELS`."""
+    opened = [rng.choice(_LEVELS) for _ in range(levels)]
+    closing = [after for _, after in reversed(opened) if after]
+    return " ".join(before for before, _ in opened).split() + inner + closing
+
+
+class TestCoreParserOracle:
+    """The one-loop `parse_core` against the recursive parser it replaced
+    (`oracles.parse_core_recursive`): the same tree, or the same error class
+    and message, on valid, edited, truncated and deeply nested tokens."""
+
+    @given(patterns(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=400)
+    def test_edited_token_strings(self, p, seed):
+        rng = random.Random(seed)
+        toks = list(tokens(p))
+        for text in (" ".join(toks), _edited(rng, toks), _edited(rng, toks)):
+            assert _outcome(parse_core, text) == _outcome(oracles.parse_core_recursive, text), text
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 3000])
+    @given(patterns(max_leaves=3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_nested_token_strings(self, levels, p, seed):
+        rng = random.Random(seed)
+        toks = _nested(rng, levels, list(tokens(p)))
+        for text in (" ".join(toks), _edited(rng, toks)):
+            want = _outcome(oracles.parse_core_recursive, text)
+            assert _outcome(parse_core, text) == want, text[:200]
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH, MAX_DEPTH + 1, 3000])
+    def test_depth_limit(self, levels):
+        text = "imp c " * levels + "c"
+        got = _outcome(parse_core, text)
+        assert got == _outcome(oracles.parse_core_recursive, text)
+        if levels == MAX_DEPTH:
+            assert token_len(got) == 2 * levels + 1
+        else:
+            assert got == (TooDeep, f"token {2 * MAX_DEPTH + 1}: pattern nests deeper than {MAX_DEPTH} levels")
+
+    def test_each_token_is_its_own_leaf(self):
+        """Leaves are reused by whole token: ``x1`` and ``X1`` stay apart,
+        in either order, and so do ``x1`` and ``x10``."""
+        assert parse_core("imp X1 x1", SIG) == Imp(SVar(1), EVar(1))
+        assert parse_core("imp x1 X1", SIG) == Imp(EVar(1), SVar(1))
+        assert parse_core("appl x1 appl x10 x1", SIG) == Appl(EVar(1), Appl(EVar(10), EVar(1)))
+
+
 class TestScopes:
     def test_binder_scope_pinned_values(self):
         """Frozen expected values for the scope of a binder token."""
@@ -215,6 +303,21 @@ class TestOccurrences:
         """The variable token right after a binder is a bound occurrence."""
         p = Exists(0, EVar(0))
         assert occurrence_kind(p, 1) is OccurrenceKind.BOUND_ELEMENT
+
+    @given(patterns(max_leaves=24))
+    @settings(max_examples=300)
+    def test_free_vars_match_the_union_oracle(self, p):
+        assert free_vars(p) == oracles.free_vars_by_union(p)
+
+    @given(patterns(max_leaves=24))
+    @settings(max_examples=300)
+    def test_kinds_match_the_table_kind_by_kind(self, p):
+        """Free or bound, element or set, as the environment recursion says."""
+        kinds = {("free", "x"): OccurrenceKind.FREE_ELEMENT, ("free", "X"): OccurrenceKind.FREE_SET,
+                 ("bound", "x"): OccurrenceKind.BOUND_ELEMENT, ("bound", "X"): OccurrenceKind.BOUND_SET}
+        want = tuple(kinds.get((cls, tok[0]), OccurrenceKind.NOT_A_VARIABLE)
+                     for tok, cls in oracles.occurrence_table(p))
+        assert occurrence_kinds(p) == want
 
     @given(patterns())
     @settings(max_examples=200)
