@@ -14,9 +14,16 @@ reduction skips); group `frontend` is `parse` in both modes with `--emit`
 both ways, and `analyze`, on fixed files of core and sugar patterns that
 hold every node kind and every sugar form, and on malformed core files
 (truncated, tokens left over, an unknown symbol, a binder on the wrong
-kind of variable or on none, one level too deep).  Every run of these five
-groups goes with and without `--json`; where `--json` is not an option, the
-usage error is what gets hashed.  Group `help` is `aml --help`, every `aml <command> --help` and
+kind of variable or on none, one level too deep); group `bad-sugar` runs
+the same commands on malformed sugar files (chained `<->`, `=` and `in`, a
+non-variable left of `in`, `=` without `def` in the signature, a stray `)`,
+an unclosed `(`, one level of parentheses too deep, an unreadable
+character) under signatures with and without `def`, hashed apart so that
+the `frontend` hash stays comparable; group `eval` is `eval` of sugar
+patterns with free variables in one structure, with no valuation, with a
+valuation file and with one naming an element the structure lacks.  Every
+run of these seven groups goes with and without `--json`; where `--json`
+is not an option, the usage error is what gets hashed.  Group `help` is `aml --help`, every `aml <command> --help` and
 three usage errors (an unknown command, a missing required option, a bad
 `--max-size`), each with `COLUMNS` at 50 and at 120.  Every run
 names its files by paths relative to the temporary directory, so the hashes
@@ -60,6 +67,16 @@ SUGAR = ["bot", "top", "!c", "!!c", "c \\/ d", "c /\\ d", "c <-> d", "c -> d -> 
 BAD_CORE = {"truncated.core": "imp c", "leftover.core": "c d", "unknown.core": "imp c zebra",
             "element-mu.core": "mu x0 X0", "set-exists.core": "exists X0 c",
             "no-var.core": "appl c exists", "deep.core": "imp c " * 65 + "c"}
+BAD_SUGAR = {"iff-chain.sug": "c <-> d <-> c", "eq-chain.sug": "c = d = c",
+             "in-chain.sug": "x0 in c in d", "in-const.sug": "c in d", "eq.sug": "c = d",
+             "stray.sug": "c -> d)", "unclosed.sug": "(c -> d", "deep.sug": "(" * 65 + "c" + ")" * 65,
+             "dollar.sug": "c -> $ d"}
+# Sugar patterns over `c d` with free variables of both kinds, and valuations
+# for them: one that the structure below can read, one that it cannot.
+EVAL = ["x0", "X0", "c x0", "x0 -> d", "exists x0 . c x0", "mu X0 . c X0 \\/ X0", "X0 /\\ x1",
+        "!x0 \\/ X1", "nu X0 . d X0", "forall x1 . c x1 -> X1"]
+VALUATIONS = {"v.json": '{"element": {"x0": "1", "x1": "0"}, "set": {"X0": ["0"], "X1": ["0", "1"]}}',
+              "bad-v.json": '{"element": {"x0": "2"}, "set": {}}'}
 MODEL = '{"universe": ["0", "1"], "constants": {"c": ["0", "1"], "d": ["1"]},' \
     ' "app": [{"left": "0", "right": "1", "result": ["0", "1"]}]}'
 
@@ -133,6 +150,11 @@ def main() -> None:
     frontend = [[*cmd, "--sig", "sigcd.txt", "--mode", mode, name]
                 for name, (mode, _) in front_files.items()
                 for cmd in (("parse", "--emit", "core"), ("parse", "--emit", "sugar"), ("analyze",))]
+    bad_sugar = [[*cmd, "--sig", sig, "--mode", "sugar", name] for name in BAD_SUGAR
+                 for sig in ("sigcd.txt", "sig.txt")
+                 for cmd in (("parse", "--emit", "core"), ("parse", "--emit", "sugar"), ("analyze",))]
+    evals = [["eval", "--model", "m.json", *valuation, "eval.pat"]
+             for valuation in ((), *(["--valuation", v] for v in VALUATIONS))]
     commands = ("parse", "analyze", "eval", "check", "taut", "consequence", "proof", "gen-models")
     helps = [["--help"], *([cmd, "--help"] for cmd in commands), ["frobnicate"],
              ["eval", "c.pat"], ["consequence", "--max-size", "0", "c.pat"]]
@@ -155,12 +177,17 @@ def main() -> None:
                 Path(name).write_text("\n".join(lines) + "\n")
             for name, (_, lines) in front_files.items():
                 Path(name).write_text("\n".join(lines) + "\n")
+            for name, text in {**BAD_SUGAR, **VALUATIONS}.items():
+                Path(name).write_text(text + "\n")
+            Path("eval.pat").write_text("\n".join(EVAL) + "\n")
             print(f"audit {digest(audit)} ({2 * len(audit)} runs)")
             print(f"taut  {digest(taut)} ({2 * len(taut)} runs)")
             print(f"suite {digest(suite_runs)} ({2 * len(suite_runs)} runs)")
             print(f"consequence {digest(conseq)} ({2 * len(conseq)} runs)")
             print(f"help  {help_digest(helps)} ({2 * len(helps)} runs)")
             print(f"frontend {digest(frontend)} ({2 * len(frontend)} runs)")
+            print(f"bad-sugar {digest(bad_sugar)} ({2 * len(bad_sugar)} runs)")
+            print(f"eval  {digest(evals)} ({2 * len(evals)} runs)")
         finally:
             os.chdir(home)
 

@@ -297,6 +297,42 @@ MUTANTS = [
         "",
         (TEST_SUGAR,),
     ),
+    # The sugar parser climbs one precedence table, and the renderer
+    # derives its binary shapes from the same table.
+    Mutant(
+        "non-chaining-operator-chains", SUGAR,
+        "            most = level if op in _LEFT else level - 1\n",
+        "            most = level\n",
+        (TEST_SUGAR,),
+    ),
+    Mutant(
+        "implication-folded-left", SUGAR,
+        "                acc = operands.pop()\n"
+        "                while operands:\n"
+        "                    acc = Imp(operands.pop(), acc)\n",
+        "                acc = operands.pop(0)\n"
+        "                while operands:\n"
+        "                    acc = Imp(acc, operands.pop(0))\n",
+        (TEST_SUGAR,),
+    ),
+    Mutant(
+        "right-operand-at-its-own-level", SUGAR,
+        "            right = self.pattern(level + 1)\n",
+        "            right = self.pattern(level)\n",
+        (TEST_SUGAR,),
+    ),
+    Mutant(
+        "equality-without-its-def-check", SUGAR,
+        '            if op == "=" or op == "in":\n',
+        '            if op == "in":\n',
+        (TEST_SUGAR,),
+    ),
+    Mutant(
+        "render-right-operand-at-own-level", SUGAR,
+        'level + (op != "->"))',
+        "level)",
+        (TEST_SUGAR,),
+    ),
     # The frontend walks: the one-loop core parser, the free variables
     # walk, shared subtrees in substitution, the postfix tautology program
     # and the one-list sugar renderer.

@@ -10,16 +10,18 @@ Operator precedence, tightest first:
 
     application (juxtaposition, left assoc)
     !
-    in
-    =
+    in            (no chaining)
+    =             (no chaining)
     /\\            (left assoc)
     \\/            (left assoc)
     ->            (right assoc)
     <->           (no chaining)
 
 Binders (``exists``, ``forall``, ``mu``, ``nu``) extend as far right as
-possible.  The renderer emits minimal parentheses under the same table, into
-one list joined once, and `parse`/`render` round-trip exactly in both modes.
+possible.  The binary operators' levels are one table, `_BINARY`: the parser
+climbs it in one loop, and the renderer derives from it the minimal
+parentheses it emits, into one list joined once.  `parse` and `render`
+round-trip exactly in both modes.
 """
 
 from __future__ import annotations
@@ -282,8 +284,20 @@ _TOKEN = re.compile(r"<->|->|/\\|\\/|\[\]|[().!=]|[A-Za-z_][A-Za-z0-9_]*")
 # The longest prefix that reads as tokens and whitespace.
 _READ = re.compile(rf"(?:\s*(?:{_TOKEN.pattern}))*\s*")
 
+# The binary operators by level, loosest first: the one precedence table
+# that the parser climbs and the renderer prints by.  `\/` and `/\` chain
+# to the left and `->` to the right; `<->`, `=` and `in` do not chain.
+_BINARY = {"<->": 1, "->": 2, "\\/": 3, "/\\": 4, "=": 5, "in": 6}
+_LEFT = ("\\/", "/\\")
+_JOIN = {"<->": iff, "\\/": or_, "/\\": and_, "=": eq}
+# Binders display below the table; negation, application and atoms above it.
+_LVL_BINDER = 0
+_LVL_NEG = max(_BINARY.values()) + 1
+_LVL_APP = _LVL_NEG + 1
+_LVL_ATOM = _LVL_APP + 1
+
 # Tokens that end an application: none of them can start an atom.
-_NOT_ATOM = frozenset({")", ".", "<->", "->", "\\/", "/\\", "=", "in", "!"})
+_NOT_ATOM = frozenset({")", ".", "!", *_BINARY})
 _ENDS_APP = _NOT_ATOM | {None}
 
 
@@ -331,55 +345,35 @@ class _Parser:
         self.depth -= 1
         return p
 
-    # grammar, loosest level first
-    def pattern(self) -> Pattern:
-        left = self.imp()
-        if self.toks[self.pos] == "<->":
-            self.take()
-            return iff(left, self.imp())
-        return left
-
-    def imp(self) -> Pattern:
-        operands = [self.or_()]
-        while self.toks[self.pos] == "->":
-            self.take()
-            operands.append(self.or_())
-        acc = operands.pop()
-        while operands:
-            acc = Imp(operands.pop(), acc)
-        return acc
-
-    def or_(self) -> Pattern:
-        acc = self.and_()
-        while self.toks[self.pos] == "\\/":
-            self.take()
-            acc = or_(acc, self.and_())
-        return acc
-
-    def and_(self) -> Pattern:
-        acc = self.eq()
-        while self.toks[self.pos] == "/\\":
-            self.take()
-            acc = and_(acc, self.eq())
-        return acc
-
-    def eq(self) -> Pattern:
-        left = self.mem()
-        if self.toks[self.pos] == "=":
-            self.take()
-            self._need_def("=")
-            return eq(left, self.mem())
-        return left
-
-    def mem(self) -> Pattern:
-        left = self.neg()
-        if self.toks[self.pos] == "in":
-            self.take()
-            if not isinstance(left, EVar):
+    def pattern(self, least: int = 1) -> Pattern:
+        """The longest pattern here whose binary operators all have level
+        ``least`` or above, by precedence climbing over `_BINARY` (Pratt,
+        "Top down operator precedence", POPL 1973).  A right operand holds
+        only tighter operators; `->` folds its whole chain to the right."""
+        acc = self.neg()
+        most = _LVL_NEG - 1
+        while True:
+            op = self.toks[self.pos]
+            level = _BINARY.get(op, 0)
+            if level < least or level > most:
+                return acc
+            self.pos += 1
+            most = level if op in _LEFT else level - 1
+            if op == "->":
+                operands = [acc, self.pattern(level + 1)]
+                while self.toks[self.pos] == "->":
+                    self.pos += 1
+                    operands.append(self.pattern(level + 1))
+                acc = operands.pop()
+                while operands:
+                    acc = Imp(operands.pop(), acc)
+                continue
+            if op == "in" and not isinstance(acc, EVar):
                 raise Malformed("left operand of 'in' must be an element variable")
-            self._need_def("in")
-            return mem(left.index, self.neg())
-        return left
+            if op == "=" or op == "in":
+                self._need_def(op)
+            right = self.pattern(level + 1)
+            acc = mem(acc.index, right) if op == "in" else _JOIN[op](acc, right)
 
     def neg(self) -> Pattern:
         count = 0
@@ -476,26 +470,22 @@ def parse_sugar(text: str, sig: Signature, allow_hole: bool = False) -> Pattern:
 # `floor`, an implication `<->` or `/\`, an existential `forall`, a fixpoint
 # `nu`; whatever does not match prints as `!`.
 
-_LVL_BINDER = 0
-_LVL_IFF = 1
-_LVL_IMP = 2
-_LVL_OR = 3
-_LVL_AND = 4
-_LVL_EQ = 5
-_LVL_MEM = 6
-_LVL_NEG = 7
-_LVL_APP = 8
-_LVL_ATOM = 9
+# Each binary operator's level, the level its left operand needs, its text
+# and the level its right operand needs: one above its own, except on the
+# side it chains to.
+_INFIX = {
+    op: (level, level + (op not in _LEFT), f" {op} ", level + (op != "->"))
+    for op, level in _BINARY.items()
+}
 
 
 def _shape(p: Pattern):
     t = type(p)
     if t is Imp:
-        if p.right != BOT:
+        if type(p.right) is not Mu or p.right != BOT:
             a = match_neg(p.left)
-            if a is None:
-                return _LVL_IMP, ((p.left, _LVL_OR, False), " -> ", (p.right, _LVL_IMP, None))
-            return _LVL_OR, ((a, _LVL_OR, False), " \\/ ", (p.right, _LVL_AND, None))
+            level, left, text, right = _INFIX["->" if a is None else "\\/"]
+            return level, ((p.left if a is None else a, left, False), text, (p.right, right, None))
         q = p.left
         u = type(q)
         if u is Appl:
@@ -503,15 +493,16 @@ def _shape(p: Pattern):
             if f is not None:
                 m = match_iff(f)
                 if m is not None:
-                    return _LVL_EQ, ((m[0], _LVL_MEM, False), " = ", (m[1], _LVL_MEM, None))
+                    level, left, text, right = _INFIX["="]
+                    return level, ((m[0], left, False), text, (m[1], right, None))
                 return _LVL_ATOM, ("floor(", (f, 0, True), ")")
         elif u is Imp:
             m = match_and(p)
             if m is not None:
                 e = _iff_sides(*m)
-                if e is not None:
-                    return _LVL_IFF, ((e[0], _LVL_IMP, False), " <-> ", (e[1], _LVL_IMP, None))
-                return _LVL_AND, ((m[0], _LVL_AND, False), " /\\ ", (m[1], _LVL_EQ, None))
+                level, left, text, right = _INFIX["/\\" if e is None else "<->"]
+                a, b = m if e is None else e
+                return level, ((a, left, False), text, (b, right, None))
         elif u is Exists:
             m = match_forall(p)
             if m is not None:
@@ -529,7 +520,8 @@ def _shape(p: Pattern):
             return _LVL_APP, ((p.left, _LVL_APP, False), " ", (p.right, _LVL_ATOM, False))
         m = match_mem(p)
         if m is not None:
-            return _LVL_MEM, (f"x{m[0]} in ", (m[1], _LVL_NEG, None))
+            level, _, text, right = _INFIX["in"]
+            return level, (f"x{m[0]}{text}", (m[1], right, None))
         return _LVL_ATOM, ("ceil(", (arg, 0, True), ")")
     if t is Exists:
         return _LVL_BINDER, (f"exists x{p.var} . ", (p.body, 0, True))

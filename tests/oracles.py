@@ -11,8 +11,9 @@ original frozenset enumeration, and fixpoints of arbitrary set operators by
 Knaster-Tarski enumeration, exact-fixpoint enumeration and Kleene iteration,
 the sugar tokens by reading one token at a time from the left, and the
 frontend walks as first written: the core parser recursing once per token,
-free variables as a union of frozensets per node, substitution rebuilding
-every node, and the sugar renderer joining its pieces at every node.
+the sugar parser descending through one method per precedence level, free
+variables as a union of frozensets per node, substitution rebuilding every
+node, and the sugar renderer joining its pieces at every node.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 import re
 
 from aml.model import ENUMERATION_CAP, Structure, UniverseTooLarge, subsets_of
-from aml.sugar import _LVL_BINDER, _TOKEN, _shape
+from aml.sugar import _LVL_BINDER, _TOKEN, _Parser, _lex, _shape, and_, eq, iff, mem, or_
 from aml.substitution import VarRef, fresh_variables
 from aml.syntax import (
     DEFINEDNESS,
@@ -44,6 +45,7 @@ from aml.syntax import (
     TooDeep,
     UnknownSymbol,
     bound_binder_indices,
+    check_depth,
     parse_core,
     tokens,
 )
@@ -102,6 +104,77 @@ def lex_sequential(text: str) -> list[str]:
         out.append(m.group(0))
         pos = m.end()
     return out
+
+
+class _Descent(_Parser):
+    """The sugar grammar as first written: one method per precedence level,
+    loosest first, each calling the next tighter one for its operands."""
+
+    def pattern(self) -> Pattern:
+        left = self.imp()
+        if self.toks[self.pos] == "<->":
+            self.take()
+            return iff(left, self.imp())
+        return left
+
+    def imp(self) -> Pattern:
+        operands = [self.or_()]
+        while self.toks[self.pos] == "->":
+            self.take()
+            operands.append(self.or_())
+        acc = operands.pop()
+        while operands:
+            acc = Imp(operands.pop(), acc)
+        return acc
+
+    def or_(self) -> Pattern:
+        acc = self.and_()
+        while self.toks[self.pos] == "\\/":
+            self.take()
+            acc = or_(acc, self.and_())
+        return acc
+
+    def and_(self) -> Pattern:
+        acc = self.eq()
+        while self.toks[self.pos] == "/\\":
+            self.take()
+            acc = and_(acc, self.eq())
+        return acc
+
+    def eq(self) -> Pattern:
+        left = self.mem()
+        if self.toks[self.pos] == "=":
+            self.take()
+            self._need_def("=")
+            return eq(left, self.mem())
+        return left
+
+    def mem(self) -> Pattern:
+        left = self.neg()
+        if self.toks[self.pos] == "in":
+            self.take()
+            if not isinstance(left, EVar):
+                raise Malformed("left operand of 'in' must be an element variable")
+            self._need_def("in")
+            return mem(left.index, self.neg())
+        return left
+
+
+def parse_sugar_descent(text: str, sig: Signature, allow_hole: bool = False) -> Pattern:
+    """`aml.sugar.parse_sugar` over the eight-method descent: `pattern`,
+    `imp`, `or_`, `and_`, `eq` and `mem` here, `neg`, `app` and the atoms
+    from the package's parser."""
+    toks = _lex(text)
+    if not toks:
+        raise Malformed("empty input")
+    parser = _Descent(toks, sig, allow_hole)
+    p = parser.pattern()
+    if parser.pos != len(toks):
+        raise Malformed(
+            f"pattern complete but {len(toks) - parser.pos} token(s) remain, "
+            f"starting at {toks[parser.pos]!r}"
+        )
+    return check_depth(p)
 
 
 def parse_core_recursive(text: str, sig: Signature) -> Pattern:

@@ -259,7 +259,7 @@ class TestEnumeration:
         assert len(got) == 4 + 256 * 4
 
     @pytest.mark.parametrize("defined", [False, True])
-    @pytest.mark.parametrize("names", [(), ("c",), ("def",), ("c", "d"), ("c", "def")])
+    @pytest.mark.parametrize("names", [(), ("c",), ("def",), ("c", "d"), ("c", "def"), ("c", "d", "e")])
     @pytest.mark.parametrize(
         "max_size, seed, samples", [(1, 0, 5), (2, 0, 0), (3, 0, 12), (3, 9, 4), (4, 3, 30)]
     )

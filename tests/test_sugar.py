@@ -45,8 +45,10 @@ from aml.syntax import (
     Imp,
     Malformed,
     Mu,
+    ParseError,
     SVar,
     Signature,
+    TooDeep,
     UnknownSymbol,
 )
 
@@ -177,6 +179,91 @@ class TestParsing:
         assert parse("c -> d", DSIG, "sugar") == Imp(C, D)
         with pytest.raises(ValueError):
             parse("c", DSIG, "latex")
+
+
+# README's precedence table, loosest first, with the side each operator
+# chains to; None where it does not chain.
+_TABLE = (("<->", None), ("->", "right"), ("\\/", "left"), ("/\\", "left"), ("=", None), ("in", None))
+_RANK = {op: rank for rank, (op, _) in enumerate(_TABLE)}
+_CHAINS = dict(_TABLE)
+_BUILD = {"<->": iff, "->": Imp, "\\/": or_, "/\\": and_, "=": eq, "in": lambda a, b: mem(a.index, b)}
+_OP_IDS = {"<->": "iff", "->": "imp", "\\/": "or", "/\\": "and", "=": "eq", "in": "in"}
+
+# The sugar vocabulary: the six operators, `!`, the punctuation, the binders
+# and keywords, variables, the constants and a name no signature declares.
+_VOCAB = (
+    "<->", "->", "\\/", "/\\", "=", "in", "!", "(", ")", ".",
+    "exists", "forall", "mu", "nu", "bot", "top", "ceil", "floor", "[]",
+    "x0", "x1", "X0", "X1", "c", "d", "zebra",
+)
+
+
+def _outcome(parse, text, sig, allow_hole):
+    """The tree ``parse`` gives, or the type and message of what it raises."""
+    try:
+        return parse(text, sig, allow_hole)
+    except ParseError as e:
+        return type(e), str(e)
+
+
+_SUGARED = sugared_patterns(max_leaves=8)
+
+
+@st.composite
+def _near_sugar(draw):
+    """A rendered sugared pattern with one token dropped, doubled or swapped
+    for one from the vocabulary, or left as it is."""
+    toks = _lex(render_sugar(draw(_SUGARED)))
+    i = draw(st.integers(0, len(toks) - 1))
+    edit = draw(st.sampled_from(("keep", "drop", "double", "swap")))
+    if edit == "drop":
+        del toks[i]
+    elif edit == "double":
+        toks.insert(i, toks[i])
+    elif edit == "swap":
+        toks[i] = draw(st.sampled_from(_VOCAB))
+    return " ".join(toks)
+
+
+class TestClimbing:
+    """The one precedence-climbing loop against the eight-method descent it
+    replaced, and the operator table it reads."""
+
+    @given(
+        st.one_of(st.lists(st.sampled_from(_VOCAB), max_size=14).map(" ".join), _near_sugar()),
+        st.sampled_from((SIG, DSIG)),
+        st.booleans(),
+    )
+    @settings(max_examples=1500)
+    def test_matches_the_descent(self, text, sig, allow_hole):
+        """The same tree, or the same exception with the same message."""
+        want = _outcome(oracles.parse_sugar_descent, text, sig, allow_hole)
+        assert _outcome(parse_sugar, text, sig, allow_hole) == want
+
+    @pytest.mark.parametrize("op2", _BUILD, ids=_OP_IDS.get)
+    @pytest.mark.parametrize("op1", _BUILD, ids=_OP_IDS.get)
+    def test_operator_pair_groups_as_the_table_says(self, op1, op2):
+        """``x0 op1 x1 op2 c`` groups by README's table, or stops after the
+        first operator where the operator may not chain."""
+        text = f"x0 {op1} x1 {op2} c"
+        if op1 == op2 and _CHAINS[op1] is None:
+            with pytest.raises(Malformed) as got:
+                parse_sugar(text, DSIG)
+            assert str(got.value) == f"pattern complete but 2 token(s) remain, starting at {op2!r}"
+            return
+        x0, x1 = EVar(0), EVar(1)
+        if _RANK[op1] > _RANK[op2] or op1 == op2 and _CHAINS[op1] == "left":
+            want = _BUILD[op2](_BUILD[op1](x0, x1), C)
+        else:
+            want = _BUILD[op1](x0, _BUILD[op2](x1, C))
+        assert parse_sugar(text, DSIG) == want
+
+    def test_every_operator_in_one_nest_is_too_deep(self):
+        """Each operator's operand in turn, 64 parentheses deep, is a
+        `TooDeep` error and not Python's recursion limit."""
+        text = "c <-> c -> c \\/ c /\\ c = x0 in (" * 64 + "c" + ")" * 64
+        with pytest.raises(TooDeep):
+            parse_sugar(text, DSIG)
 
 
 # Whole tokens, their characters alone and stray characters, and whitespace:
