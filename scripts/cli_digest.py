@@ -21,9 +21,15 @@ an unclosed `(`, one level of parentheses too deep, an unreadable
 character) under signatures with and without `def`, hashed apart so that
 the `frontend` hash stays comparable; group `eval` is `eval` of sugar
 patterns with free variables in one structure, with no valuation, with a
-valuation file and with one naming an element the structure lacks.  Every
-run of these seven groups goes with and without `--json`; where `--json`
-is not an option, the usage error is what gets hashed.  Group `help` is `aml --help`, every `aml <command> --help` and
+valuation file and with one naming an element the structure lacks; group
+`errors` pins the order of output and error: `eval` and `check` on a file
+whose second pattern names a `--sig` constant that the structure lacks,
+`proof check --audit` over a `--models` directory whose structure lacks
+the script's constant, and `check` and `consequence` with `--out` naming
+an existing regular file, hashed apart so that the other hashes stay
+comparable.  Every run of these eight groups goes with and without
+`--json`; where `--json` is not an option, the usage error is what gets
+hashed.  Group `help` is `aml --help`, every `aml <command> --help` and
 three usage errors (an unknown command, a missing required option, a bad
 `--max-size`), each with `COLUMNS` at 50 and at 120.  Every run
 names its files by paths relative to the temporary directory, so the hashes
@@ -79,6 +85,8 @@ VALUATIONS = {"v.json": '{"element": {"x0": "1", "x1": "0"}, "set": {"X0": ["0"]
               "bad-v.json": '{"element": {"x0": "2"}, "set": {}}'}
 MODEL = '{"universe": ["0", "1"], "constants": {"c": ["0", "1"], "d": ["1"]},' \
     ' "app": [{"left": "0", "right": "1", "result": ["0", "1"]}]}'
+# A structure that interprets `c` only, for runs whose signature adds `d`.
+C_ONLY = '{"universe": ["0", "1"], "constants": {"c": ["0"]}}'
 
 
 def run(argv) -> tuple:
@@ -155,6 +163,12 @@ def main() -> None:
                  for cmd in (("parse", "--emit", "core"), ("parse", "--emit", "sugar"), ("analyze",))]
     evals = [["eval", "--model", "m.json", *valuation, "eval.pat"]
              for valuation in ((), *(["--valuation", v] for v in VALUATIONS))]
+    lacks = ["--model", "c-only/m.json", "--sig", "sig.txt"]
+    errors = [["eval", *lacks, "lacks.pat"], ["check", *lacks, "--out", "out", "lacks.pat"],
+              ["proof", "check", "--audit", "--models", "c-only", "--sig", "sig.txt",
+               "--out", "out", "lacks.prf"],
+              ["check", "--model", "m.json", "--out", "taken", "lacks.pat"],
+              ["consequence", "--sig", "c.txt", "--out", "taken", "early.pat"]]
     commands = ("parse", "analyze", "eval", "check", "taut", "consequence", "proof", "gen-models")
     helps = [["--help"], *([cmd, "--help"] for cmd in commands), ["frobnicate"],
              ["eval", "c.pat"], ["consequence", "--max-size", "0", "c.pat"]]
@@ -180,6 +194,11 @@ def main() -> None:
             for name, text in {**BAD_SUGAR, **VALUATIONS}.items():
                 Path(name).write_text(text + "\n")
             Path("eval.pat").write_text("\n".join(EVAL) + "\n")
+            Path("c-only").mkdir()
+            Path("c-only/m.json").write_text(C_ONLY)
+            Path("lacks.pat").write_text("x0\nd\n")
+            Path("lacks.prf").write_text("1: c -> c ; taut\n2: d -> d ; taut\n")
+            Path("taken").write_text("")
             print(f"audit {digest(audit)} ({2 * len(audit)} runs)")
             print(f"taut  {digest(taut)} ({2 * len(taut)} runs)")
             print(f"suite {digest(suite_runs)} ({2 * len(suite_runs)} runs)")
@@ -188,6 +207,7 @@ def main() -> None:
             print(f"frontend {digest(frontend)} ({2 * len(frontend)} runs)")
             print(f"bad-sugar {digest(bad_sugar)} ({2 * len(bad_sugar)} runs)")
             print(f"eval  {digest(evals)} ({2 * len(evals)} runs)")
+            print(f"errors {digest(errors)} ({2 * len(errors)} runs)")
         finally:
             os.chdir(home)
 

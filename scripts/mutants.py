@@ -62,6 +62,28 @@ class Mutant:
     tests: tuple[str, ...]
 
 
+# `aml consequence` writes its counterexample files, then says its header.
+_CONSEQUENCE_FILES = (
+    "    if not verdict.holds:\n"
+    "        # Before any output: a reader that stops early (``| head -1``)\n"
+    "        # still gets the files.\n"
+    "        _write_counterexample(\n"
+    "            Path(args.out), verdict.structure, verdict.valuation, verdict.pattern, gamma\n"
+    "        )\n"
+    "        doc[\"counterexample\"] = cex = {\n"
+    "            \"structure\": structure_to_doc(verdict.structure),\n"
+    "            \"valuation\": valuation_to_doc(verdict.valuation, verdict.structure),\n"
+    "            \"pattern\": render_pattern(verdict.pattern, \"sugar\"),\n"
+    "            \"note\": verdict.note,\n"
+    "        }\n"
+)
+_CONSEQUENCE_HEADER = (
+    "    say(\n"
+    "        f\"{args.kind} consequence over {verdict.structures_checked} structure(s) \"\n"
+    "        f\"({origin}): {'holds' if verdict.holds else 'fails'}\"\n"
+    "    )\n"
+)
+
 MUTANTS = [
     # Valuation lanes: a block of several lanes decided for every
     # assignment at once over its wide form.
@@ -416,6 +438,34 @@ MUTANTS = [
         "        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))\n",
         "        if name != \"taut\":\n"
         "            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))\n",
+        (TEST_CLI,),
+    ),
+    # The command line's one report path: text streamed through `say`, the
+    # document printed by `main`, counterexample files before their lines.
+    Mutant(
+        "say-printed-under-json", CLI,
+        "        code, doc = args.fn(args, _quiet if as_json else print)\n",
+        "        code, doc = args.fn(args, print)\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "proof-report-said-before-the-audit", CLI,
+        "    audit = audit_soundness(script, _suite(args, sig)[0], report) if args.audit else None\n"
+        "    say(format_report(report))\n",
+        "    say(format_report(report))\n"
+        "    audit = audit_soundness(script, _suite(args, sig)[0], report) if args.audit else None\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "every-check-failure-written", CLI,
+        "        if all_valid and not verdict.holds:\n",
+        "        if not verdict.holds:\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "consequence-header-before-its-files", CLI,
+        _CONSEQUENCE_FILES + _CONSEQUENCE_HEADER,
+        _CONSEQUENCE_HEADER + _CONSEQUENCE_FILES,
         (TEST_CLI,),
     ),
 ]

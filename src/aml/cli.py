@@ -7,10 +7,16 @@ proof rejected, audit violation), 2 on usage or file-format errors, and
 output closes it early.  Output is deterministic for identical inputs and
 seeds; JSON output is sorted-key.
 
+Every command reports in one of two forms.  As text, each line is printed
+as soon as the result it reports is decided, so an error or a limit met
+later in a file leaves the earlier lines printed.  Under ``--json``, one
+document is printed when the command completes, and nothing on error.
+
 A failing verdict is also written out as replayable counterexample files
 under the ``--out`` directory, in the formats `eval` reads back: the first
 counterexample of `check` and `consequence`, and every audit violation of
-`proof check`, with or without ``--json``.
+`proof check`, with or without ``--json``.  The files are written before
+any line that announces them.
 """
 
 from __future__ import annotations
@@ -145,18 +151,29 @@ def _suite(
     if args.models:
         suite = loaded if loaded is not None else _load_model_dir(args.models, None)
         return suite, f"directory {args.models}"
-    spec = SuiteSpec(
+    spec = _spec(args, sig)
+    return spec.suite(), spec.describe()
+
+
+def _spec(args, sig: Signature) -> SuiteSpec:
+    """The generated suite that the suite flags name."""
+    return SuiteSpec(
         sig=sig,
         max_size=args.max_size,
         seed=args.seed,
         samples=args.samples,
         defined=args.defined,
     )
-    return spec.suite(), spec.describe()
 
 
 def _constants_of(structure: Structure) -> tuple[str, ...]:
     return tuple(sorted(structure.masks))
+
+
+def _dumps(doc) -> str:
+    """A JSON document as the command line writes every one: sorted keys,
+    indented by two."""
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +190,8 @@ def _write_counterexample(
     outdir.mkdir(parents=True, exist_ok=True)
     save_structure(structure, outdir / "structure.json")
     if valuation is not None:
-        (outdir / "valuation.json").write_text(
-            json.dumps(valuation_to_doc(valuation, structure), indent=2, sort_keys=True)
-            + "\n"
-        )
+        doc = valuation_to_doc(valuation, structure)
+        (outdir / "valuation.json").write_text(_dumps(doc) + "\n")
     (outdir / "conclusion.pat").write_text(render_pattern(conclusion, "sugar") + "\n")
     if gamma:
         (outdir / "gamma.pat").write_text(
@@ -190,38 +205,34 @@ def _write_counterexample(
     (outdir / "replay.txt").write_text(replay)
 
 
-def _verdict_lines(structure: Structure, valuation: Valuation | None, p: Pattern) -> list[str]:
-    out = [f"  structure: universe {{{', '.join(structure.universe)}}}"]
-    if valuation is not None:
-        doc = valuation_to_doc(valuation, structure)
-        out.append(f"  valuation: {json.dumps(doc, sort_keys=True)}")
-    out.append(f"  pattern: {render_pattern(p, 'sugar')}")
-    return out
+def _say_witness(say, structure: Structure, valuation: dict, pattern: str) -> None:
+    say(f"  structure: universe {{{', '.join(structure.universe)}}}")
+    say(f"  valuation: {json.dumps(valuation, sort_keys=True)}")
+    say(f"  pattern: {pattern}")
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  Each takes the parsed arguments and ``say``, which it calls
+# with each text line as soon as that line is decided, and returns its exit
+# code and its result document; `main` alone chooses which form is shown.
 
 
-def _cmd_parse(args) -> int:
-    sig = _load_sig(args)
-    pats = _read_patterns(args.pattern_file, sig, args.mode)
-    if args.json:
-        doc = {
-            "patterns": [
-                {
-                    "core": render_pattern(p, "core"),
-                    "sugar": render_pattern(p, "sugar"),
-                    "tokens": token_len(p),
-                }
-                for p in pats
-            ]
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
+def _cmd_parse(args, say):
+    pats = _read_patterns(args.pattern_file, _load_sig(args), args.mode)
+    docs = []
     for p in pats:
-        print(render_pattern(p, args.emit))
-    return 0
+        doc = {
+            "core": render_pattern(p, "core"),
+            "sugar": render_pattern(p, "sugar"),
+            "tokens": token_len(p),
+        }
+        say(doc[args.emit])
+        docs.append(doc)
+    return 0, {"patterns": docs}
 
 
 def _fmt_vars(indices, prefix: str) -> str:
@@ -238,48 +249,39 @@ def _polarity_word(p: Pattern, index: int) -> str:
     return "neither"
 
 
-def _cmd_analyze(args) -> int:
-    sig = _load_sig(args)
-    pats = _read_patterns(args.pattern_file, sig, args.mode)
+def _cmd_analyze(args, say):
+    pats = _read_patterns(args.pattern_file, _load_sig(args), args.mode)
     docs = []
     for n, p in enumerate(pats, start=1):
         fe, fs = free_vars(p)
-        toks = tokens(p)
-        kinds = occurrence_kinds(p)
-        set_indices = sorted(fs)
-        polarity = {i: _polarity_word(p, i) for i in set_indices}
-        if args.json:
-            docs.append(
-                {
-                    "core": render_pattern(p, "core"),
-                    "sugar": render_pattern(p, "sugar"),
-                    "free_element_vars": sorted(fe),
-                    "free_set_vars": sorted(fs),
-                    "occurrences": [
-                        {"position": i, "token": t, "kind": k.value}
-                        for i, (t, k) in enumerate(zip(toks, kinds))
-                        if k is not OccurrenceKind.NOT_A_VARIABLE
-                    ],
-                    "set_polarity": {f"X{i}": w for i, w in polarity.items()},
-                }
-            )
-            continue
-        print(f"pattern {n}: {render_pattern(p, 'sugar')}")
-        print(f"  core: {render_pattern(p, 'core')}")
-        print(f"  free element variables: {_fmt_vars(fe, 'x')}")
-        print(f"  free set variables: {_fmt_vars(fs, 'X')}")
-        print("  occurrences:")
-        for i, (t, k) in enumerate(zip(toks, kinds)):
-            if k is not OccurrenceKind.NOT_A_VARIABLE:
-                print(f"    {i:>3}  {t:<6} {k.value}")
-        for i in set_indices:
-            print(f"  X{i}: {polarity[i]}")
-    if args.json:
-        print(json.dumps({"patterns": docs}, indent=2, sort_keys=True))
-    return 0
+        occurrences = [
+            {"position": i, "token": t, "kind": k.value}
+            for i, (t, k) in enumerate(zip(tokens(p), occurrence_kinds(p)))
+            if k is not OccurrenceKind.NOT_A_VARIABLE
+        ]
+        polarity = {f"X{i}": _polarity_word(p, i) for i in sorted(fs)}
+        doc = {
+            "core": render_pattern(p, "core"),
+            "sugar": render_pattern(p, "sugar"),
+            "free_element_vars": sorted(fe),
+            "free_set_vars": sorted(fs),
+            "occurrences": occurrences,
+            "set_polarity": polarity,
+        }
+        say(f"pattern {n}: {doc['sugar']}")
+        say(f"  core: {doc['core']}")
+        say(f"  free element variables: {_fmt_vars(fe, 'x')}")
+        say(f"  free set variables: {_fmt_vars(fs, 'X')}")
+        say("  occurrences:")
+        for o in occurrences:
+            say(f"    {o['position']:>3}  {o['token']:<6} {o['kind']}")
+        for name, word in polarity.items():
+            say(f"  {name}: {word}")
+        docs.append(doc)
+    return 0, {"patterns": docs}
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, say):
     structure = _load_model(args.model, None)
     sig = _load_sig(args, _constants_of(structure))
     pats = _read_patterns(args.pattern_file, sig, args.mode)
@@ -296,26 +298,13 @@ def _cmd_eval(args) -> int:
         value = evaluate(structure, valuation, p)
         sat = value == structure.carrier
         all_sat = all_sat and sat
-        if args.json:
-            docs.append(
-                {
-                    "pattern": render_pattern(p, "sugar"),
-                    "value": structure.sorted_elements(value),
-                    "satisfied": sat,
-                }
-            )
-        else:
-            print(
-                f"{render_pattern(p, 'sugar')}\n"
-                f"  value: {structure.format_subset(value)}\n"
-                f"  satisfied: {'yes' if sat else 'no'}"
-            )
-    if args.json:
-        print(json.dumps({"results": docs, "all_satisfied": all_sat}, indent=2, sort_keys=True))
-    return 0 if all_sat else 1
+        text = render_pattern(p, "sugar")
+        say(f"{text}\n  value: {structure.format_subset(value)}\n  satisfied: {_yes(sat)}")
+        docs.append({"pattern": text, "value": structure.sorted_elements(value), "satisfied": sat})
+    return (0 if all_sat else 1), {"results": docs, "all_satisfied": all_sat}
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, say):
     structure = _load_model(args.model, None)
     sig = _load_sig(args, _constants_of(structure))
     pats = _read_patterns(args.pattern_file, sig, args.mode)
@@ -323,48 +312,34 @@ def _cmd_check(args) -> int:
     docs = []
     for p in pats:
         verdict = consequence("global", [], [p], [structure])
-        witness = verdict.valuation
-        valid = verdict.holds
-        first_failure = all_valid and not valid
-        all_valid = all_valid and valid
-        if args.json:
-            doc = {"pattern": render_pattern(p, "sugar"), "valid": valid}
-            if witness is not None:
-                doc["counter_valuation"] = valuation_to_doc(witness, structure)
-            docs.append(doc)
-        else:
-            print(f"{render_pattern(p, 'sugar')}\n  valid: {'yes' if valid else 'no'}")
-            if witness is not None:
-                for line in _verdict_lines(structure, witness, p):
-                    print(line)
-        # Like `consequence`, keep the first counterexample, in either mode.
-        if first_failure:
-            _write_counterexample(Path(args.out), structure, witness, p)
-            if not args.json:
-                print(f"  counterexample written to {args.out}/")
-    if args.json:
-        print(json.dumps({"results": docs, "all_valid": all_valid}, indent=2, sort_keys=True))
-    return 0 if all_valid else 1
+        doc = {"pattern": render_pattern(p, "sugar"), "valid": verdict.holds}
+        say(f"{doc['pattern']}\n  valid: {_yes(verdict.holds)}")
+        if verdict.valuation is not None:
+            doc["counter_valuation"] = valuation_to_doc(verdict.valuation, structure)
+            _say_witness(say, structure, doc["counter_valuation"], doc["pattern"])
+        docs.append(doc)
+        # Like `consequence`, keep the first counterexample only.
+        if all_valid and not verdict.holds:
+            _write_counterexample(Path(args.out), structure, verdict.valuation, p)
+            say(f"  counterexample written to {args.out}/")
+        all_valid = all_valid and verdict.holds
+    return (0 if all_valid else 1), {"results": docs, "all_valid": all_valid}
 
 
-def _cmd_taut(args) -> int:
-    sig = _load_sig(args)
-    pats = _read_patterns(args.pattern_file, sig, args.mode)
+def _cmd_taut(args, say):
+    pats = _read_patterns(args.pattern_file, _load_sig(args), args.mode)
     all_taut = True
     docs = []
     for p in pats:
         taut = is_tautology(p)
         all_taut = all_taut and taut
-        if args.json:
-            docs.append({"pattern": render_pattern(p, "sugar"), "tautology": taut})
-        else:
-            print(f"{render_pattern(p, 'sugar')}\n  tautology: {'yes' if taut else 'no'}")
-    if args.json:
-        print(json.dumps({"results": docs, "all_tautologies": all_taut}, indent=2, sort_keys=True))
-    return 0 if all_taut else 1
+        text = render_pattern(p, "sugar")
+        say(f"{text}\n  tautology: {_yes(taut)}")
+        docs.append({"pattern": text, "tautology": taut})
+    return (0 if all_taut else 1), {"results": docs, "all_tautologies": all_taut}
 
 
-def _cmd_consequence(args) -> int:
+def _cmd_consequence(args, say):
     loaded = _load_model_dir(args.models, None) if args.models else None
     names = {c for s in loaded or () for c in s.masks}
     sig = _suite_sig(args, _load_sig(args, tuple(sorted(names))))
@@ -374,46 +349,37 @@ def _cmd_consequence(args) -> int:
     delta = _read_patterns(args.pattern_file, sig, args.mode)
     suite, origin = _suite(args, sig, loaded)
     verdict = consequence(args.kind, gamma, delta, suite)
-    if args.json:
-        doc = {
-            "kind": args.kind,
-            "holds": verdict.holds,
-            "structures_checked": verdict.structures_checked,
-            "suite": origin,
-        }
-        if not verdict.holds:
-            doc["counterexample"] = {
-                "structure": structure_to_doc(verdict.structure),
-                "valuation": valuation_to_doc(verdict.valuation, verdict.structure),
-                "pattern": render_pattern(verdict.pattern, "sugar"),
-                "note": verdict.note,
-            }
-            _write_counterexample(
-                Path(args.out), verdict.structure, verdict.valuation, verdict.pattern, gamma
-            )
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0 if verdict.holds else 1
+    doc = {
+        "kind": args.kind,
+        "holds": verdict.holds,
+        "structures_checked": verdict.structures_checked,
+        "suite": origin,
+    }
     if not verdict.holds:
-        # Before any output, as with --json: a reader that stops early
-        # (``| head -1``) still gets the files.
+        # Before any output: a reader that stops early (``| head -1``)
+        # still gets the files.
         _write_counterexample(
             Path(args.out), verdict.structure, verdict.valuation, verdict.pattern, gamma
         )
-    word = "holds" if verdict.holds else "fails"
-    print(
+        doc["counterexample"] = cex = {
+            "structure": structure_to_doc(verdict.structure),
+            "valuation": valuation_to_doc(verdict.valuation, verdict.structure),
+            "pattern": render_pattern(verdict.pattern, "sugar"),
+            "note": verdict.note,
+        }
+    say(
         f"{args.kind} consequence over {verdict.structures_checked} structure(s) "
-        f"({origin}): {word}"
+        f"({origin}): {'holds' if verdict.holds else 'fails'}"
     )
     if not verdict.holds:
-        for line in _verdict_lines(verdict.structure, verdict.valuation, verdict.pattern):
-            print(line)
+        _say_witness(say, verdict.structure, cex["valuation"], cex["pattern"])
         if verdict.note:
-            print(f"  note: {verdict.note}")
-        print(f"  counterexample written to {args.out}/")
-    return 0 if verdict.holds else 1
+            say(f"  note: {verdict.note}")
+        say(f"  counterexample written to {args.out}/")
+    return (0 if verdict.holds else 1), doc
 
 
-def _cmd_proof(args) -> int:
+def _cmd_proof(args, say):
     sig = _load_sig(args)
     if args.audit:
         sig = _suite_sig(args, sig)
@@ -422,34 +388,26 @@ def _cmd_proof(args) -> int:
     except ProofSyntaxError as exc:
         raise CliError(f"{args.script}: {exc}") from exc
     report = check_proof(script)
-    audit = None
-    if args.audit:
-        suite, _ = _suite(args, sig)
-        audit = audit_soundness(script, suite, report)
-    if args.json:
-        doc = {
-            "lines": [
-                {"number": v.number, "ok": v.ok, "code": v.code, "message": v.message}
-                for v in report.verdicts
-            ],
-            "level": report.level,
-            "result": "accepted" if report.ok else "rejected",
-        }
-        if audit is not None:
-            doc["audit"] = {
-                "structures": audit.structures,
-                "lines_audited": audit.lines_audited,
-                "violations": [
-                    {"line": v.line, "pattern": render_pattern(v.pattern, "sugar")}
-                    for v in audit.violations
-                ],
-            }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(format_report(report))
-        if audit is not None:
-            print(format_audit(audit))
+    audit = audit_soundness(script, _suite(args, sig)[0], report) if args.audit else None
+    say(format_report(report))
+    doc = {
+        "lines": [
+            {"number": v.number, "ok": v.ok, "code": v.code, "message": v.message}
+            for v in report.verdicts
+        ],
+        "level": report.level,
+        "result": "accepted" if report.ok else "rejected",
+    }
     if audit is not None:
+        say(format_audit(audit))
+        doc["audit"] = {
+            "structures": audit.structures,
+            "lines_audited": audit.lines_audited,
+            "violations": [
+                {"line": v.line, "pattern": render_pattern(v.pattern, "sugar")}
+                for v in audit.violations
+            ],
+        }
         for v in audit.violations:
             _write_counterexample(
                 Path(args.out) / f"line-{v.line}",
@@ -458,21 +416,15 @@ def _cmd_proof(args) -> int:
                 v.verdict.pattern,
                 list(script.hypotheses.values()),
             )
-        if audit.violations and not args.json:
-            print(f"counterexamples written under {args.out}/")
+        if audit.violations:
+            say(f"counterexamples written under {args.out}/")
     ok = report.ok and (audit is None or audit.ok)
-    return 0 if ok else 1
+    return (0 if ok else 1), doc
 
 
-def _cmd_gen_models(args) -> int:
+def _cmd_gen_models(args, say):
     sig = _suite_sig(args, _load_sig(args))
-    spec = SuiteSpec(
-        sig=sig,
-        max_size=args.max_size,
-        seed=args.seed,
-        samples=args.samples,
-        defined=args.defined,
-    )
+    spec = _spec(args, sig)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     count = 0
@@ -487,9 +439,9 @@ def _cmd_gen_models(args) -> int:
         "defined": spec.defined,
         "count": count,
     }
-    (outdir / "suite.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {count} structure(s) to {outdir}/ ({spec.describe()})")
-    return 0
+    (outdir / "suite.json").write_text(_dumps(manifest) + "\n")
+    say(f"wrote {count} structure(s) to {outdir}/ ({spec.describe()})")
+    return 0, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +647,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    as_json = getattr(args, "json", False)
     try:
-        code = args.fn(args)
+        code, doc = args.fn(args, _quiet if as_json else print)
+        if as_json:
+            print(_dumps(doc))
         sys.stdout.flush()  # so that a closed stdout shows up here
         return code
     except BrokenPipeError:
@@ -712,6 +667,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+
+def _quiet(line: str) -> None:
+    """``say`` under ``--json``: the document alone is printed."""
 
 
 def _drop_stdout() -> None:

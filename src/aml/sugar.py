@@ -175,7 +175,7 @@ def fold_disj(parts: list) -> Pattern:
 
 
 def match_neg(p: Pattern):
-    if type(p) is Imp and p.right == BOT:
+    if type(p) is Imp and type(p.right) is Mu and p.right == BOT:
         return p.left
     return None
 

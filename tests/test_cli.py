@@ -522,7 +522,9 @@ class TestLimits:
 
 class TestUnassignedConstant:
     """A signature constant that the structure does not interpret is a named
-    error with exit 2, on every command that evaluates."""
+    error with exit 2, on every command that evaluates.  The text lines of
+    the patterns decided before it stay printed; under ``--json`` stdout is
+    empty."""
 
     ERROR = "error: constant 'd' has no denotation\n"
 
@@ -537,18 +539,24 @@ class TestUnassignedConstant:
             "models": str(models),
             "model": str(models / "m.json"),
             "pat": write(tmp_path, "p.pat", "d\n"),
-            "script": write(tmp_path, "s.prf", "1: d -> d ; taut\n"),
+            "pats": write(tmp_path, "two.pat", "c\nd\n"),
+            "script": write(tmp_path, "s.prf", "1: c -> c ; taut\n2: d -> d ; taut\n"),
         }
 
-    def run(self, argv, capsys):
-        code = main(argv)
-        assert (code, capsys.readouterr().err) == (2, self.ERROR)
+    def run(self, argv, capsys, text=""):
+        """Exit 2 with the one error, after ``text`` as text and after
+        nothing under ``--json``."""
+        for as_json, out in ((False, text), (True, "")):
+            code = main(argv + ["--json"] * as_json)
+            assert (code, *capsys.readouterr()) == (2, out, self.ERROR), as_json
 
     def test_eval(self, files, capsys):
-        self.run(["eval", "--model", files["model"], "--sig", files["sig"], files["pat"]], capsys)
+        argv = ["eval", "--model", files["model"], "--sig", files["sig"], files["pats"]]
+        self.run(argv, capsys, "c\n  value: {a}\n  satisfied: yes\n")
 
     def test_check(self, files, capsys):
-        self.run(["check", "--model", files["model"], "--sig", files["sig"], files["pat"]], capsys)
+        argv = ["check", "--model", files["model"], "--sig", files["sig"], files["pats"]]
+        self.run(argv, capsys, "c\n  valid: yes\n")
 
     def test_consequence(self, files, capsys):
         argv = ["consequence", "--models", files["models"], "--sig", files["sig"], files["pat"]]
@@ -808,6 +816,17 @@ class TestUnreadableFiles:
         pats = write(tmp_path, "p.pat", "x0\n")
         argv = ["check", "--model", model_file, "--out", out, pats]
         self._assert_usage_error(argv, capsys, "File exists")
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_consequence_out_is_a_file(self, tmp_path, capsys, as_json):
+        """The files come before any output, so nothing is printed."""
+        taken = write(tmp_path, "taken", "")
+        sig = write(tmp_path, "c.txt", "c\n")
+        pats = write(tmp_path, "p.pat", "x0 -> c x0\n")
+        argv = ["consequence", "--sig", sig, "--out", taken, pats, *["--json"] * as_json]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "File exists" in err
 
 
 class TestFileErrorsNameThePathOnce:
