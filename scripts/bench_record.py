@@ -3,11 +3,15 @@
     python3 scripts/bench_record.py --out BENCH_10.json --parent ../parent-checkout
 
 Runs `perfbench/run.py`, untraced, once per workload and seed, and traced
-(``--trace 1``) once per workload on the first seed, in the checkout this
-script belongs to and, with ``--parent``, in a checkout of another commit
-(a `git clone` of the parent, say), and writes
+(``--trace 1``) once per workload on the first seed, on the checkout this
+script belongs to and, with ``--parent``, on a checkout of another commit
+(a `git clone` of the parent, say).  Each side runs from a fresh copy of
+its checkout's committed files (``git archive HEAD``) in a temporary
+directory of its own, so that neither side's untracked files, benchmark
+output or ``__pycache__`` move its times.  It writes
 
-    {commit, python, nproc, seeds, seconds, workloads: {name: {metric: median}},
+    {commit, python, nproc, seeds, seconds, tree: {copy, src_pycache},
+     workloads: {name: {metric: median}},
      traced: {name: {counter: value}},
      oneshot: {proof_check_audit_ms: median, consequence_ms: median,
                PYTHONDONTWRITEBYTECODE: value,
@@ -17,7 +21,9 @@ script belongs to and, with ``--parent``, in a checkout of another commit
 
 where each median is over the seeds and ``traced`` holds the traced run's
 per-layer counters: its call and outcome counts, which depend on the seed
-alone.  ``oneshot`` holds wall times of fresh ``python3 -m aml.cli``
+alone.  ``tree`` says how the side was copied, and whether its copy's
+``src/`` held a ``__pycache__`` when the measuring began and when it
+ended.  ``oneshot`` holds wall times of fresh ``python3 -m aml.cli``
 processes with the corpus-audit workload's suite options:
 ``proof_check_audit_ms`` of ``proof check --audit --json``, the median over
 the 33 corpus scripts on each seed, and ``consequence_ms`` of
@@ -51,6 +57,7 @@ stops the script.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import operator
 import os
@@ -59,6 +66,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -162,6 +170,19 @@ def acceptance(tree: Path) -> dict:
     return dict(sorted(times.items()))
 
 
+def fresh_copy(tree: Path, into: Path) -> None:
+    """Extract the files of ``tree``'s HEAD commit into ``into``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", "HEAD"], cwd=tree, capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+
+
+def has_pycache(tree: Path) -> bool:
+    return any((tree / "src").rglob("__pycache__"))
+
+
 def commit(tree: Path) -> str:
     return subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True, check=True,
@@ -182,7 +203,22 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
-    trees = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
+    sources = {"change": ROOT} | ({"parent": args.parent.resolve()} if args.parent else {})
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: Path(tmp) / side for side in sources}
+        for side, tree in trees.items():
+            fresh_copy(sources[side], tree)
+        copies = {side: {"copy": "git archive HEAD",
+                         "src_pycache": {"start": has_pycache(trees[side])}}
+                  for side in sources}
+        doc = measure(args, sources, trees, copies)
+    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+def measure(args, sources: dict, trees: dict, copies: dict) -> dict:
+    """Run every measurement on ``trees``, print the comparison table and
+    return the document to write."""
     runs: dict = {side: {w: [] for w in WORKLOADS} for side in trees}
 
     for workload in WORKLOADS:
@@ -204,6 +240,8 @@ def main(argv=None) -> int:
         print(f"one-shot seed {seed}: done", file=sys.stderr)
     criteria = {side: acceptance(trees[side]) for side in turn(trees, len(args.seeds))}
     bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    for side, tree in trees.items():
+        copies[side]["src_pycache"]["end"] = has_pycache(tree)
 
     def medians(side: str) -> dict:
         return {
@@ -217,11 +255,12 @@ def main(argv=None) -> int:
                 "PYTHONDONTWRITEBYTECODE": bytecode}
 
     doc = {
-        "commit": commit(ROOT),
+        "commit": commit(sources["change"]),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seeds": args.seeds,
         "seconds": args.seconds,
+        "tree": copies["change"],
         "workloads": medians("change"),
         "traced": traced["change"],
         "oneshot": oneshots("change"),
@@ -234,13 +273,13 @@ def main(argv=None) -> int:
             for key, d in pairs.items()
         }
         doc["parent"] = {
-            "commit": commit(trees["parent"]),
+            "commit": commit(sources["parent"]),
+            "tree": copies["parent"],
             "workloads": medians("parent"),
             "traced": traced["parent"],
             "oneshot": oneshots("parent"),
             "acceptance": criteria["parent"],
         }
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     if args.parent:
         head = ("workload", "metric", "parent q1/median/q3", "change q1/median/q3")
@@ -274,7 +313,7 @@ def main(argv=None) -> int:
             for m in new:
                 if old.get(m) != new[m]:
                     print(f"{w:<16} {m:<44} {old.get(m)} -> {new[m]}")
-    return 0
+    return doc
 
 
 if __name__ == "__main__":

@@ -31,9 +31,15 @@ comparable.  Every run of these eight groups goes with and without
 `--json`; where `--json` is not an option, the usage error is what gets
 hashed.  Group `help` is `aml --help`, every `aml <command> --help` and
 three usage errors (an unknown command, a missing required option, a bad
-`--max-size`), each with `COLUMNS` at 50 and at 120.  Every run
-names its files by paths relative to the temporary directory, so the hashes
-do not depend on where the checkout is.  Compare two trees with
+`--max-size`), each with `COLUMNS` at 50 and at 120.  Group `argv` is
+`consequence` and `proof check --audit` (of a script with hypotheses) in
+argv forms off the command line's plain form, which argparse reads:
+`--seed=3`, `--seed` given twice, `--seed -1`, a `--` before the
+positional and `-h` mid-argv; and an option after the positional, which
+the plain reader takes.  Each goes with and without `--json`, with
+`COLUMNS` at 80, hashed apart so that the other hashes stay comparable.
+Every run names its files by paths relative to the temporary directory,
+so the hashes do not depend on where the checkout is.  Compare two trees with
 `PYTHONPATH=<tree>/src python3 scripts/cli_digest.py`, or run each tree's
 own copy of this script.
 """
@@ -111,21 +117,28 @@ def digest(runs) -> str:
     return h.hexdigest()
 
 
-def help_digest(runs) -> str:
-    """The hash of ``runs`` that print help or a usage error, each under two
-    terminal widths."""
-    h = hashlib.sha256()
+@contextlib.contextmanager
+def columns(width: str):
+    """The terminal width that help and usage messages are wrapped to."""
     old = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = width
     try:
-        for columns in ("50", "120"):
-            os.environ["COLUMNS"] = columns
-            for argv in runs:
-                h.update(repr((columns, argv, *run(argv))).encode())
+        yield
     finally:
         if old is None:
             del os.environ["COLUMNS"]
         else:
             os.environ["COLUMNS"] = old
+
+
+def help_digest(runs) -> str:
+    """The hash of ``runs`` that print help or a usage error, each under two
+    terminal widths."""
+    h = hashlib.sha256()
+    for width in ("50", "120"):
+        with columns(width):
+            for argv in runs:
+                h.update(repr((width, argv, *run(argv))).encode())
     return h.hexdigest()
 
 
@@ -172,6 +185,15 @@ def main() -> None:
     commands = ("parse", "analyze", "eval", "check", "taut", "consequence", "proof", "gen-models")
     helps = [["--help"], *([cmd, "--help"] for cmd in commands), ["frobnicate"],
              ["eval", "c.pat"], ["consequence", "--max-size", "0", "c.pat"]]
+    late = ["consequence", "--sig", "c.txt", "--max-size", "3", "--samples", "30"]
+    script = ["proof", "check", "--audit", *suite, "--out", "out"]
+    argv_runs = [
+        [*cmd, *form]
+        for cmd, positional in ((late, "late.pat"), (script, "corpus/proofs/positive/s09-hypotheses.prf"))
+        for form in (["--seed=3", positional], ["--seed", "1", "--seed", "3", positional],
+                     ["--seed", "-1", positional], ["--", positional],
+                     [positional, "--seed", "3"], ["-h", positional])
+    ]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temporary name out of the output
@@ -208,6 +230,8 @@ def main() -> None:
             print(f"bad-sugar {digest(bad_sugar)} ({2 * len(bad_sugar)} runs)")
             print(f"eval  {digest(evals)} ({2 * len(evals)} runs)")
             print(f"errors {digest(errors)} ({2 * len(errors)} runs)")
+            with columns("80"):
+                print(f"argv  {digest(argv_runs)} ({2 * len(argv_runs)} runs)")
         finally:
             os.chdir(home)
 

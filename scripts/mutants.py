@@ -410,34 +410,50 @@ MUTANTS = [
         "    occ_e, occ_s = delta_e, delta_s\n",
         (TEST_SUBSTITUTION,),
     ),
-    # The command line: a call builds the parser of its own command only.
+    # The command line's option table and its fast reader, which argparse,
+    # built from the same table, checks.
     Mutant(
         "command-rows-swapped", CLI,
-        '    ("eval", "evaluate patterns in one structure", _eval_args),\n'
-        '    ("check", "validity in one structure (all assignments)", _check_args),\n',
-        '    ("eval", "evaluate patterns in one structure", _check_args),\n'
-        '    ("check", "validity in one structure (all assignments)", _eval_args),\n',
-        (TEST_CLI,),
-    ),
-    Mutant(
-        "every-command-filled-eagerly", CLI,
-        "        self._name_parser_map[name] = fill, kwargs\n",
-        "        made = self._parser_class(prog=f\"{self._prog_prefix} {name}\", **kwargs)\n"
-        "        fill(made)\n"
-        "        self._name_parser_map[name] = made\n",
-        (TEST_CLI,),
-    ),
-    Mutant(
-        "parser-made-at-every-dispatch", CLI,
-        "        if isinstance(made, tuple):\n",
-        "        if True:\n",
+        '    "eval": _Command("evaluate patterns in one structure", _cmd_eval,\n',
+        '    "eval": _Command("evaluate patterns in one structure", _cmd_check,\n',
         (TEST_CLI,),
     ),
     Mutant(
         "command-help-left-out", CLI,
-        "        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))\n",
-        "        if name != \"taut\":\n"
-        "            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))\n",
+        '    "taut": _Command("propositional tautology test", _cmd_taut, *_PATTERNS, _FILE),\n',
+        '    "taut": _Command(None, _cmd_taut, *_PATTERNS, _FILE),\n',
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "switch-read-as-taking-a-value", CLI,
+        '        if option.kind == "switch":\n            value = True\n',
+        '        if option.kind is None:\n            value = True\n',
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "reader-default-left-out", CLI,
+        "        self.defaults = {o.dest: o.default for o in self.flags.values()}\n",
+        "        self.defaults = {o.dest: o.default for o in self.flags.values() if o.default}\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "reader-check-skipped", CLI,
+        "        value = option.check(text) if option.check else text\n",
+        "        value = int(text) if option.check else text\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "reader-takes-an-abbreviation", CLI,
+        "        option = command.flags.get(arg)\n",
+        "        option = command.flags.get(arg) or next(\n"
+        "            (o for f, o in command.flags.items() if arg[:2] == \"--\" and f.startswith(arg)), None\n"
+        "        )\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "reader-repeat-first-wins", CLI,
+        "        elif arg in given:\n            return None\n",
+        "        elif arg in given:\n            continue\n",
         (TEST_CLI,),
     ),
     # The command line's one report path: text streamed through `say`, the

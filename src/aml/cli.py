@@ -7,6 +7,15 @@ proof rejected, audit violation), 2 on usage or file-format errors, and
 output closes it early.  Output is deterministic for identical inputs and
 seeds; JSON output is sorted-key.
 
+Arguments are read from one table of the commands and their options,
+`_COMMANDS`, by two readers.  `_read` takes one plain form: a known command,
+each option spelled in full as ``--name value`` and given once (``--gamma``
+may repeat), no value or positional that starts with ``-``, every
+positional and required option there and every value passing its check.
+Valid argv in that form never reaches argparse.  argparse, built whole from
+the same table, reads anything else, and prints every help text and usage
+error, so their messages and exit codes are argparse's own.
+
 Every command reports in one of two forms.  As text, each line is printed
 as soon as the result it reports is decided, so an error or a limit met
 later in a file leaves the earlier lines printed.  Under ``--json``, one
@@ -29,7 +38,8 @@ import shutil
 import signal
 import sys
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 from .model import (
     ModelError,
@@ -445,31 +455,12 @@ def _cmd_gen_models(args, say):
 
 
 # ---------------------------------------------------------------------------
-# Argument wiring.
-
-
-def _add_patterns(p) -> None:
-    """The options of a command that reads pattern files."""
-    p.add_argument(
-        "--mode",
-        choices=("core", "sugar"),
-        default="sugar",
-        help="pattern syntax for input files (default sugar)",
-    )
-    _add_sig(p)
-    _add_json(p)
-
-
-def _add_sig(p) -> None:
-    p.add_argument("--sig", metavar="FILE", help="signature file, one constant per line")
-
-
-def _add_json(p) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+# Argument wiring: one table of the commands and their options, and the two
+# readers built from it.
 
 
 def _at_least(least: int):
-    """An argparse type: an integer no smaller than ``least``."""
+    """A value check: an integer no smaller than ``least``."""
 
     def parse(text: str) -> int:
         try:
@@ -483,170 +474,170 @@ def _at_least(least: int):
     return parse
 
 
-def _add_models(p) -> None:
-    p.add_argument("--models", metavar="DIR", help="directory of structure JSON files")
+class _Option:
+    """An option, or a positional where ``flag`` has no ``-``.  ``kind`` is
+    ``switch``, ``value`` or ``repeat`` (argparse's ``store_true``, ``store``
+    and ``append``); ``check`` converts a value, as argparse's ``type``."""
+
+    def __init__(
+        self, flag: str, kind: str = "value", default: object = None,
+        check: Callable[[str], object] | None = None, choices: tuple[str, ...] | None = None,
+        required: bool = False, metavar: str | None = None, help: str | None = None,
+    ):
+        self.flag, self.kind, self.default, self.check = flag, kind, default, check
+        self.choices, self.required, self.metavar, self.help = choices, required, metavar, help
+        self.dest = flag.lstrip("-").replace("-", "_")
 
 
-def _add_suite(p) -> None:
-    p.add_argument(
-        "--max-size", type=_at_least(1), default=2, help="largest universe (default 2)"
-    )
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument(
-        "--samples", type=_at_least(0), default=100,
-        help="sampled structures of size three and up (default 100)",
-    )
-    p.add_argument(
-        "--defined", action="store_true",
-        help="generate definedness structures (forces a total def constant)",
-    )
+class _Command:
+    """A command's help line, handler and options, and `_read`'s lookups."""
+
+    def __init__(self, help: str, fn, *options: _Option):
+        self.help, self.fn, self.options = help, fn, options
+        self.flags = {o.flag: o for o in options if o.flag.startswith("-")}
+        self.positionals = [o for o in options if not o.flag.startswith("-")]
+        self.defaults = {o.dest: o.default for o in self.flags.values()}
+        self.required = {o.flag for o in self.flags.values() if o.required}
 
 
-def _add_out(p) -> None:
-    p.add_argument(
-        "--out", metavar="DIR", default="aml-out",
-        help="directory for counterexample files (default aml-out)",
-    )
-
-
-class _Parser(argparse.ArgumentParser):
-    """Options are spelled in full: with abbreviations, a mistyped or
-    retired option such as ``--mode`` would pass as a prefix of another
-    (``--models``).  Subparsers are made with the same class."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
-
-
-class _Commands(argparse._SubParsersAction):
-    """The subcommands.  ``add_parser(name, fill, help=...)`` only lists a
-    command with its help line; the command's parser is made, and ``fill``
-    adds its arguments, the first time argparse dispatches to it, so a call
-    builds the parser of the one command it runs."""
-
-    def add_parser(self, name, fill, help, **kwargs):
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = fill, kwargs
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        made = self._name_parser_map[name]
-        if isinstance(made, tuple):
-            fill, kwargs = made
-            made = self._parser_class(prog=f"{self._prog_prefix} {name}", **kwargs)
-            fill(made)
-            self._name_parser_map[name] = made  # in place: the listing keeps its order
-        super().__call__(parser, namespace, values, option_string)
-
-
-def _parse_args(p) -> None:
-    _add_patterns(p)
-    p.add_argument(
-        "--emit", choices=("core", "sugar"), default="core",
-        help="output syntax (default core)",
-    )
-    p.add_argument("pattern_file")
-    p.set_defaults(fn=_cmd_parse)
-
-
-def _analyze_args(p) -> None:
-    _add_patterns(p)
-    p.add_argument("pattern_file")
-    p.set_defaults(fn=_cmd_analyze)
-
-
-def _eval_args(p) -> None:
-    _add_patterns(p)
-    p.add_argument("--model", metavar="FILE", required=True)
-    p.add_argument("--valuation", metavar="FILE")
-    p.add_argument("pattern_file")
-    p.set_defaults(fn=_cmd_eval)
-
-
-def _check_args(p) -> None:
-    _add_patterns(p)
-    _add_out(p)
-    p.add_argument("--model", metavar="FILE", required=True)
-    p.add_argument("pattern_file")
-    p.set_defaults(fn=_cmd_check)
-
-
-def _taut_args(p) -> None:
-    _add_patterns(p)
-    p.add_argument("pattern_file")
-    p.set_defaults(fn=_cmd_taut)
-
-
-def _consequence_args(p) -> None:
-    _add_patterns(p)
-    _add_models(p)
-    _add_suite(p)
-    _add_out(p)
-    p.add_argument(
-        "--kind", choices=("global", "local", "strong"), default="global",
-        help="consequence relation (default global)",
-    )
-    p.add_argument(
-        "--gamma", metavar="FILE", action="append",
-        help="hypothesis pattern file; repeatable, files merge",
-    )
-    p.add_argument("pattern_file", help="conclusion patterns")
-    p.set_defaults(fn=_cmd_consequence)
-
-
-def _proof_args(p) -> None:
-    p.add_argument("action", choices=("check",))
-    _add_sig(p)
-    _add_json(p)
-    _add_models(p)
-    _add_suite(p)
-    _add_out(p)
-    p.add_argument("--audit", action="store_true", help="replay accepted lines over a suite")
-    p.add_argument("script")
-    p.set_defaults(fn=_cmd_proof)
-
-
-def _gen_models_args(p) -> None:
-    _add_sig(p)
-    _add_suite(p)
-    p.add_argument("--out", metavar="DIR", required=True)
-    p.set_defaults(fn=_cmd_gen_models)
-
-
-# The commands in the order `aml --help` lists them: name, help line and the
-# function that adds the command's arguments.
-_COMMANDS = (
-    ("parse", "parse a pattern file and re-emit it", _parse_args),
-    ("analyze", "variables, occurrence table, polarity", _analyze_args),
-    ("eval", "evaluate patterns in one structure", _eval_args),
-    ("check", "validity in one structure (all assignments)", _check_args),
-    ("taut", "propositional tautology test", _taut_args),
-    ("consequence", "decide a consequence relation over a suite", _consequence_args),
-    ("proof", "check a proof script", _proof_args),
-    ("gen-models", "materialize a deterministic suite to files", _gen_models_args),
+_SIG = _Option("--sig", metavar="FILE", help="signature file, one constant per line")
+_JSON = _Option("--json", "switch", False, help="machine-readable output")
+_PATTERNS = (
+    _Option("--mode", choices=("core", "sugar"), default="sugar",
+            help="pattern syntax for input files (default sugar)"),
+    _SIG, _JSON,
 )
+_MODELS = _Option("--models", metavar="DIR", help="directory of structure JSON files")
+_SUITE = (
+    _Option("--max-size", check=_at_least(1), default=2, help="largest universe (default 2)"),
+    _Option("--seed", check=int, default=0, help="sampling seed (default 0)"),
+    _Option("--samples", check=_at_least(0), default=100,
+            help="sampled structures of size three and up (default 100)"),
+    _Option("--defined", "switch", False,
+            help="generate definedness structures (forces a total def constant)"),
+)
+_OUT = _Option("--out", metavar="DIR", default="aml-out",
+               help="directory for counterexample files (default aml-out)")
+_MODEL = _Option("--model", metavar="FILE", required=True)
+_FILE = _Option("pattern_file")
+
+# The commands in the order `aml --help` lists them.
+_COMMANDS = {
+    "parse": _Command("parse a pattern file and re-emit it", _cmd_parse, *_PATTERNS,
+                      _Option("--emit", choices=("core", "sugar"), default="core",
+                              help="output syntax (default core)"), _FILE),
+    "analyze": _Command("variables, occurrence table, polarity", _cmd_analyze, *_PATTERNS, _FILE),
+    "eval": _Command("evaluate patterns in one structure", _cmd_eval,
+                     *_PATTERNS, _MODEL, _Option("--valuation", metavar="FILE"), _FILE),
+    "check": _Command("validity in one structure (all assignments)", _cmd_check,
+                      *_PATTERNS, _OUT, _MODEL, _FILE),
+    "taut": _Command("propositional tautology test", _cmd_taut, *_PATTERNS, _FILE),
+    "consequence": _Command(
+        "decide a consequence relation over a suite", _cmd_consequence,
+        *_PATTERNS, _MODELS, *_SUITE, _OUT,
+        _Option("--kind", choices=("global", "local", "strong"), default="global",
+                help="consequence relation (default global)"),
+        _Option("--gamma", "repeat", metavar="FILE",
+                help="hypothesis pattern file; repeatable, files merge"),
+        _Option("pattern_file", help="conclusion patterns"),
+    ),
+    "proof": _Command(
+        "check a proof script", _cmd_proof,
+        _Option("action", choices=("check",)), _SIG, _JSON, _MODELS, *_SUITE, _OUT,
+        _Option("--audit", "switch", False, help="replay accepted lines over a suite"),
+        _Option("script"),
+    ),
+    "gen-models": _Command("materialize a deterministic suite to files", _cmd_gen_models,
+                           _SIG, *_SUITE, _Option("--out", metavar="DIR", required=True)),
+}
+
+_REFUSED = object()
+
+
+def _value(option: _Option, text: str | None):
+    """``text`` as argparse stores it for ``option``, or `_REFUSED`: no text,
+    a leading ``-``, a failed check or a value outside the choices."""
+    if text is None or text.startswith("-"):
+        return _REFUSED
+    try:
+        value = option.check(text) if option.check else text
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
+        return _REFUSED
+    return value if option.choices is None or value in option.choices else _REFUSED
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The fast reader: the namespace that argparse gives for ``argv``, or
+    None where ``argv`` is not in the one form this takes."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"command": argv[0], "fn": command.fn, **command.defaults}
+    given: set[str] = set()
+    texts = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        option = command.flags.get(arg)
+        if option is None:
+            if arg.startswith("-"):
+                return None
+            texts.append(arg)
+            continue
+        if option.kind == "switch":
+            value = True
+        elif (value := _value(option, next(rest, None))) is _REFUSED:
+            return None
+        if option.kind == "repeat":
+            values[option.dest] = [*(values[option.dest] or ()), value]
+        elif arg in given:
+            return None
+        else:
+            given.add(arg)
+            values[option.dest] = value
+    if len(texts) != len(command.positionals) or not command.required <= given:
+        return None
+    for option, text in zip(command.positionals, texts):
+        if (value := _value(option, text)) is _REFUSED:
+            return None
+        values[option.dest] = value
+    return SimpleNamespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse reader, built whole from `_COMMANDS`.  Options are
+    spelled in full (``allow_abbrev=False``): with abbreviations, a mistyped
+    or retired option such as ``--mode`` would pass as a prefix of another
+    (``--models``)."""
     # The terminal's width, read once: argparse's default formatter reads it
     # again for every argument added and every message formatted.
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
-    ap = _Parser(
-        prog="aml",
+    ap = argparse.ArgumentParser(
+        prog="aml", formatter_class=formatter, allow_abbrev=False,
         description="Workbench for applicative matching logic over finite structures.",
-        formatter_class=formatter,
     )
-    ap.register("action", "parsers", _Commands)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_line, fill in _COMMANDS:
-        sub.add_parser(name, fill, help=help_line, formatter_class=formatter)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, formatter_class=formatter, allow_abbrev=False)
+        for o in command.options:
+            if o.kind == "switch":
+                p.add_argument(o.flag, action="store_true", help=o.help)
+            elif o.flag in command.flags:
+                p.add_argument(
+                    o.flag, action="append" if o.kind == "repeat" else "store",
+                    type=o.check, choices=o.choices, default=o.default,
+                    required=o.required, metavar=o.metavar, help=o.help,
+                )
+            else:
+                p.add_argument(o.flag, choices=o.choices, help=o.help)
+        p.set_defaults(fn=command.fn)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv) or build_parser().parse_args(argv)
     as_json = getattr(args, "json", False)
     try:
         code, doc = args.fn(args, _quiet if as_json else print)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end, in process."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,6 +19,7 @@ from aml.cli import main
 from aml.substitution import VarRef, subst_capture_avoiding
 from aml.sugar import parse, render
 from aml.model import structure_to_doc
+from aml.proof import CheckReport, LineVerdict
 from aml.syntax import MAX_DEPTH, Signature
 
 from strategies import patterns, structures
@@ -393,6 +395,72 @@ class TestProof:
         assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
+class TestAuditViolations:
+    """A checker that accepts an unsound line: the audit flags it, exits 1
+    and writes the counterexample under ``--out``/line-N, with or without
+    ``--json``.  `check_proof` is doctored to accept every line, as the
+    library's own test of the audit does."""
+
+    SCRIPTS = {
+        "plain.prf": ("1: x0 ; taut\n2: c -> c ; taut\n", 1, False),
+        "hyps.prf": ("hyp h := c\n1: c ; hyp h\n2: x0 ; taut\n", 2, True),
+    }
+
+    @pytest.fixture(autouse=True)
+    def doctored(self, monkeypatch):
+        real = aml.cli.check_proof
+
+        def accept_all(script):
+            report = real(script)
+            verdicts = tuple(LineVerdict(v.number, True) for v in report.verdicts)
+            return CheckReport(verdicts, report.level, True)
+
+        monkeypatch.setattr(aml.cli, "check_proof", accept_all)
+
+    def _run(self, tmp_path, name, *extra):
+        text, _, _ = self.SCRIPTS[name]
+        script = write(tmp_path, name, text)
+        outdir = tmp_path / "cex"
+        argv = ["proof", "check", "--sig", str(CORPUS / "sig.txt"), "--audit",
+                "--samples", "0", "--out", str(outdir), *extra, script]
+        return main(argv), outdir
+
+    @pytest.mark.parametrize("name", list(SCRIPTS))
+    def test_text(self, tmp_path, capsys, name):
+        code, outdir = self._run(tmp_path, name)
+        line = self.SCRIPTS[name][1]
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "RESULT: accepted" in out
+        assert f"line {line}: VIOLATION, fails on a structure with universe" in out
+        assert out.endswith(f"counterexamples written under {outdir}/\n")
+        self._assert_files(outdir, name, capsys)
+
+    @pytest.mark.parametrize("name", list(SCRIPTS))
+    def test_json(self, tmp_path, capsys, name):
+        code, outdir = self._run(tmp_path, name, "--json")
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"] == "accepted"
+        assert doc["audit"]["violations"] == [{"line": self.SCRIPTS[name][1], "pattern": "x0"}]
+        self._assert_files(outdir, name, capsys)
+
+    def _assert_files(self, outdir, name, capsys):
+        _, line, hypotheses = self.SCRIPTS[name]
+        assert [p.name for p in outdir.iterdir()] == [f"line-{line}"]
+        files = outdir / f"line-{line}"
+        want = ["conclusion.pat", "replay.txt", "structure.json", "valuation.json"]
+        assert sorted(p.name for p in files.iterdir()) == sorted(want + ["gamma.pat"] * hypotheses)
+        assert (files / "conclusion.pat").read_text() == "x0\n"
+        if hypotheses:
+            assert (files / "gamma.pat").read_text() == "c\n"
+        # The files replay the failure.
+        argv = ["eval", "--model", str(files / "structure.json"),
+                "--valuation", str(files / "valuation.json"), str(files / "conclusion.pat")]
+        assert main(argv) == 1
+        assert "satisfied: no" in capsys.readouterr().out
+
+
 class TestNoAbbreviations:
     """Options are spelled in full on every subcommand, so a prefix of one
     option is not silently taken for it."""
@@ -427,30 +495,45 @@ COMMANDS = {
 
 
 class TestCommands:
-    """The top-level parser lists every command, but a call builds the
-    parser of the command it runs only."""
+    """The top-level parser lists every command, and a call in the plain
+    form that `aml.cli._read` takes builds no parser at all."""
 
     def _exit(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         return exc.value.code, capsys.readouterr()
 
-    def test_an_audit_builds_one_subcommand_parser(self, monkeypatch, capsys):
+    def _count_parsers(self, monkeypatch):
+        """The ``prog`` of every argparse parser made from here on."""
         built = []
+        made = argparse.ArgumentParser.__init__
 
-        class Counting(aml.cli._Parser):
-            def __init__(self, **kwargs):
-                built.append(kwargs["prog"])
-                super().__init__(**kwargs)
+        def counting(self, **kwargs):
+            built.append(kwargs["prog"])
+            made(self, **kwargs)
 
-        monkeypatch.setattr(aml.cli, "_Parser", Counting)
-        script = str(CORPUS / "proofs" / "positive" / "l03-kt-bottom.prf")
-        sig = str(CORPUS / "sig.txt")
-        assert main(["proof", "check", "--sig", sig, "--audit", "--samples", "0", script]) == 0
-        assert built == ["aml", "aml proof"]
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    AUDIT = ["proof", "check", "--sig", str(CORPUS / "sig.txt"), "--audit",
+             str(CORPUS / "proofs" / "positive" / "l03-kt-bottom.prf")]
+
+    def test_an_audit_builds_no_parser(self, monkeypatch, capsys):
+        built = self._count_parsers(monkeypatch)
+        assert main([*self.AUDIT, "--samples", "0"]) == 0
+        assert "no violations" in capsys.readouterr().out
+        assert built == []
+
+    def test_a_usage_error_goes_through_argparse(self, monkeypatch, capsys):
+        built = self._count_parsers(monkeypatch)
+        code, out = self._exit([*self.AUDIT, "--max-size", "0"], capsys)
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("usage: aml proof [-h]")
+        assert out.err.endswith("aml proof: error: argument --max-size: must be at least 1, got 0\n")
+        assert built[0] == "aml" and "aml proof" in built
 
     def test_one_parser_parses_twice(self):
-        """A command's parser, made at the first dispatch, serves the next."""
+        """The argparse reader keeps nothing from one parse to the next."""
         ap = aml.cli.build_parser()
         first = ap.parse_args(["taut", "a.pat"])
         second = ap.parse_args(["taut", "--json", "b.pat"])
@@ -477,6 +560,148 @@ class TestCommands:
         assert code == 2
         choices = ", ".join(map(repr, COMMANDS))
         assert f"invalid choice: 'frobnicate' (choose from {choices})" in out.err
+
+
+# ---------------------------------------------------------------------------
+# The two argument readers: argparse, built from the same table, is the
+# oracle for `aml.cli._read` (differential testing: McKeeman, "Differential
+# Testing for Software", Digital Technical Journal 10(1), 1998).
+
+
+def _readers(argv):
+    """`_read`'s namespace for ``argv`` as a dict, or None, and argparse's,
+    or its exit code."""
+    fast = aml.cli._read(argv)
+    quiet = io.StringIO()
+    with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+        try:
+            parsed = vars(aml.cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+    return (None if fast is None else vars(fast)), parsed
+
+
+def _assert_agree(argv):
+    """Where `_read` takes ``argv``, argparse gives the same namespace, so
+    where argparse exits, `_read` declines.  Returns whether `_read` took it."""
+    fast, parsed = _readers(argv)
+    assert fast is None or fast == parsed, argv
+    return fast is not None
+
+
+def _good_value(option):
+    if option.choices:
+        return st.sampled_from(option.choices)
+    if option.check is int:
+        return st.integers(0, 12).map(str)
+    if option.check:  # at least 0 or at least 1
+        return st.integers(1, 4).map(str)
+    return st.sampled_from(("a.pat", "dir/s.json", "two words", "", "a=b", "taut"))
+
+
+@st.composite
+def _units(draw):
+    """A call in `_read`'s plain form as units (an option and its value, or a
+    positional), the options permuted and the positionals in order among
+    them; and the command's name."""
+    name = draw(st.sampled_from(list(aml.cli._COMMANDS)))
+    command = aml.cli._COMMANDS[name]
+    units = []
+    for o in command.flags.values():
+        most = 2 if o.kind == "repeat" else 1
+        for _ in range(1 if o.required else draw(st.integers(0, most))):
+            units.append([o.flag] if o.kind == "switch" else [o.flag, draw(_good_value(o))])
+    units = list(draw(st.permutations(units)))
+    texts = [draw(_good_value(o)) for o in command.positionals]
+    slots = draw(st.lists(st.integers(0, len(units)), min_size=len(texts), max_size=len(texts)))
+    for slot, text in reversed(list(zip(sorted(slots), texts))):
+        units.insert(slot, [text])
+    return name, units
+
+
+_STRAY = ("--", "-h", "--help", "-1", "-", "--nope", "extra.pat", "--json", "--seed", "--gamma")
+
+
+@st.composite
+def _edit(draw, units):
+    """One way off the plain form, applied to ``units`` in place."""
+    i = draw(st.integers(0, len(units)))
+    unit = units[i] if i < len(units) else None
+    flag = unit is not None and unit[0].startswith("--")
+    kind = draw(st.sampled_from(
+        ("repeat", "abbreviate", "equals", "dash", "bad", "insert", "drop")
+    ))
+    if kind == "insert" or unit is None:
+        units.insert(i, [draw(st.sampled_from(_STRAY))])
+    elif kind == "drop":
+        del units[i]
+    elif kind == "repeat":
+        units.append([*unit[:1], *(draw(st.sampled_from(("3", "x.pat"))) for _ in unit[1:])])
+    elif kind == "abbreviate" and flag and len(unit[0]) > 3:
+        unit[0] = unit[0][:draw(st.integers(3, len(unit[0]) - 1))]
+    elif kind == "equals" and len(unit) == 2:
+        units[i] = [f"{unit[0]}={unit[1]}"]
+    else:
+        unit[-1] = draw(st.sampled_from(("-1", "-x", "0", "bogus", "x")) if kind == "dash"
+                        else st.sampled_from(("0", "bogus", "x", "2.5")))
+
+
+class TestFastReader:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(call=_units())
+    def test_the_plain_form_is_read_as_argparse_reads_it(self, call):
+        name, units = call
+        argv = [name, *(token for unit in units for token in unit)]
+        assert _assert_agree(argv), argv
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(call=_units(), data=st.data())
+    def test_off_the_plain_form_it_agrees_or_declines(self, call, data):
+        name, units = call
+        for _ in range(data.draw(st.integers(1, 2))):
+            data.draw(_edit(units))
+        _assert_agree([name, *(token for unit in units for token in unit)])
+
+    # Fixed calls, and whether `_read` takes them.
+    CALLS = {
+        ("taut", "p.pat"): True,
+        ("taut", "p.pat", "--json"): True,
+        ("consequence", "--gamma", "a", "p.pat", "--gamma", "b", "--kind", "local"): True,
+        ("proof", "--audit", "check", "--sig", "s", "s.prf"): True,
+        ("eval", "p.pat", "--model", "m.json"): True,
+        ("gen-models", "--out", "dir"): True,
+        ("consequence", "--max", "3", "p.pat"): False,
+        ("consequence", "--seed=3", "p.pat"): False,
+        ("consequence", "--seed", "-1", "p.pat"): False,
+        ("consequence", "--seed", "1", "--seed", "3", "p.pat"): False,
+        ("taut", "--json", "--json", "p.pat"): False,
+        ("consequence", "--", "p.pat"): False,
+        ("consequence", "p.pat", "-h"): False,
+        ("taut",): False,
+        ("taut", "a.pat", "b.pat"): False,
+        ("taut", "--mode", "bogus", "p.pat"): False,
+        ("consequence", "--max-size", "0", "p.pat"): False,
+        ("consequence", "--samples", "x", "p.pat"): False,
+        ("proof", "verify", "s.prf"): False,
+        ("eval", "p.pat"): False,
+        ("gen-models",): False,
+        ("check", "--model"): False,
+        (): False,
+        ("--help",): False,
+        ("frobnicate",): False,
+    }
+
+    @pytest.mark.parametrize("argv", list(CALLS))
+    def test_a_fixed_call(self, argv):
+        assert _assert_agree(list(argv)) == self.CALLS[argv]
+
+    def test_every_corpus_audit(self):
+        """The shipped audit job's calls are all in the plain form."""
+        suite = ["--max-size", "3", "--samples", "200", "--seed", "1", "--out", "out"]
+        for script in sorted(CORPUS.glob("proofs/*/*.prf")):
+            argv = ["proof", "check", "--audit", "--json", "--sig", str(CORPUS / "sig.txt"),
+                    *suite, str(script)]
+            assert _assert_agree(argv), argv
 
 
 class TestDeterminism:
