@@ -38,6 +38,12 @@ argv forms off the command line's plain form, which argparse reads:
 positional and `-h` mid-argv; and an option after the positional, which
 the plain reader takes.  Each goes with and without `--json`, with
 `COLUMNS` at 80, hashed apart so that the other hashes stay comparable.
+Group `wide-samples` is `gen-models` at `--max-size` 9 and 12 with a few
+samples, with and without `--defined`, over signatures with no constant
+and with one, whose samples reach values of more than 8 bits, and one
+`consequence --defined --max-size 8 --samples 40` that fails at its 23rd
+sample, on values of up to 8 bits; each with and without `--json`, hashed
+apart so that the other hashes stay comparable.
 Every run names its files by paths relative to the temporary directory,
 so the hashes do not depend on where the checkout is.  Compare two trees with
 `PYTHONPATH=<tree>/src python3 scripts/cli_digest.py`, or run each tree's
@@ -91,6 +97,9 @@ VALUATIONS = {"v.json": '{"element": {"x0": "1", "x1": "0"}, "set": {"X0": ["0"]
               "bad-v.json": '{"element": {"x0": "2"}, "set": {}}'}
 MODEL = '{"universe": ["0", "1"], "constants": {"c": ["0", "1"], "d": ["1"]},' \
     ' "app": [{"left": "0", "right": "1", "result": ["0", "1"]}]}'
+# Valid wherever two of any three elements are equal, so over two elements;
+# fails over three or more where some c x0 is empty.
+PIGEON = "x0 = x1 \\/ x0 = x2 \\/ x1 = x2 \\/ ceil(c x0)"
 # A structure that interprets `c` only, for runs whose signature adds `d`.
 C_ONLY = '{"universe": ["0", "1"], "constants": {"c": ["0"]}}'
 
@@ -194,6 +203,12 @@ def main() -> None:
                      ["--seed", "-1", positional], ["--", positional],
                      [positional, "--seed", "3"], ["-h", positional])
     ]
+    wide = [["gen-models", "--sig", sig, "--max-size", size, "--samples", "6", "--seed", "5",
+             *defined, "--out", "out"]
+            for sig in ("nosig.txt", "c.txt") for defined in ((), ("--defined",))
+            for size in ("9", "12")]
+    wide.append(["consequence", "--defined", "--sig", "sigdef.txt", "--max-size", "8",
+                 "--samples", "40", "--seed", "3", "--out", "out", "pigeon.pat"])
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temporary name out of the output
@@ -204,6 +219,8 @@ def main() -> None:
             Path("sigcd.txt").write_text("c\nd\ndef\n")
             Path("fail.pat").write_text("ceil(c) -> c\n")
             Path("c.txt").write_text("c\n")
+            Path("nosig.txt").write_text("")
+            Path("pigeon.pat").write_text(PIGEON + "\n")
             for name, (conclusion, gamma) in QUERIES.items():
                 Path(name).write_text(conclusion + "\n")
                 if gamma:
@@ -232,6 +249,7 @@ def main() -> None:
             print(f"errors {digest(errors)} ({2 * len(errors)} runs)")
             with columns("80"):
                 print(f"argv  {digest(argv_runs)} ({2 * len(argv_runs)} runs)")
+            print(f"wide-samples {digest(wide)} ({2 * len(wide)} runs)")
         finally:
             os.chdir(home)
 

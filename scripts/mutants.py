@@ -120,8 +120,8 @@ MUTANTS = [
         "                return (k, *_decoded(free, digits[a]), p)\n",
         (TEST_SEMANTICS,),
     ),
-    # A generated `model.Suite`: each sample drawn in one call, the columns
-    # laid out from a table of its positions.
+    # A generated `model.Suite`: the samples drawn in bulk from the stream's
+    # words, the columns laid out from a table of its positions.
     Mutant(
         "suite-digits-reversed", MODEL,
         "            shifts = range(size * (digits - 1), -1, -size)\n",
@@ -142,10 +142,10 @@ MUTANTS = [
     ),
     Mutant(
         "sample-constants-before-cells", MODEL,
-        "    if defined:\n        # def holds",
-        "    first, cells = len(names), size * size\n"
-        "    values = values[first:first + cells] + values[:first] + values[first + cells:]\n"
-        "    if defined:\n        # def holds",
+        "            if spec.defined:\n                # def holds",
+        "            first = len(names)\n"
+        "            values = values[first:first + cells] + values[:first] + values[first + cells:]\n"
+        "            if spec.defined:\n                # def holds",
         (TEST_MODEL,),
     ),
     Mutant(
@@ -156,8 +156,8 @@ MUTANTS = [
     ),
     Mutant(
         "low-bits-of-each-word", MODEL,
-        " >> 32 - size & mask\n",
-        " & mask\n",
+        "tops, planes, wide, p = buf[3::4], {}, None, 0\n",
+        "tops, planes, wide, p = buf[::4], {}, None, 0\n",
         (TEST_MODEL,),
     ),
     Mutant(
@@ -170,6 +170,30 @@ MUTANTS = [
         "def-without-the-first-element", MODEL,
         "= 1 | values[-1]",
         "= values[-1]",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "rejection-bound-inclusive", MODEL,
+        "        if r < below:\n",
+        "        if r <= below:\n",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "leftover-words-dropped-at-refill", MODEL,
+        "buf = buf[4 * p:] + rng.getrandbits(",
+        "buf = rng.getrandbits(",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "byte-plane-shift-off-by-one", MODEL,
+        "bytes(b >> 8 - size for b in range(256))",
+        "bytes(b >> 7 - size for b in range(256))",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "wide-sample-read-from-the-top-byte", MODEL,
+        "[w >> 32 - size for w in wide[p:q]]",
+        "[b << size - 8 for b in tops[p:q]]",
         (TEST_MODEL,),
     ),
     Mutant(

@@ -22,11 +22,11 @@ found by position, not by hashing; no other structure has one.
 A generated suite is a `Suite`, a sequence over its positions: every
 structure of size one, then of size two, each a number whose base-2^n
 digits are its masks (the free application cells row by row, then the free
-constants), then the samples, whose masks are drawn when the suite is made.
-It builds a structure only when asked, and gives `semantics` the masks of
-its lanes by position, so that deciding a suite builds neither its twins
-nor the structures it lays out in blocks.  `enumerate_structures` iterates
-one.
+constants), then the samples, whose masks are all drawn the first time one
+is needed.  It builds a structure only when asked, and gives `semantics`
+the masks of its lanes by position, so that deciding a suite builds neither
+its twins nor the structures it lays out in blocks.  `enumerate_structures`
+iterates one.
 """
 
 from __future__ import annotations
@@ -488,10 +488,10 @@ class Suite(Sequence[Structure]):
     constants; with ``defined``, ``def`` is the first element and its row is
     total; structures whose cells agree share one ``rows`` tuple (`_grid`).
     A two-element structure's ``twin`` is the structure at its swap
-    image's position (`_swap_images`) when that comes earlier.  The samples'
-    masks are drawn when the suite is made, in the stream's order, one
-    stream word per mask and each sample's words in one call (`_draw`), and
-    a sample is built from them.  A slice of a suite is the list of its
+    image's position (`_swap_images`) when that comes earlier.  The
+    samples' masks are drawn, all of them in the stream's order
+    (`_read_samples`), the first time a sample or their runs are asked for,
+    and a sample is built from them.  A slice of a suite is the list of its
     structures.  `runs` gives the lanes' masks without building any
     structure: an exhaustive block's columns come from a cached, pure table
     of its positions (`_positions`), and a run of samples' are slices of
@@ -519,13 +519,8 @@ class Suite(Sequence[Structure]):
             images = _swap_images(len(self._free_names)) if size == 2 and not spec.defined else None
             self._blocks.append((start, size, 1 << size * digits, cells, shifts, images))
             start += 1 << size * digits
-        self._first_sample = start
-        self._drawn: list[tuple] = []  # each sample's size and values
-        if spec.samples and spec.max_size >= 3:
-            rng = random.Random(spec.seed)
-            self._drawn = [_draw(rng, rng.randint(3, spec.max_size), names, spec.defined)
-                           for _ in range(spec.samples)]
-        self._length = start + len(self._drawn)
+        self._first_sample, self._spec = start, spec
+        self._length = start + (max(spec.samples, 0) if spec.max_size >= 3 else 0)
         self.made: dict[int, Structure] = {}
         self.layout = None
 
@@ -561,7 +556,7 @@ class Suite(Sequence[Structure]):
                 masks.update(zip(self._free_names, [choice >> s & full for s in shifts[cells:]]))
                 twin = self[start + images[p]] if images and images[p] < p else None
                 return Structure(_universe(size), _grid(size, self._defined, grid), masks, twin)
-        size, values = self._drawn[k - self._first_sample]
+        size, values = self._samples()[k - self._first_sample]
         cells = size * size
         return Structure(_universe(size), _rows(values[:cells], size),
                          dict(zip(self._names, values[cells:])))
@@ -578,13 +573,21 @@ class Suite(Sequence[Structure]):
             masks = {DEFINEDNESS: b"\1" * lanes} if self._defined else {}
             masks.update(zip(self._free_names, digits[cells:]))
             yield marks, (full * lanes,) * (size * size - cells) + digits[:cells], masks
-        drawn = enumerate(self._drawn, self._first_sample + 1)
+        drawn = enumerate(self._samples(), self._first_sample + 1)
         for size, run in itertools.groupby(drawn, key=lambda d: d[1][0]):
             marks, samples = zip(*run)
-            joined = list(itertools.chain.from_iterable(values for _, values in samples))
-            stride = len(samples[0][1])
-            columns = [joined[t::stride] for t in range(size * size + len(self._names))]
+            values = [v for _, v in samples]
+            joined = b"".join(values) if size <= 8 else list(itertools.chain.from_iterable(values))
+            stride = len(values[0])
+            columns = [joined[t::stride] for t in range(stride)]
             yield marks, columns[:size * size], dict(zip(self._names, columns[size * size:]))
+
+    def _samples(self) -> list[tuple]:
+        """Each sample's size and values, drawn the first time asked for."""
+        count = self._length - self._first_sample
+        # setdefault: of two threads drawing at once, both keep the first.
+        return self.__dict__.get("drawn") or self.__dict__.setdefault(
+            "drawn", _read_samples(self._spec, self._names, count) if count else [])
 
 
 @lru_cache(maxsize=None)
@@ -639,26 +642,61 @@ def _positions(start: int, size: int, shifts: range, twins: bool) -> tuple:
     return marks, tuple(digits)
 
 
+# The most words one read of a sample stream takes; a longer stream is read
+# again, the words left over carried into the next read.
+_READ = 1 << 13
+
+
+def _read_samples(spec: SuiteSpec, names: list[str], count: int) -> list[tuple]:
+    """The first ``count`` samples' sizes and values, as `random.Random`
+    seeded with ``spec.seed`` draws them a call at a time: ``randint(3,
+    max_size)``, then ``getrandbits(size)`` per cell, row by row, per name
+    in ``names`` and, with ``defined``, once more for ``def``.  Each call
+    reads the top bits of 32-bit Mersenne Twister words (Matsumoto &
+    Nishimura, ACM TOMACS 8(1), 1998): ``getrandbits(k)`` one word, and
+    ``randint`` words until the top k bits of one, k the bit length of
+    max_size - 2, are below it.  So the words are read in a few bulk
+    ``getrandbits(32 * W)`` calls, first word lowest, and parsed in order.
+    A sample of up to 8 elements is a ``bytes`` slice of the plane of top
+    bytes shifted down to its size; a wider one reads whole words."""
+    rng, top = random.Random(spec.seed), spec.max_size
+    below = top - 2
+    drop = 8 - below.bit_length()  # of a top byte, the k bits randint reads
+    extra = len(names) + spec.defined
+    most = top * top + extra  # the words of the largest sample
+    per = sum(s * s for s in range(3, top + 1)) // below + extra + 3
+    drawn: list[tuple] = []
+    buf = tops = b""
+    p = 0
+    while len(drawn) < count:
+        if p + most >= len(tops):
+            words = max(min((count - len(drawn)) * per, _READ), most + 1)
+            buf = buf[4 * p:] + rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            tops, planes, wide, p = buf[3::4], {}, None, 0
+        r = tops[p] >> drop
+        p += 1
+        if r < below:
+            size = 3 + r
+            cells = size * size
+            q = p + cells + extra
+            if size > 8:
+                wide = wide or struct.unpack(f"<{len(tops)}I", buf)
+                values = [w >> 32 - size for w in wide[p:q]]
+            else:
+                if size not in planes:
+                    planes[size] = tops.translate(_shifted(size))
+                values = planes[size][p:q]
+            if spec.defined:
+                # def holds the first element and maybe more; that element's row is total.
+                fixed = [(1 << size) - 1] * size + list(values[size:-1])
+                fixed[cells + names.index(DEFINEDNESS)] = 1 | values[-1]
+                values = fixed if size > 8 else bytes(fixed)
+            drawn.append((size, values))
+            p = q
+    return drawn
+
+
 @lru_cache(maxsize=None)
-def _reader(size: int, words: int) -> tuple:
-    """The mask that keeps ``size`` bits of each of ``words`` 32-bit words,
-    and the unpacker of the words from little-endian bytes."""
-    ones = ((1 << 32 * words) - 1) // 0xFFFFFFFF  # bit 0 of every word
-    return ((1 << size) - 1) * ones, struct.Struct(f"<{words}I").unpack
-
-
-def _draw(rng: random.Random, size: int, names: list[str], defined: bool) -> tuple:
-    """A sample's size and its values: its cells row by row, then its
-    constants in ``names`` order, then with ``defined`` one more word for
-    ``def``.  Each value is the top ``size`` bits of one 32-bit word of the
-    stream, as ``rng.getrandbits(size)`` gives it; all the words are read in
-    one call, whose result holds them first word lowest."""
-    words = size * size + len(names) + defined
-    mask, unpack = _reader(size, words)
-    drawn = rng.getrandbits(32 * words) >> 32 - size & mask
-    values = unpack(drawn.to_bytes(4 * words, "little"))
-    if defined:
-        # def holds the first element and maybe more; that element's row is total.
-        values = [(1 << size) - 1] * size + list(values[size:])
-        values[size * size + names.index(DEFINEDNESS)] = 1 | values[-1]
-    return size, values
+def _shifted(size: int) -> bytes:
+    """The table that shifts a top byte down to its top ``size`` bits."""
+    return bytes(b >> 8 - size for b in range(256))

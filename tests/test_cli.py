@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import aml.cli
+import aml.model
 from aml.cli import main
 from aml.substitution import VarRef, subst_capture_avoiding
 from aml.sugar import parse, render
@@ -349,6 +351,29 @@ class TestProof:
         sig = str(CORPUS / "sig.txt")
         assert main(["proof", "check", "--sig", sig, script]) == 1
         assert "REJECTED [taut.not-tautology]" in capsys.readouterr().out
+
+    def test_an_audit_that_decides_nothing_draws_no_sample(self, monkeypatch, capsys):
+        # Line 1 is rejected, so no line is audited and no sample is read.
+        reads = []
+
+        class Counting(random.Random):
+            def getrandbits(self, k):
+                reads.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(aml.model.random, "Random", Counting)
+        script = str(CORPUS / "proofs" / "negative" / "n01-not-a-tautology.prf")
+        argv = ["proof", "check", "--audit", "--json", "--sig", str(CORPUS / "sig.txt"),
+                "--max-size", "3", "--samples", "200", "--seed", "1", script]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "audit": {"lines_audited": 0, "structures": 1228, "violations": []},
+            "level": "strong",
+            "lines": [{"code": "taut.not-tautology", "number": 1, "ok": False,
+                       "message": "the propositional skeleton has a failing row"}],
+            "result": "rejected",
+        }
+        assert reads == []
 
     def test_audit_runs_clean(self, capsys):
         script = str(CORPUS / "proofs" / "positive" / "l03-kt-bottom.prf")

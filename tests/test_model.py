@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from oracles import (
     structures_by_frozensets,
 )
 from strategies import structures
+import aml.model
 from aml.model import (
     ENUMERATION_CAP,
     DanglingElement,
@@ -358,6 +362,20 @@ class TestEnumeration:
             list(enumerate_structures(Signature(()), 0))
 
 
+def _count_reads(monkeypatch) -> list:
+    """The bit counts of every `getrandbits` call of a suite's stream from
+    here on."""
+    reads = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            reads.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(aml.model.random, "Random", Counting)
+    return reads
+
+
 class TestSuite:
     """A `Suite` is the stream as a sequence: the same structures at the
     same indices, twins included, each built once and only when asked."""
@@ -367,6 +385,9 @@ class TestSuite:
         (1, 0), (1, 30), (2, 0), (2, 30), (3, 0), (3, 30), (4, 0), (4, 30),
         # Values of more than 5 and more than 8 bits.
         (6, 8), (9, 8), (12, 8),
+        # Sizes drawn with every width of randint's k-bit values, 1 to 4,
+        # on both sides of the 8/9-element boundary of the byte plane.
+        (5, 30), (7, 12), (8, 12), (10, 8), (11, 8),
     ])
     @pytest.mark.parametrize("defined", [False, True])
     @pytest.mark.parametrize("names", [(), ("c",), ("c", "d")])
@@ -396,7 +417,9 @@ class TestSuite:
     @pytest.mark.parametrize("names", [(), ("c",), ("c", "d")])
     def test_runs_are_the_lanes_of_the_structures(self, names, defined):
         # The samples reach values of more than 5, and more than 8, bits.
-        for max_size, samples, widest in [(4, 30, 4), (6, 12, 6), (9, 12, 9), (12, 12, 9)]:
+        for max_size, samples, widest in [
+            (4, 30, 4), (6, 12, 6), (8, 30, 8), (9, 12, 9), (12, 12, 9),
+        ]:
             suite = SuiteSpec(Signature(names), max_size, 5, samples, defined).suite()
             runs = list(suite.runs())
             assert suite.made == {}  # nothing is built
@@ -424,6 +447,63 @@ class TestSuite:
             assert isinstance(got, list)
             assert len(got) == len(every[key])
             assert all(a is b for a, b in zip(got, every[key])), key
+
+    @pytest.mark.parametrize("defined", [False, True])
+    def test_a_stream_longer_than_one_read(self, monkeypatch, defined):
+        # The first bulk read runs out before the last sample, so the words
+        # left over at its end are carried into the next.
+        reads = _count_reads(monkeypatch)
+        sig = Signature(("c", "d"))
+        suite = SuiteSpec(sig, 12, 2, 150, defined).suite()
+        want = structures_by_frozensets(sig, 12, seed=2, samples=150, defined=defined)
+        for k, (s, (universe, app, constants)) in enumerate(itertools.zip_longest(suite, want)):
+            assert (s.universe, dict(s.app), dict(s.constants)) == (universe, app, constants), k
+        assert len(reads) > 1
+
+    def test_the_samples_are_drawn_once_when_first_read(self, monkeypatch):
+        reads = _count_reads(monkeypatch)
+        spec = SuiteSpec(Signature(("c",)), max_size=3, seed=1, samples=200)
+        suite = spec.suite()
+        assert len(suite) == 1228 and spec.describe()
+        assert len(suite[:1028]) == 1028  # every exhaustive structure
+        assert reads == []
+        suite[1028]  # the first sample
+        assert reads == [32 * 2600]  # all the samples' words, in one read
+        list(suite)
+        list(suite.runs())
+        assert len(reads) == 1
+        # Runs first: the exhaustive runs read nothing, the samples' once.
+        suite = spec.suite()
+        runs = suite.runs()
+        assert all(len(marks) < 1028 for marks, _, _ in itertools.islice(runs, 2))
+        assert len(reads) == 1
+        assert sum(len(marks) for marks, _, _ in runs) == 200
+        assert len(reads) == 2
+        list(suite)
+        assert len(reads) == 2
+
+    def test_threads_drawing_at_once_keep_one_draw(self):
+        suite = SuiteSpec(Signature(("c",)), max_size=5, seed=3, samples=100).suite()
+        start = threading.Barrier(6)
+        got = []
+
+        def first_sample():
+            start.wait()
+            got.append((suite[-100], suite._samples()))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_sample) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 6
+        assert all(s is got[0][0] and drawn is got[0][1] for s, drawn in got)
 
     def test_the_corpus_suite(self):
         suite = SuiteSpec(Signature(("c",)), max_size=3, seed=1, samples=200).suite()
