@@ -101,15 +101,29 @@ MUTANTS = [
     ),
     Mutant(
         "vectors-keyed-to-the-first-query", SEMANTICS,
-        "    for wide, count, e_vectors, s_vectors, digits in made:\n",
-        "    e_list, s_list = block.wide.setdefault((\"free\", counts), free)\n"
-        "    for wide, count, e_vectors, s_vectors, digits in made:\n",
+        "    counts = (len(e_list), len(s_list))\n",
+        "    counts = (len(e_list), len(s_list))\n"
+        "    e_list, s_list = block.wide.setdefault((\"free\", counts), free)\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(
         "global-valuation-not-cut", SEMANTICS,
         "            [(p, _free_lists([p])) for p in delta],\n",
         "            [(p, _free_lists(gamma + [p])) for p in delta],\n",
+        (TEST_SEMANTICS,),
+    ),
+    # A miss in lane 0 of a chunk's first copy is returned at once; any
+    # other miss needs the lowest lane and copy.
+    Mutant(
+        "global-exit-on-any-miss", SEMANTICS,
+        "                if miss & lane_full:\n",
+        "                if miss:\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "local-exit-on-any-miss", SEMANTICS,
+        "                if m & lane_full:\n",
+        "                if m:\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(
@@ -232,8 +246,8 @@ MUTANTS = [
     ),
     Mutant(
         "subsets-in-reverse-order", SEMANTICS,
-        "    subsets = s.subset_masks\n",
-        "    subsets = s.subset_masks[::-1]\n",
+        "            for x in itertools.product(block.subset_masks, repeat=len(s_list))\n",
+        "            for x in itertools.product(block.subset_masks[::-1], repeat=len(s_list))\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(
@@ -270,8 +284,8 @@ MUTANTS = [
     ),
     Mutant(
         "blocks-lacking-a-constant-packed", SEMANTICS,
-        "            if needed <= packed.masks.keys():\n",
-        "            if True:\n",
+        "            if not needed <= packed.masks.keys():\n",
+        "            if False:\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(

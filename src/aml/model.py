@@ -664,13 +664,13 @@ def _read_samples(spec: SuiteSpec, names: list[str], count: int) -> list[tuple]:
     drop = 8 - below.bit_length()  # of a top byte, the k bits randint reads
     extra = len(names) + spec.defined
     most = top * top + extra  # the words of the largest sample
-    per = sum(s * s for s in range(3, top + 1)) // below + extra + 3
     drawn: list[tuple] = []
     buf = tops = b""
     p = 0
     while len(drawn) < count:
         if p + most >= len(tops):
-            words = max(min((count - len(drawn)) * per, _READ), most + 1)
+            # The samples left at the largest size, three words each for the size draw.
+            words = max(min((count - len(drawn)) * (most + 3), _READ), most + 1)
             buf = buf[4 * p:] + rng.getrandbits(32 * words).to_bytes(4 * words, "little")
             tops, planes, wide, p = buf[3::4], {}, None, 0
         r = tops[p] >> drop

@@ -49,36 +49,37 @@ Consequence comes in three strengths and is always decided relative to an
 explicit suite of finite structures, so a "holds" verdict is an
 under-approximation of validity; counterexamples, on the other hand, are
 definitive and replayable.  The suite is decided block by block over its
-layout, which does not depend on the query.  The suite's first structure is
-a block alone, so a refutation there, the commonest end of a random query,
-costs what deciding that structure alone costs.  Every run of structures of
-one size and one set of constant names is cut from its head (the first run
-from its second structure) into blocks of 8, 64, 512, ... lanes, so a
-holding sweep decides one assignment at a time only on the first structure
-and on runs of a single structure.  A later run's head is decided together
-with the seven lanes after it, over its block's wide form, which costs about
-a third more than that structure alone would (21 against 16 us over
-consequence-mix's queries refuted at the head of the two-element run;
-Python 3.11, 2 CPUs).  A block reports its lowest failing lane with that
-lane's first counterexample, which is the first in suite order.  All three
+layout, which does not depend on the query.  One function decides every
+block for all three relations, over its assignments in chunks: the copies of
+its wide form for a block of several lanes, one assignment at a time for a
+block of one lane, a `Structure`.  A miss in a block's first lane under a
+chunk's first assignment is the first counterexample there can be, and ends
+the decision at once.  The suite's first structure is a block alone, so a
+refutation there, the commonest end of a random query, costs little more
+than evaluating the query there.  Every run of structures of one size and
+one set of constant names is cut from its head (the first run from its
+second structure) into blocks of 8, 64, 512, ... lanes, so a holding sweep
+goes one assignment at a time only on the first structure and on runs of a
+single structure.  A block reports its lowest failing lane with that lane's
+first counterexample, which is the first in suite order.  All three
 relations are invariant under renaming the universe, so a structure whose
 ``twin`` (see `model`) got a lane earlier gets none, though it still counts
 in ``structures_checked``.  A suite is laid out once, every block packed,
 and the layout never changes after that.  A block is packed from its lanes'
-masks in columns, one per application cell and one per constant, which
-come from one of two sources.  A generated `model.Suite` gives them from
-its structures' positions and drawn masks, its twins skipped by position,
-so that no structure is built but the one-lane blocks' and a
-counterexample's; the suite owns its layout, made on its first decision.
-Any other suite is read whole and its structures transposed; `consequence`
-keeps the last such layout in a single slot, which threads share, and
-reuses it for the next list or tuple that holds the same structure objects,
-checked by identity as the decision goes, so that many queries of one
-suite pack it once.  The slot keeps the last list's structures alive.
-Packed blocks never change.  Each caches its wide forms and variable
-vectors, keyed by the numbers of free element and set variables, on
-itself; the cache only adds values that depend on the block and those
-counts alone, and each query maps them to its own variable indices.
+masks in columns, one per application cell and one per constant, which come
+from one of two sources.  A generated `model.Suite` gives them from its
+structures' positions and drawn masks, its twins skipped by position, so
+that no structure is built but the one-lane blocks' and a counterexample's;
+the suite owns its layout, made on its first decision.  Any other suite is
+read whole and its structures transposed; `consequence` keeps the last such
+layout in a single slot, which threads share, and reuses it for the next
+list or tuple that holds the same structure objects, checked by identity as
+the decision goes, so that many queries of one suite pack it once.  The slot
+keeps the last list's structures alive.  Packed blocks never change.  Each
+caches its wide forms and variable vectors, keyed by the numbers of free
+element and set variables, on itself; the cache only adds values that depend
+on the block and those counts alone, and each query maps them to its own
+variable indices.
 """
 
 from __future__ import annotations
@@ -246,17 +247,9 @@ def _free_lists(patterns: Iterable[Pattern]) -> tuple[list, list]:
 
 def _assignments(s: Structure, free: tuple[list, list]) -> Iterator[tuple[dict, dict]]:
     """Every assignment of the given free variables over the structure
-    ``s``, in mask form: element variables vary slowest, each over the
-    universe in order, then set variables over the subsets in bitmask
-    order (the order of a wide form's copies, see `_chunks`).  One ``ev``
-    serves every step with the same elements; `_ev` restores what it
-    rebinds, so a kept pair still holds its assignment."""
-    e_list, s_list = free
-    subsets = s.subset_masks
-    for elems in itertools.product(s.singletons, repeat=len(e_list)):
-        ev = dict(zip(e_list, elems))
-        for sets in itertools.product(subsets, repeat=len(s_list)):
-            yield ev, dict(zip(s_list, sets))
+    ``s``, in mask form: the ``ev`` and ``sv`` of the chunks of one copy
+    that `_chunks` gives a `Structure`, in that order."""
+    return ((ev, sv) for _, _, ev, sv, _ in _chunks(s, free))
 
 
 def _valuation(s: Structure, ev: dict, sv: dict) -> Valuation:
@@ -427,10 +420,10 @@ def consequence(
     never changes, so calls in several threads share it: its packed blocks
     never change, and the cache each block keeps of its wide forms only
     adds values that depend on the block and the query's variable counts
-    alone.  A block of several lanes is decided for every assignment of
-    the free variables at once, over its wide form (see the module); a
-    block of one lane, one assignment at a time.  Only the suite's first
-    structure, and a run of a single structure, make a block of one lane.
+    alone.  One function decides every block (see the module).  The
+    suite's first structure, a run of a single structure, and each lane of
+    a block that lacks a constant of the query are decided as blocks of
+    one lane, one assignment at a time.
 
     The slot keeps the last list or tuple's structures and packed blocks
     alive until the next call on a list or tuple replaces them; it holds a
@@ -477,26 +470,20 @@ def _decide(kind, gamma, delta, free, pos, layout: _Layout, items: Sequence, che
         end = marks[-1]
         if check and not _same(items, layout.items, seen, end):
             return None
+        blocks = ((packed, 0),)  # each with its first lane's index in the block
         if len(marks) > 1:
             if needed is None:
                 needed = _constants(gamma + delta)
-            if needed <= packed.masks.keys():
-                found = _block_failure(kind, packed, gamma, delta, free, pos)
-                if found:
-                    k, *found = found
-                    return _refutation(kind, found, items, marks[k], given + k)
-            else:
+            if not needed <= packed.masks.keys():
                 # A constant of the query is missing: decide each lane alone,
                 # so that `UnassignedConstant` is raised exactly where one
                 # structure by itself raises it.
-                for k, mark in enumerate(marks):
-                    found = _first_failure(kind, items[mark - 1], gamma, delta, free, pos)
-                    if found:
-                        return _refutation(kind, found, items, mark, given + k)
-        else:
-            found = _first_failure(kind, packed, gamma, delta, free, pos)
+                blocks = [(items[mark - 1], k) for k, mark in enumerate(marks)]
+        for block, first in blocks:
+            found = _failure(kind, block, gamma, delta, free, pos)
             if found:
-                return _refutation(kind, found, items, end, given)
+                k = first + found[0]
+                return _refutation(kind, found, items, marks[k], given + k)
         seen = end
         given += len(marks)
     end = len(items)
@@ -515,9 +502,9 @@ def _same(suite: Sequence, items: list, lo: int, hi: int) -> bool:
 
 def _refutation(kind, found, items: Sequence, mark: int, given: int) -> Verdict:
     """The verdict on the structure ``items[mark - 1]``, refuted by
-    ``found``, its first counterexample ``(ev, sv, p)`` in mask form, the
-    ``given`` lanes before its own having held."""
-    ev, sv, p = found
+    ``found``, its block's first counterexample ``(k, ev, sv, p)`` as
+    `_failure` gives it, the ``given`` lanes before its own having held."""
+    _, ev, sv, p = found
     structure = items[mark - 1]
     return Verdict(
         False, kind, mark, structure, _valuation(structure, ev, sv), p,
@@ -525,52 +512,23 @@ def _refutation(kind, found, items: Sequence, mark: int, given: int) -> Verdict:
     )
 
 
-def _first_failure(kind, s: Structure, gamma, delta, free, pos):
-    """The first counterexample on the structure ``s``, in `_assignments`
-    order: ``(ev, sv, p)``, the assignment in mask form and the failing
-    conclusion; None if the query holds there."""
-    full = s.full
-    if kind is ConsequenceKind.GLOBAL:
-        gamma_free, delta_free = free
-        for g, f in gamma_free:
-            for ev, sv in _assignments(s, f):
-                if _ev(g, s, ev, sv, pos) != full:
-                    return None
-        for p, f in delta_free:
-            for ev, sv in _assignments(s, f):
-                if _ev(p, s, ev, sv, pos) != full:
-                    return ev, sv, p
-        return None
-    local = kind is ConsequenceKind.LOCAL
-    for ev, sv in _assignments(s, free):
-        need = full
-        for g in gamma:
-            value = _ev(g, s, ev, sv, pos)
-            if local:
-                # Every hypothesis must be satisfied.
-                if value != full:
-                    break
-            else:
-                # The hypotheses' common value.
-                need &= value
-        else:
-            for p in delta:
-                if need & ~_ev(p, s, ev, sv, pos):
-                    return ev, sv, p
-    return None
-
-
-def _block_failure(kind, block: _Block, gamma, delta, free, pos):
-    """The first counterexample in the block ``block`` of several lanes:
-    ``(k, ev, sv, p)``, its lowest failing lane k with that lane's first
-    counterexample as `_first_failure` gives it; None if every lane holds.
-    Each pattern is evaluated once per chunk of the assignments over the
-    block's wide form (see `_chunks`).  Once lane k fails, later chunks
+def _failure(kind, block, gamma, delta, free, pos):
+    """The first counterexample in the block ``block``, a `_Block` or a
+    `Structure` (the one-lane block): ``(k, ev, sv, p)``, its lowest failing
+    lane k with that lane's first counterexample in `_chunks` order,
+    the assignment in mask form and the failing conclusion; None if every
+    lane holds.  Each pattern is evaluated once per chunk of the assignments
+    (see `_chunks`).  A miss in lane 0 of a chunk's first copy is the first
+    counterexample there can be, so it is returned at once, the conclusions
+    after the first one missing there left unevaluated, as deciding the
+    lane's structure alone leaves them.  Once lane k fails, later chunks
     search only the lanes below it."""
-    n, width = block.n, block.width
+    full = block.full
+    n, width = len(block.singletons), full.bit_length()
+    lane_full = (1 << n) - 1
     if kind is ConsequenceKind.GLOBAL:
         gamma_free, delta_free = free
-        live = block.full  # the lanes where every hypothesis is valid
+        live = full  # the lanes where every hypothesis is valid
         for g, f in gamma_free:
             for wide, count, ev, sv, digits in _chunks(block, f):
                 miss = wide.full & ~_ev(g, wide, ev, sv, pos)
@@ -581,9 +539,13 @@ def _block_failure(kind, block: _Block, gamma, delta, free, pos):
         found, limit = None, live
         for p, f in delta_free:
             for wide, count, ev, sv, digits in _chunks(block, f):
-                need = wide.full if limit == block.full else _copies(limit, count, width)
+                need = wide.full if limit == full else _copies(limit, count, width)
                 miss = need & ~_ev(p, wide, ev, sv, pos)
                 if miss:
+                    if miss & lane_full:
+                        if digits is not None:
+                            ev, sv = _decoded(f, digits[0])
+                        return 0, ev, sv, p
                     k, a = _lowest(miss, block, count)
                     found = (k, *_decoded(f, digits[a]), p)
                     if not k:
@@ -591,9 +553,9 @@ def _block_failure(kind, block: _Block, gamma, delta, free, pos):
                     limit = live & (1 << k * n) - 1
         return found
     local = kind is ConsequenceKind.LOCAL
-    found, limit = None, block.full
+    found, limit = None, full
     for wide, count, ev, sv, digits in _chunks(block, free):
-        need = wide.full if limit == block.full else _copies(limit, count, width)
+        need = wide.full if limit == full else _copies(limit, count, width)
         for g in gamma:
             value = _ev(g, wide, ev, sv, pos)
             if local:
@@ -606,18 +568,26 @@ def _block_failure(kind, block: _Block, gamma, delta, free, pos):
             else:
                 need &= value
         else:
-            misses = [need & ~_ev(p, wide, ev, sv, pos) for p in delta]
-            miss = 0
-            for m in misses:
-                miss |= m
-            if miss:
+            misses = []  # the conclusions that miss somewhere, with their misses
+            for p in delta:
+                m = need & ~_ev(p, wide, ev, sv, pos)
+                if m:
+                    if m & lane_full:
+                        if digits is not None:
+                            ev, sv = _decoded(free, digits[0])
+                        return 0, ev, sv, p
+                    misses.append((p, m))
+            if misses:
+                miss = 0
+                for _, m in misses:
+                    miss |= m
                 k, a = _lowest(miss, block, count)
                 at = a * width + k * n
-                p = next(p for p, m in zip(delta, misses) if m >> at & block.lane_full)
+                p = next(p for p, m in misses if m >> at & lane_full)
                 found = (k, *_decoded(free, digits[a]), p)
                 if not k:
                     return found
-                limit = block.full & (1 << k * n) - 1
+                limit = full & (1 << k * n) - 1
     return found
 
 
@@ -659,24 +629,36 @@ def _decoded(free: tuple[list, list], digits: tuple) -> tuple[dict, dict]:
 _WIDE_BITS = 1 << 15
 
 
-def _chunks(block: _Block, free: tuple[list, list]) -> Iterator[tuple]:
-    """The assignments of the given free variables over ``block``, in
-    `_assignments` order, in chunks of at most ``_WIDE_BITS`` bits of the
-    block's wide form: ``(wide, count, ev, sv, digits)`` per chunk.  Copy a
-    of the chunk's ``count`` copies of the block holds bits
-    [a*width, (a+1)*width) of ``wide``; ``ev`` and ``sv`` hold there the
-    chunk's assignment a, keyed to the variables' own indices; ``digits[a]``
-    is that assignment's value per variable, as `_decoded` reads it.  The
-    wide blocks and the vectors are made once per block and per count of
-    element and set variables, and kept on the block."""
+def _chunks(block, free: tuple[list, list]) -> Iterator[tuple]:
+    """The assignments of the given free variables over ``block`` in
+    chunks, ``(wide, count, ev, sv, digits)`` per chunk, in order: element
+    variables vary slowest, each over the universe in order, then set
+    variables over the subsets in bitmask order.  A `Structure` gets one
+    assignment per chunk: one copy, the structure itself, with ``ev`` and
+    ``sv`` in mask form and no ``digits``.  A `_Block` gets chunks of at
+    most ``_WIDE_BITS`` bits of its wide form.  Copy a of the chunk's
+    ``count`` copies of the block holds bits [a*width, (a+1)*width) of
+    ``wide``; ``ev`` and ``sv`` hold there the chunk's assignment a, keyed
+    to the variables' own indices; ``digits[a]`` is that assignment's value
+    per variable, as `_decoded` reads it.  The wide blocks and the vectors
+    are made once per block and per count of element and set variables,
+    and kept on the block."""
     e_list, s_list = free
+    if type(block) is not _Block:
+        return (
+            (block, 1, dict(zip(e_list, e)), dict(zip(s_list, x)), None)
+            for e in itertools.product(block.singletons, repeat=len(e_list))
+            for x in itertools.product(block.subset_masks, repeat=len(s_list))
+        )
     counts = (len(e_list), len(s_list))
     made = block.wide.get(counts)
     if made is None:
         # setdefault: of two threads making them at once, both keep the first.
         made = block.wide.setdefault(counts, _widen(block, *counts))
-    for wide, count, e_vectors, s_vectors, digits in made:
-        yield wide, count, dict(zip(e_list, e_vectors)), dict(zip(s_list, s_vectors)), digits
+    return (
+        (wide, count, dict(zip(e_list, e_vectors)), dict(zip(s_list, s_vectors)), digits)
+        for wide, count, e_vectors, s_vectors, digits in made
+    )
 
 
 def _widen(block: _Block, elements: int, sets: int) -> list[tuple]:

@@ -947,6 +947,9 @@ class TestUnassignedConstantInBlocks:
         holding = self.one(["0"])
         got = consequence(kind, *self.QUERY, [holding] * 11 + [refuting] + [lacking] * 20)
         assert not got.holds and got.structures_checked == 12
+        # A conclusion that refutes the first structure before one naming d.
+        got = consequence(kind, [], [BOT, self.D], [lacking, holding])
+        assert not got.holds and got.structure is lacking and got.pattern is BOT
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("count", [1, 20])
