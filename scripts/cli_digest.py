@@ -43,7 +43,18 @@ samples, with and without `--defined`, over signatures with no constant
 and with one, whose samples reach values of more than 8 bits, and one
 `consequence --defined --max-size 8 --samples 40` that fails at its 23rd
 sample, on values of up to 8 bits; each with and without `--json`, hashed
-apart so that the other hashes stay comparable.
+apart so that the other hashes stay comparable.  Group `run-lanes` is
+`consequence` at all three kinds, with and without `--json`, on queries
+whose first counterexample is a chosen structure of a run: structures 12,
+13, 76 and 77 (lanes 7, 8, 71 and 72) and the last, 260, of the 256-lane
+two-element run of `--defined --sig c d def --max-size 2`, and samples 8,
+9, 72 and 73 of `--defined --sig c def --max-size 3 --samples 100 --seed
+3`; the lanes on either side of where a run was once cut into blocks of 8,
+64, ... lanes.  Each query is `x0 = x1 \/ !D`, with x2 too for the
+samples, where D is a partial diagram of distinct elements that holds in
+the chosen structure and in no structure before it (checked against the
+frozenset oracle in `tests/oracles.py`).  It is hashed apart so that the
+other hashes stay comparable.
 Every run names its files by paths relative to the temporary directory,
 so the hashes do not depend on where the checkout is.  Compare two trees with
 `PYTHONPATH=<tree>/src python3 scripts/cli_digest.py`, or run each tree's
@@ -102,6 +113,31 @@ MODEL = '{"universe": ["0", "1"], "constants": {"c": ["0", "1"], "d": ["1"]},' \
 PIGEON = "x0 = x1 \\/ x0 = x2 \\/ x1 = x2 \\/ ceil(c x0)"
 # A structure that interprets `c` only, for runs whose signature adds `d`.
 C_ONLY = '{"universe": ["0", "1"], "constants": {"c": ["0"]}}'
+# Suite options, then each query, in a file named for the structure (the
+# sample, in the second suite) that first refutes it.
+_TWO = "x0 = x1 \\/ "
+_THREE = "x0 = x1 \\/ x0 = x2 \\/ x1 = x2 \\/ "
+RUN_LANES = {
+    ("--sig", "sigcd.txt", "--max-size", "2"): {
+        "s12.pat": _TWO + "!(ceil(x0 /\\ c) /\\ ceil(x0 /\\ d) /\\ ceil(x1 /\\ d))",
+        "s13.pat": _TWO + "!(ceil(x1 /\\ c) /\\ ceil(x0 /\\ def))",
+        "s76.pat": _TWO + "!(!ceil(x0 /\\ x1 x1) /\\ ceil(x0 /\\ x1 x0) /\\ ceil(x0 /\\ c)"
+                          " /\\ ceil(x0 /\\ d) /\\ ceil(x1 /\\ d))",
+        "s77.pat": _TWO + "!(!ceil(x0 /\\ x1 x1) /\\ ceil(x0 /\\ x1 x0) /\\ ceil(x1 /\\ c))",
+        "s260.pat": _TWO + "!(ceil(x0 /\\ c) /\\ ceil(x0 /\\ d) /\\ ceil(x1 /\\ c)"
+                           " /\\ ceil(x1 /\\ d) /\\ ceil(x0 /\\ def) /\\ ceil(x0 /\\ x1 x0)"
+                           " /\\ ceil(x0 /\\ x1 x1) /\\ ceil(x1 /\\ x1 x0) /\\ ceil(x1 /\\ x1 x1))",
+    },
+    ("--sig", "sigdef.txt", "--max-size", "3", "--samples", "100", "--seed", "3"): {
+        "sample8.pat": _THREE + "!(!ceil(x1 /\\ x1 x0) /\\ !ceil(x1 /\\ x2 x1) /\\ ceil(x0 /\\ c))",
+        "sample9.pat": _THREE + "!(!ceil(x1 /\\ x1 x0) /\\ !ceil(x2 /\\ x2 x2))",
+        "sample72.pat": _THREE + "!(!ceil(x1 /\\ x1 x1) /\\ !ceil(x0 /\\ x2 x1)"
+                                 " /\\ !ceil(x1 /\\ x1 x2) /\\ !ceil(x1 /\\ x1 x0)"
+                                 " /\\ !ceil(x0 /\\ x1 x0))",
+        "sample73.pat": _THREE + "!(!ceil(x2 /\\ x2 x2) /\\ !ceil(x1 /\\ x1 x0)"
+                                 " /\\ ceil(x0 /\\ x1 x0) /\\ !ceil(x2 /\\ def))",
+    },
+}
 
 
 def run(argv) -> tuple:
@@ -209,6 +245,9 @@ def main() -> None:
             for size in ("9", "12")]
     wide.append(["consequence", "--defined", "--sig", "sigdef.txt", "--max-size", "8",
                  "--samples", "40", "--seed", "3", "--out", "out", "pigeon.pat"])
+    run_lanes = [["consequence", "--kind", kind, "--defined", *suite_opts, "--out", "out", name]
+                 for suite_opts, queries in RUN_LANES.items() for name in queries
+                 for kind in ("global", "local", "strong")]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temporary name out of the output
@@ -238,6 +277,9 @@ def main() -> None:
             Path("lacks.pat").write_text("x0\nd\n")
             Path("lacks.prf").write_text("1: c -> c ; taut\n2: d -> d ; taut\n")
             Path("taken").write_text("")
+            for queries in RUN_LANES.values():
+                for name, text in queries.items():
+                    Path(name).write_text(text + "\n")
             print(f"audit {digest(audit)} ({2 * len(audit)} runs)")
             print(f"taut  {digest(taut)} ({2 * len(taut)} runs)")
             print(f"suite {digest(suite_runs)} ({2 * len(suite_runs)} runs)")
@@ -250,6 +292,7 @@ def main() -> None:
             with columns("80"):
                 print(f"argv  {digest(argv_runs)} ({2 * len(argv_runs)} runs)")
             print(f"wide-samples {digest(wide)} ({2 * len(wide)} runs)")
+            print(f"run-lanes {digest(run_lanes)} ({2 * len(run_lanes)} runs)")
         finally:
             os.chdir(home)
 

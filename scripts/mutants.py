@@ -156,10 +156,10 @@ MUTANTS = [
     ),
     Mutant(
         "sample-constants-before-cells", MODEL,
-        "            if spec.defined:\n                # def holds",
+        "            if defined:\n                # def holds",
         "            first = len(names)\n"
         "            values = values[first:first + cells] + values[:first] + values[first + cells:]\n"
-        "            if spec.defined:\n                # def holds",
+        "            if defined:\n                # def holds",
         (TEST_MODEL,),
     ),
     Mutant(
@@ -188,8 +188,8 @@ MUTANTS = [
     ),
     Mutant(
         "rejection-bound-inclusive", MODEL,
-        "        if r < below:\n",
-        "        if r <= below:\n",
+        "    bound = below << drop",
+        "    bound = below + 1 << drop",
         (TEST_MODEL,),
     ),
     Mutant(
@@ -223,17 +223,38 @@ MUTANTS = [
         (TEST_SEMANTICS,),
     ),
     # The layout: only the suite's first structure is a block alone; every
-    # later run opens with a block of eight lanes.
+    # other run is one block, the first from its second structure.
     Mutant(
         "every-run-starts-at-one-lane", SEMANTICS,
-        "            lo = 0\n",
-        "            lo, size = 0, 1\n",
+        "            cut = 0\n",
+        "",
         (TEST_SEMANTICS,),
     ),
     Mutant(
         "first-structure-in-a-block-of-eight", SEMANTICS,
-        "        size = 1  # the suite's first structure is a block alone\n",
-        "        size = _BLOCK_GROWTH\n",
+        "        cut = 1  # the suite's first structure is a block alone\n",
+        "        cut = 0\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "run-block-drops-its-last-lane", SEMANTICS,
+        "            for lo, hi in ((0, cut), (cut, len(marks))):\n",
+        "            for lo, hi in ((0, cut), (cut, len(marks) - 1)):\n",
+        (TEST_SEMANTICS,),
+    ),
+    # A kept layout: a block of several lanes is checked after its decision,
+    # as far as it goes; any other block before.
+    Mutant(
+        "kept-check-skipped-after-a-hold", SEMANTICS,
+        "        if deferred and not _same(items, layout.items, seen, end):\n"
+        "            return None\n",
+        "",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "one-lane-block-checked-after-deciding", SEMANTICS,
+        "        deferred = False  # whether the span is checked after the decision\n",
+        "        deferred = check and len(marks) == 1\n",
         (TEST_SEMANTICS,),
     ),
     # Earlier fast paths: fixpoints, falsum, lane blocks, layout reuse and
@@ -284,8 +305,8 @@ MUTANTS = [
     ),
     Mutant(
         "blocks-lacking-a-constant-packed", SEMANTICS,
-        "            if not needed <= packed.masks.keys():\n",
-        "            if False:\n",
+        "            if needed <= packed.masks.keys():\n",
+        "            if True:\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(

@@ -662,36 +662,40 @@ def _read_samples(spec: SuiteSpec, names: list[str], count: int) -> list[tuple]:
     rng, top = random.Random(spec.seed), spec.max_size
     below = top - 2
     drop = 8 - below.bit_length()  # of a top byte, the k bits randint reads
-    extra = len(names) + spec.defined
+    bound = below << drop  # a top byte r reads below it exactly where r < bound
+    defined = spec.defined
+    extra = len(names) + defined
     most = top * top + extra  # the words of the largest sample
     drawn: list[tuple] = []
+    append = drawn.append
     buf = tops = b""
-    p = 0
+    p = end = 0
     while len(drawn) < count:
-        if p + most >= len(tops):
+        if p + most >= end:
             # The samples left at the largest size, three words each for the size draw.
             words = max(min((count - len(drawn)) * (most + 3), _READ), most + 1)
             buf = buf[4 * p:] + rng.getrandbits(32 * words).to_bytes(4 * words, "little")
             tops, planes, wide, p = buf[3::4], {}, None, 0
-        r = tops[p] >> drop
+            end = len(tops)
+        r = tops[p]
         p += 1
-        if r < below:
-            size = 3 + r
+        if r < bound:
+            size = 3 + (r >> drop)
             cells = size * size
             q = p + cells + extra
             if size > 8:
-                wide = wide or struct.unpack(f"<{len(tops)}I", buf)
+                wide = wide or struct.unpack(f"<{end}I", buf)
                 values = [w >> 32 - size for w in wide[p:q]]
             else:
                 if size not in planes:
                     planes[size] = tops.translate(_shifted(size))
                 values = planes[size][p:q]
-            if spec.defined:
+            if defined:
                 # def holds the first element and maybe more; that element's row is total.
                 fixed = [(1 << size) - 1] * size + list(values[size:-1])
                 fixed[cells + names.index(DEFINEDNESS)] = 1 | values[-1]
                 values = fixed if size > 8 else bytes(fixed)
-            drawn.append((size, values))
+            append((size, values))
             p = q
     return drawn
 

@@ -56,15 +56,16 @@ block of one lane, a `Structure`.  A miss in a block's first lane under a
 chunk's first assignment is the first counterexample there can be, and ends
 the decision at once.  The suite's first structure is a block alone, so a
 refutation there, the commonest end of a random query, costs little more
-than evaluating the query there.  Every run of structures of one size and
-one set of constant names is cut from its head (the first run from its
-second structure) into blocks of 8, 64, 512, ... lanes, so a holding sweep
-goes one assignment at a time only on the first structure and on runs of a
-single structure.  A block reports its lowest failing lane with that lane's
-first counterexample, which is the first in suite order.  All three
-relations are invariant under renaming the universe, so a structure whose
-``twin`` (see `model`) got a lane earlier gets none, though it still counts
-in ``structures_checked``.  A suite is laid out once, every block packed,
+than evaluating the query there.  Every other run of structures of one
+size and one set of constant names is one block, the first run from its
+second structure: deciding a block costs about as much whatever its lane
+count, so a holding sweep pays per block.  It goes one assignment at a time
+only on the first structure and on runs of a single structure.  A block
+reports its lowest failing lane with that lane's first counterexample,
+which is the first in suite order.  All three relations are invariant
+under renaming the universe, so a structure whose ``twin`` (see `model`)
+got a lane earlier gets none, though it still counts in
+``structures_checked``.  A suite is laid out once, every block packed,
 and the layout never changes after that.  A block is packed from its lanes'
 masks in columns, one per application cell and one per constant, which come
 from one of two sources.  A generated `model.Suite` gives them from its
@@ -74,12 +75,12 @@ the suite owns its layout, made on its first decision.  Any other suite is
 read whole and its structures transposed; `consequence` keeps the last such
 layout in a single slot, which threads share, and reuses it for the next
 list or tuple that holds the same structure objects, checked by identity as
-the decision goes, so that many queries of one suite pack it once.  The slot
-keeps the last list's structures alive.  Packed blocks never change.  Each
-caches its wide forms and variable vectors, keyed by the numbers of free
-element and set variables, on itself; the cache only adds values that depend
-on the block and those counts alone, and each query maps them to its own
-variable indices.
+far as the decision goes, so that many queries of one suite pack it once.
+The slot keeps the last list's structures alive.  Packed blocks never
+change.  Each caches its wide forms and variable vectors, keyed by the
+numbers of free element and set variables, on itself; the cache only adds
+values that depend on the block and those counts alone, and each query maps
+them to its own variable indices.
 """
 
 from __future__ import annotations
@@ -384,11 +385,6 @@ _NOTES = {
     ConsequenceKind.STRONG: "the conclusion's value does not cover the hypotheses' common value",
 }
 
-# A run of same-size structures is cut from its head into blocks of 8, 64,
-# 512, ... lanes; only the suite's first structure is a block alone.
-_BLOCK_GROWTH = 8
-
-
 def consequence(
     kind: ConsequenceKind | str,
     gamma: Iterable[Pattern],
@@ -412,18 +408,20 @@ def consequence(
     the last list or tuple laid out is kept in one slot and reused, blocks
     packed, by a call on a list or tuple of the same length holding the
     same structure objects in the same order (identical, not merely equal):
-    checked a block at a time as the decision reaches it, and after a
-    sweep, over the structures after the last block.  Where the check
+    checked a block at a time, per structure as far as the decision goes,
+    and after a sweep, over the structures after the last block.  A block
+    of several lanes that holds every constant of the query is decided
+    first, then checked up to its refuted structure, or whole if it holds;
+    any other block is checked before it is decided.  Where the check
     fails, the suite is laid out afresh, decided from its first structure
-    and kept.  Any other
-    iterable gets a layout of its own, which is not kept.  A kept layout
-    never changes, so calls in several threads share it: its packed blocks
-    never change, and the cache each block keeps of its wide forms only
-    adds values that depend on the block and the query's variable counts
-    alone.  One function decides every block (see the module).  The
-    suite's first structure, a run of a single structure, and each lane of
-    a block that lacks a constant of the query are decided as blocks of
-    one lane, one assignment at a time.
+    and kept.  Any other iterable gets a layout of its own, which is not
+    kept.  A kept layout never changes, so calls in several threads share
+    it: its packed blocks never change, and the cache each block keeps of
+    its wide forms only adds values that depend on the block and the
+    query's variable counts alone.  One function decides every block (see
+    the module).  The suite's first structure, a run of a single
+    structure, and each lane of a block that lacks a constant of the query
+    are decided as blocks of one lane, one assignment at a time.
 
     The slot keeps the last list or tuple's structures and packed blocks
     alive until the next call on a list or tuple replaces them; it holds a
@@ -462,28 +460,39 @@ def consequence(
 def _decide(kind, gamma, delta, free, pos, layout: _Layout, items: Sequence, check=False):
     """The verdict over ``layout``, whose lanes are the structures of
     ``items`` at their marks.  With ``check``, each block's span of
-    ``items``, and the structures after the last block, are first checked
-    to be the layout's own: None where one is not."""
+    ``items``, and the structures after the last block, are checked to be
+    the layout's own: None where one is not.  A block of several lanes that
+    holds every constant of the query is checked after its decision, up to
+    its refuted structure or over its whole span; any other block before."""
     needed = None  # the query's constants, once a block of several lanes asks
     seen = given = 0  # the structures before the block, and the lanes they got
     for packed, marks in layout.blocks:
         end = marks[-1]
-        if check and not _same(items, layout.items, seen, end):
-            return None
         blocks = ((packed, 0),)  # each with its first lane's index in the block
+        deferred = False  # whether the span is checked after the decision
         if len(marks) > 1:
             if needed is None:
                 needed = _constants(gamma + delta)
-            if not needed <= packed.masks.keys():
+            if needed <= packed.masks.keys():
+                # Deciding the layout's own lanes raises nothing, so the
+                # span is checked only as far as the decision goes.
+                deferred = check
+            else:
                 # A constant of the query is missing: decide each lane alone,
                 # so that `UnassignedConstant` is raised exactly where one
                 # structure by itself raises it.
                 blocks = [(items[mark - 1], k) for k, mark in enumerate(marks)]
+        if check and not deferred and not _same(items, layout.items, seen, end):
+            return None
         for block, first in blocks:
             found = _failure(kind, block, gamma, delta, free, pos)
             if found:
                 k = first + found[0]
+                if deferred and not _same(items, layout.items, seen, marks[k]):
+                    return None
                 return _refutation(kind, found, items, marks[k], given + k)
+        if deferred and not _same(items, layout.items, seen, end):
+            return None
         seen = end
         given += len(marks)
     end = len(items)
@@ -817,9 +826,9 @@ class _Block:
 class _Layout:
     """A suite laid out in lane blocks as the module describes, whatever the
     query, and never changed: the suite's first structure alone, then each
-    run, the first from its second structure, in blocks of 8, 64, ...
-    lanes.  It holds ``items``, a copy of the suite, and ``blocks``, a
-    ``(packed, marks)`` pair per block in suite order.
+    run as one block, the first from its second structure.  It holds
+    ``items``, a copy of the suite, and ``blocks``, a ``(packed, marks)``
+    pair per block in suite order.
     ``packed`` is the block's `_Block`, or its structure if it has one lane;
     a lane's mark counts the suite's structures up to and including it, so
     its structure is ``suite[mark - 1]``.  Packed blocks never change;
@@ -837,21 +846,20 @@ class _Layout:
             items = self.items = list(suite)
             runs = _runs(items)
         self.blocks: list[tuple] = []
-        size = 1  # the suite's first structure is a block alone
+        cut = 1  # the suite's first structure is a block alone
         for marks, cells, masks in runs:
-            lo = 0
-            while lo < len(marks):
-                hi = lo + size
+            for lo, hi in ((0, cut), (cut, len(marks))):
                 block = marks[lo:hi]
                 if len(block) == 1:
                     packed = items[block[0] - 1]
-                else:
+                elif block:
                     packed = _Block(
                         [c[lo:hi] for c in cells], {k: c[lo:hi] for k, c in masks.items()}
                     )
+                else:
+                    continue
                 self.blocks.append((packed, block))
-                lo, size = hi, size * _BLOCK_GROWTH
-            size = _BLOCK_GROWTH
+            cut = 0
 
 
 def _runs(items: list) -> Iterator[tuple]:

@@ -45,7 +45,7 @@ from aml.semantics import (
 )
 # The block form the tests below hold lane by lane against `evaluate`, and
 # the module whose kept layout they reset.
-from aml.semantics import _BLOCK_GROWTH, _Block, _columns, _ev
+from aml.semantics import _Block, _columns, _ev
 import aml.semantics as semantics
 from aml.sugar import BOT, TOP, and_, ceil, eq, forall, iff, neg, nu, or_
 from aml.syntax import (
@@ -821,19 +821,23 @@ def _skipped(suite, count):
     return skipped
 
 
+# The lanes of each run's block in the suites below: the suite's first
+# structure, a block alone, then three runs of two, three and two elements.
+_RUN_LANES = 601
+
+
 def _block_starts():
-    """Where each block of a suite's first run, 600 structures or more,
-    begins."""
-    starts, at, size = [], 0, 1
-    while at < 600:
-        starts.append(at)
-        at, size = at + size, size * _BLOCK_GROWTH
-    return starts
+    """Where each block of a suite of one structure and three runs of
+    ``_RUN_LANES`` lanes begins, and where the suite ends; the first
+    structure and the first run's block make one run."""
+    return [0, *range(1, 2 + 3 * _RUN_LANES, _RUN_LANES)]
 
 
 # Every two-element structure over ``c``, without twins, so that a suite of
 # them gives each structure a lane.
 _PAIRS = [dataclasses.replace(s, twin=None) for s in _C_SUITE if len(s.universe) == 2]
+# Three-element structures over ``c``, none a twin.
+_TRIPLES = [_random_structure(random.Random(k), 3, ("c",)) for k in range(200)]
 # Fails where c c ⊄ c; under a valuation, where c x0 ⊄ c.
 _CLOSED = Imp(Appl(C, C), C)
 _OPEN = Imp(Appl(C, X0), C)
@@ -855,7 +859,7 @@ def _split(kind, gamma, delta, pool):
 
 
 def _late_and_early(kind, p):
-    """A suite whose block of eight has lanes 3 and 5 failing ``p``: lane 5
+    """A suite whose run's block has lanes 3 and 5 failing ``p``: lane 5
     fails first in valuation order, but lane 3 is the first failing
     structure.  With that structure and its first counterexample."""
     holds, fails = _split(kind, [], [p], _PAIRS)
@@ -874,16 +878,32 @@ class TestBlockDifferential:
     decides one structure at a time."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("block, lane", [(0, 0), (1, 7), (2, 8), (2, 63), (3, 64), (3, -1)])
+    @pytest.mark.parametrize(
+        "block, lane",
+        [
+            (0, 0), (1, 0), (1, 7), (1, 8), (1, 63), (1, 64), (1, -1),
+            (2, 8), (2, 63), (3, 64), (3, -1),
+        ],
+    )
     def test_the_first_failure_at_a_lane(self, kind, block, lane):
-        holds, fails = _split(kind, [], [_CLOSED], _PAIRS)
         starts = _block_starts()
         at = starts[block] + lane if lane >= 0 else starts[block + 1] - 1
-        # Failures follow too, so the block holds more than one failing lane.
-        suite = (holds * 10)[:at] + [fails[0][0]] + [s for s, _ in fails[1:]] + holds
+        suite = []
+        for pool, lo, hi in zip((_PAIRS, _TRIPLES, _PAIRS), [0, *starts[2:]], starts[2:]):
+            holds, fails = _split(kind, [], [_CLOSED], pool)
+            if lo <= at < hi:
+                # Failures follow too, so the block holds more than one
+                # failing lane.
+                run = (holds * 10)[:at - lo] + [s for s, _ in fails] + holds * 10
+            else:
+                run = holds * 10
+            suite += run[:hi - lo]
         suite = suite[:starts[block + 1]]
+        semantics._kept.clear()
         got = _agrees_with_the_oracle(kind, [], [_CLOSED], suite)
         assert not got.holds and got.structures_checked == at + 1
+        [layout] = semantics._kept
+        assert [len(marks) for _, marks in layout.blocks] == [1, *[_RUN_LANES] * 3][:block + 1]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_later_lane_failing_at_an_earlier_valuation(self, kind):
@@ -975,6 +995,16 @@ class TestUnassignedConstantInBlocks:
         assert got.structure is second and got.valuation.element == {0: "1"}
         assert got.pattern is delta[0]
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_kept_structure_lacking_d_is_not_decided(self, kind):
+        # The kept layout's two one-lane blocks lack d.  A list of the same
+        # length whose first structure is another is checked before the
+        # kept structure there is decided, which would raise.
+        refuting, lacking = self.one([]), self.one(None)
+        assert consequence(kind, [], [C], [lacking, lacking]).holds
+        got = consequence(kind, *self.QUERY, [refuting, lacking])
+        assert not got.holds and got.structure is refuting
+
     def test_an_empty_common_value_still_evaluates_the_conclusions(self):
         lacking = self.one(None)
         with pytest.raises(UnassignedConstant):
@@ -1041,8 +1071,8 @@ def _lane_queries(draw, size):
 
 
 def _lane_suite(rng, size, lanes, query=None):
-    """Structures of ``size`` elements over ``c`` laid out in blocks of 1
-    and 8 lanes, and of 64 after them if ``lanes`` is 64.  With a query
+    """Structures of ``size`` elements over ``c`` laid out in a block of one
+    lane, then one of 8 lanes, or of 72 if ``lanes`` is 64.  With a query
     ``(kind, gamma, delta)``, one of the first eight on which it holds, if
     any, comes first, so that more refutations come in blocks of several
     lanes."""
@@ -1136,7 +1166,7 @@ class TestValuationLanes:
         # Both queries have one element and one set variable, x0 and X1,
         # then x3 and X0: the vectors a block keeps for the counts (1, 1)
         # must go to each query's own indices.  Only x3 = 1 refutes the
-        # structure at lane 3 of the block of eight.
+        # structure at lane 3 of the run's block.
         first = Imp(Appl(C, X0), SVar(1))
         second = Imp(Appl(C, EVar(3)), SVar(0))
         holds = [s for s in _PAIRS if not s.apply(s.masks["c"], 3)]
@@ -1261,6 +1291,40 @@ class TestLayoutReuse:
         self.sweep(suite)
         suite.insert(at, _REUSE_POOL[at])
         self.sweep(suite)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_refuting_block_is_checked_up_to_its_refutation(self, kind):
+        # _LATE refutes structure 139, in the block of the two-element run,
+        # whose span goes on to structure 196; twins that get no lane end
+        # the suite.  An equal copy of a structure is not the same object,
+        # so the kept layout is reused exactly where the copy comes after
+        # structure 139.
+        suite = list(_REUSE_POOL)
+        _agrees_with_the_oracle(kind, [], [_LATE], suite)
+        [layout] = semantics._kept
+        assert layout.blocks[-1][1][-1] == 196
+        for at in (0, 4, 100, 138, 139, 150, 195, 199):
+            changed = list(suite)
+            changed[at] = dataclasses.replace(suite[at])
+            got = _agrees_with_the_oracle(kind, [], [_LATE], changed)
+            fresh = consequence(kind, [], [_LATE], iter(changed))
+            assert got == fresh and got.structures_checked == 139
+            assert (semantics._kept[0] is layout) == (at >= 139)
+            semantics._kept[:] = [layout]
+
+    def test_a_holding_block_is_checked_whole(self):
+        suite = list(_REUSE_POOL)
+        query = _REUSE_QUERIES[1]  # holds everywhere
+        assert _agrees_with_the_oracle(*query, suite).holds
+        [layout] = semantics._kept
+        for at in (0, 4, 100, 150, 195, 199):
+            changed = list(suite)
+            changed[at] = dataclasses.replace(suite[at])
+            assert _agrees_with_the_oracle(*query, changed).holds
+            assert semantics._kept[0] is not layout
+            semantics._kept[:] = [layout]
+        assert _agrees_with_the_oracle(*query, list(suite)).holds
+        assert semantics._kept[0] is layout
 
     def test_a_list_appended_to_and_truncated(self):
         suite = list(_REUSE_POOL[:120])
@@ -1559,10 +1623,12 @@ class TestSuiteDifferential:
     )
     def test_at_the_head_of_a_later_run(self, kind, delta, spec, where, lane):
         # Only the suite's first structure is a block alone: a later run
-        # opens with a block of eight lanes.
+        # is one block, whatever its length.
         got, suite, _ = _suite_agrees(kind, [], delta, spec)
         assert not got.holds and got.structures_checked == where
-        assert _lane_of(suite.layout, where) == (8, lane)
+        # 528 two-element structures get a lane; all 30 samples do.
+        lanes = {5: 528, 67: 30, 74: 30}[where]
+        assert _lane_of(suite.layout, where) == (lanes, lane)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_at_a_run_of_one_structure(self, kind):
@@ -1649,14 +1715,15 @@ class TestSuiteLayout:
     @pytest.mark.parametrize(
         "max_size, samples, lanes",
         [
-            (3, 200, [1, 3, 8, 64, 456, 8, 64, 128]),
-            (3, 40, [1, 3, 8, 64, 456, 8, 32]),
-            (2, 100, [1, 3, 8, 64, 456]),  # the command line's default suite
+            (3, 200, [1, 3, 528, 200]),
+            (3, 40, [1, 3, 528, 40]),
+            (2, 100, [1, 3, 528]),  # the command line's default suite
         ],
     )
     def test_only_the_first_structure_is_a_block_alone(self, max_size, samples, lanes):
-        # Every later run is cut from its head into blocks of 8, 64, ...
-        # lanes, through `Suite.runs` and through `_runs` on a list alike.
+        # Every later run is one block, and the first run one from its
+        # second structure, through `Suite.runs` and through `_runs` on a
+        # list alike.
         suite = SuiteSpec(Signature(("c",)), max_size, seed=1, samples=samples).suite()
         for layout in (semantics._Layout(suite), semantics._Layout(list(suite))):
             assert [len(marks) for _, marks in layout.blocks] == lanes
