@@ -54,7 +54,15 @@ two-element run of `--defined --sig c d def --max-size 2`, and samples 8,
 samples, where D is a partial diagram of distinct elements that holds in
 the chosen structure and in no structure before it (checked against the
 frozenset oracle in `tests/oracles.py`).  It is hashed apart so that the
-other hashes stay comparable.
+other hashes stay comparable.  Group `block-fallback` is `consequence
+--kind global` over the default suite of the signature `c`, under the
+hypothesis `c x0`, on two conclusions that fail first at lanes 117 and 61
+of the two-element run, in both orders; and `consequence --kind local` over
+two `--models` directories of two-element structures that interpret `c`
+but not the query's `d`, where deciding the structures' block reaches `d`:
+in one the second structure is refuted before `d` is reached, in the other
+the third structure reaches it and the run exits 2.  Each goes with and
+without `--json`, hashed apart so that the other hashes stay comparable.
 Every run names its files by paths relative to the temporary directory,
 so the hashes do not depend on where the checkout is.  Compare two trees with
 `PYTHONPATH=<tree>/src python3 scripts/cli_digest.py`, or run each tree's
@@ -138,6 +146,18 @@ RUN_LANES = {
                                  " /\\ ceil(x0 /\\ x1 x0) /\\ !ceil(x2 /\\ def))",
     },
 }
+
+# Conclusions that fail first at structures 128 and 67 of the signature `c`'s
+# default suite, among those where `c x0` is valid, in both orders; then
+# two-element structures lacking `d`, for a query that reaches it
+# (`tests/test_semantics.py::TestUnassignedConstantInBlocks`).
+FALLBACK = {"late-early.pat": "x0 c -> x0 x0\nc", "early-late.pat": "c\nx0 c -> x0 x0"}
+_NONE = '{"universe": ["0", "1"], "constants": {"c": []}}'
+_ONE = '{"universe": ["0", "1"], "constants": {"c": ["1"]}}'
+_ZERO = '{"universe": ["0", "1"], "constants": {"c": ["0"]},' \
+    ' "app": [{"left": "0", "right": "0", "result": ["0"]}]}'
+# Each directory's structures, in file order.
+LACKING_D = {"refuted": (_NONE, _ONE, _ZERO), "raises": (_NONE, _NONE, _ZERO)}
 
 
 def run(argv) -> tuple:
@@ -248,6 +268,11 @@ def main() -> None:
     run_lanes = [["consequence", "--kind", kind, "--defined", *suite_opts, "--out", "out", name]
                  for suite_opts, queries in RUN_LANES.items() for name in queries
                  for kind in ("global", "local", "strong")]
+    fallback = [["consequence", "--kind", "global", "--sig", "c.txt", "--gamma", "gamma-cx0.pat",
+                 "--out", "out", name] for name in FALLBACK]
+    fallback += [["consequence", "--kind", "local", "--models", d, "--sig", "sig.txt",
+                  "--gamma", "gamma-x0c.pat", "--out", "out", "reaches-d.pat"]
+                 for d in LACKING_D]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temporary name out of the output
@@ -280,6 +305,13 @@ def main() -> None:
             for queries in RUN_LANES.values():
                 for name, text in queries.items():
                     Path(name).write_text(text + "\n")
+            for name, text in {**FALLBACK, "gamma-cx0.pat": "c x0", "gamma-x0c.pat": "x0 -> c",
+                               "reaches-d.pat": "x0 -> c c\nd -> d"}.items():
+                Path(name).write_text(text + "\n")
+            for d, models in LACKING_D.items():
+                Path(d).mkdir()
+                for k, model in enumerate(models):
+                    Path(f"{d}/{k}.json").write_text(model)
             print(f"audit {digest(audit)} ({2 * len(audit)} runs)")
             print(f"taut  {digest(taut)} ({2 * len(taut)} runs)")
             print(f"suite {digest(suite_runs)} ({2 * len(suite_runs)} runs)")
@@ -293,6 +325,7 @@ def main() -> None:
                 print(f"argv  {digest(argv_runs)} ({2 * len(argv_runs)} runs)")
             print(f"wide-samples {digest(wide)} ({2 * len(wide)} runs)")
             print(f"run-lanes {digest(run_lanes)} ({2 * len(run_lanes)} runs)")
+            print(f"block-fallback {digest(fallback)} ({2 * len(fallback)} runs)")
         finally:
             os.chdir(home)
 

@@ -112,16 +112,10 @@ MUTANTS = [
         "            [(p, _free_lists(gamma + [p])) for p in delta],\n",
         (TEST_SEMANTICS,),
     ),
-    # A miss in lane 0 of a chunk's first copy is returned at once; any
-    # other miss needs the lowest lane and copy.
+    # The sweep: a miss in lane 0 of a chunk's first copy is returned at
+    # once; any other miss needs the lowest lane and copy.
     Mutant(
-        "global-exit-on-any-miss", SEMANTICS,
-        "                if miss & lane_full:\n",
-        "                if miss:\n",
-        (TEST_SEMANTICS,),
-    ),
-    Mutant(
-        "local-exit-on-any-miss", SEMANTICS,
+        "sweep-exit-on-any-miss", SEMANTICS,
         "                if m & lane_full:\n",
         "                if m:\n",
         (TEST_SEMANTICS,),
@@ -132,6 +126,20 @@ MUTANTS = [
         "                if not k:\n"
         "                    return found\n",
         "                return (k, *_decoded(free, digits[a]), p)\n",
+        (TEST_SEMANTICS,),
+    ),
+    # Global consequence sweeps each conclusion below the lowest lane that
+    # an earlier one failed at, and keeps that failure if it finds none.
+    Mutant(
+        "global-later-conclusions-unlimited", SEMANTICS,
+        "            live &= (1 << found[0] * block.n) - 1\n",
+        "",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "global-conclusion-overrides-earlier", SEMANTICS,
+        "        found = _sweep(block, f, (), (p,), False, live, pos) or found\n",
+        "        found = _sweep(block, f, (), (p,), False, live, pos)\n",
         (TEST_SEMANTICS,),
     ),
     # A generated `model.Suite`: the samples drawn in bulk from the stream's
@@ -242,19 +250,31 @@ MUTANTS = [
         "            for lo, hi in ((0, cut), (cut, len(marks) - 1)):\n",
         (TEST_SEMANTICS,),
     ),
-    # A kept layout: a block of several lanes is checked after its decision,
-    # as far as it goes; any other block before.
+    # Every block is decided first.  A kept layout's block is then checked
+    # as far as the decision read it, up to its refuted structure, or whole
+    # if it holds or raises; a block that raises is decided lane by lane.
     Mutant(
         "kept-check-skipped-after-a-hold", SEMANTICS,
-        "        if deferred and not _same(items, layout.items, seen, end):\n"
-        "            return None\n",
-        "",
+        "        if check and not _same(items, layout.items, seen, end):\n",
+        "        if check and (found or raised) and not _same(items, layout.items, seen, end):\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(
-        "one-lane-block-checked-after-deciding", SEMANTICS,
-        "        deferred = False  # whether the span is checked after the decision\n",
-        "        deferred = check and len(marks) == 1\n",
+        "refuted-span-unchecked", SEMANTICS,
+        "        if check and not _same(items, layout.items, seen, end):\n",
+        "        if check and not found and not _same(items, layout.items, seen, end):\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "raised-block-not-checked", SEMANTICS,
+        "        if check and not _same(items, layout.items, seen, end):\n",
+        "        if check and not raised and not _same(items, layout.items, seen, end):\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "raised-block-reraised", SEMANTICS,
+        "        except UnassignedConstant:\n            found, raised = None, True\n",
+        "        except UnassignedConstant:\n            raise\n",
         (TEST_SEMANTICS,),
     ),
     # Earlier fast paths: fixpoints, falsum, lane blocks, layout reuse and
@@ -301,12 +321,6 @@ MUTANTS = [
         "lane-count-never-advanced", SEMANTICS,
         "        given += len(marks)\n",
         "",
-        (TEST_SEMANTICS,),
-    ),
-    Mutant(
-        "blocks-lacking-a-constant-packed", SEMANTICS,
-        "            if needed <= packed.masks.keys():\n",
-        "            if True:\n",
         (TEST_SEMANTICS,),
     ),
     Mutant(

@@ -49,38 +49,40 @@ Consequence comes in three strengths and is always decided relative to an
 explicit suite of finite structures, so a "holds" verdict is an
 under-approximation of validity; counterexamples, on the other hand, are
 definitive and replayable.  The suite is decided block by block over its
-layout, which does not depend on the query.  One function decides every
-block for all three relations, over its assignments in chunks: the copies of
-its wide form for a block of several lanes, one assignment at a time for a
-block of one lane, a `Structure`.  A miss in a block's first lane under a
-chunk's first assignment is the first counterexample there can be, and ends
-the decision at once.  The suite's first structure is a block alone, so a
-refutation there, the commonest end of a random query, costs little more
-than evaluating the query there.  Every other run of structures of one
-size and one set of constant names is one block, the first run from its
-second structure: deciding a block costs about as much whatever its lane
-count, so a holding sweep pays per block.  It goes one assignment at a time
-only on the first structure and on runs of a single structure.  A block
-reports its lowest failing lane with that lane's first counterexample,
-which is the first in suite order.  All three relations are invariant
-under renaming the universe, so a structure whose ``twin`` (see `model`)
-got a lane earlier gets none, though it still counts in
-``structures_checked``.  A suite is laid out once, every block packed,
-and the layout never changes after that.  A block is packed from its lanes'
-masks in columns, one per application cell and one per constant, which come
-from one of two sources.  A generated `model.Suite` gives them from its
-structures' positions and drawn masks, its twins skipped by position, so
-that no structure is built but the one-lane blocks' and a counterexample's;
-the suite owns its layout, made on its first decision.  Any other suite is
-read whole and its structures transposed; `consequence` keeps the last such
-layout in a single slot, which threads share, and reuses it for the next
-list or tuple that holds the same structure objects, checked by identity as
-far as the decision goes, so that many queries of one suite pack it once.
-The slot keeps the last list's structures alive.  Packed blocks never
-change.  Each caches its wide forms and variable vectors, keyed by the
-numbers of free element and set variables, on itself; the cache only adds
-values that depend on the block and those counts alone, and each query maps
-them to its own variable indices.
+layout, which does not depend on the query.  One sweep searches a block for
+its first counterexample, for all three relations and for `models`, over its
+assignments in chunks: the copies of its wide form for a block of several
+lanes, one assignment at a time for a block of one lane, a `Structure`.
+Local and strong consequence sweep a block once, global consequence once per
+conclusion, in the lanes where every hypothesis is valid.  A miss in a
+block's first lane under a chunk's first assignment is the first
+counterexample there can be, and ends the sweep at once.  The suite's first
+structure is a block alone, so a refutation there, the commonest end of a
+random query, costs little more than evaluating the query there.  Every
+other run of structures of one size and one set of constant names is one
+block, the first run from its second structure: deciding a block costs about
+as much whatever its lane count, so a holding sweep pays per block.  A block
+that meets a constant its structures lack is decided again lane by lane (see
+`_decide`).  A block reports its lowest failing lane with that lane's first
+counterexample, the first in suite order.  All three relations are invariant
+under renaming the universe, so a structure whose ``twin`` (see `model`) got
+a lane earlier gets none, though it still counts in ``structures_checked``.
+A suite is laid out once, every block packed, and the layout never changes
+after that.  A block is packed from its lanes' masks in columns, one per
+application cell and one per constant, which come from one of two sources.
+A generated `model.Suite` gives them from its structures' positions and
+drawn masks, its twins skipped by position, so that no structure is built
+but the one-lane blocks' and a counterexample's; the suite owns its layout,
+made on its first decision.  Any other suite is read whole and its
+structures transposed; `consequence` keeps the last such layout in a single
+slot, which threads share, and reuses it for the next list or tuple that
+holds the same structure objects, checked by identity as far as the decision
+goes, so that many queries of one suite pack it once.  The slot keeps the
+last list's structures alive.  Packed blocks never change.  Each caches its
+wide forms and variable vectors, keyed by the numbers of free element and
+set variables, on itself; the cache only adds values that depend on the
+block and those counts alone, and each query maps them to its own variable
+indices.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ def fv_assignments(
 ) -> Iterator[Valuation]:
     """Every assignment of the free variables of ``patterns``, in a fixed
     deterministic order.  Variables outside the domain keep their defaults."""
-    for ev, sv in _assignments(structure, _free_lists(patterns)):
+    for _, _, ev, sv, _ in _chunks(structure, _free_lists(patterns)):
         yield _valuation(structure, ev, sv)
 
 
@@ -246,13 +248,6 @@ def _free_lists(patterns: Iterable[Pattern]) -> tuple[list, list]:
     return sorted(evars), sorted(svars)
 
 
-def _assignments(s: Structure, free: tuple[list, list]) -> Iterator[tuple[dict, dict]]:
-    """Every assignment of the given free variables over the structure
-    ``s``, in mask form: the ``ev`` and ``sv`` of the chunks of one copy
-    that `_chunks` gives a `Structure`, in that order."""
-    return ((ev, sv) for _, _, ev, sv, _ in _chunks(s, free))
-
-
 def _valuation(s: Structure, ev: dict, sv: dict) -> Valuation:
     """The name-based valuation of one mask assignment."""
     return Valuation(
@@ -261,24 +256,21 @@ def _valuation(s: Structure, ev: dict, sv: dict) -> Valuation:
     )
 
 
-def _valid(s: Structure, p: Pattern, free: tuple[list, list], pos: dict) -> bool:
-    full = s.full
-    return all(_ev(p, s, ev, sv, pos) == full for ev, sv in _assignments(s, free))
-
-
 def models(structure: Structure, p: Pattern) -> bool:
     """Validity in the structure: satisfied under every assignment of the
-    pattern's free variables."""
-    return _valid(structure, p, _free_lists([p]), {})
+    pattern's free variables, so that `_sweep` with no hypotheses finds no
+    counterexample."""
+    return _sweep(structure, _free_lists([p]), (), (p,), False, structure.full, {}) is None
 
 
 def is_predicate(structure: Structure, p: Pattern) -> bool:
     """The pattern denotes either nothing or everything, under every
     assignment of its free variables."""
     pos: dict = {}
-    for ev, sv in _assignments(structure, _free_lists([p])):
+    full = structure.full
+    for _, _, ev, sv, _ in _chunks(structure, _free_lists([p])):
         val = _ev(p, structure, ev, sv, pos)
-        if val and val != structure.full:
+        if val and val != full:
             return False
     return True
 
@@ -407,21 +399,17 @@ def consequence(
     layout reads the suite only as far as its decision goes.  The layout of
     the last list or tuple laid out is kept in one slot and reused, blocks
     packed, by a call on a list or tuple of the same length holding the
-    same structure objects in the same order (identical, not merely equal):
-    checked a block at a time, per structure as far as the decision goes,
-    and after a sweep, over the structures after the last block.  A block
-    of several lanes that holds every constant of the query is decided
-    first, then checked up to its refuted structure, or whole if it holds;
-    any other block is checked before it is decided.  Where the check
+    same structure objects in the same order (identical, not merely equal),
+    checked as far as the decision goes (see `_decide`).  Where the check
     fails, the suite is laid out afresh, decided from its first structure
     and kept.  Any other iterable gets a layout of its own, which is not
     kept.  A kept layout never changes, so calls in several threads share
     it: its packed blocks never change, and the cache each block keeps of
     its wide forms only adds values that depend on the block and the
-    query's variable counts alone.  One function decides every block (see
-    the module).  The suite's first structure, a run of a single
-    structure, and each lane of a block that lacks a constant of the query
-    are decided as blocks of one lane, one assignment at a time.
+    query's variable counts alone.  The suite's first structure, a run of
+    a single structure, and each lane of a block that raises
+    `UnassignedConstant` are decided as blocks of one lane, one assignment
+    at a time.
 
     The slot keeps the last list or tuple's structures and packed blocks
     alive until the next call on a list or tuple replaces them; it holds a
@@ -459,40 +447,34 @@ def consequence(
 
 def _decide(kind, gamma, delta, free, pos, layout: _Layout, items: Sequence, check=False):
     """The verdict over ``layout``, whose lanes are the structures of
-    ``items`` at their marks.  With ``check``, each block's span of
-    ``items``, and the structures after the last block, are checked to be
-    the layout's own: None where one is not.  A block of several lanes that
-    holds every constant of the query is checked after its decision, up to
-    its refuted structure or over its whole span; any other block before."""
-    needed = None  # the query's constants, once a block of several lanes asks
+    ``items`` at their marks.  Every block is decided first.  With
+    ``check``, its span of ``items`` is then checked to be the layout's own
+    as far as the decision read it: up to its refuted structure, or whole
+    if it holds or raises; after a sweep, so are the structures after the
+    last block.  None where one is not.  A block that raises
+    `UnassignedConstant` is decided again lane by lane, each lane's
+    structure alone.  That is exact: every lane of a block has the same
+    constant names, and before its verdict a block evaluates every point
+    that deciding its lanes one by one evaluates, so it raises wherever
+    that would, and where it raised, that gives the answer."""
     seen = given = 0  # the structures before the block, and the lanes they got
     for packed, marks in layout.blocks:
-        end = marks[-1]
-        blocks = ((packed, 0),)  # each with its first lane's index in the block
-        deferred = False  # whether the span is checked after the decision
-        if len(marks) > 1:
-            if needed is None:
-                needed = _constants(gamma + delta)
-            if needed <= packed.masks.keys():
-                # Deciding the layout's own lanes raises nothing, so the
-                # span is checked only as far as the decision goes.
-                deferred = check
-            else:
-                # A constant of the query is missing: decide each lane alone,
-                # so that `UnassignedConstant` is raised exactly where one
-                # structure by itself raises it.
-                blocks = [(items[mark - 1], k) for k, mark in enumerate(marks)]
-        if check and not deferred and not _same(items, layout.items, seen, end):
+        try:
+            found = _failure(kind, packed, gamma, delta, free, pos)
+            raised = False
+        except UnassignedConstant:
+            found, raised = None, True
+        end = marks[found[0]] if found else marks[-1]
+        if check and not _same(items, layout.items, seen, end):
             return None
-        for block, first in blocks:
-            found = _failure(kind, block, gamma, delta, free, pos)
-            if found:
-                k = first + found[0]
-                if deferred and not _same(items, layout.items, seen, marks[k]):
-                    return None
-                return _refutation(kind, found, items, marks[k], given + k)
-        if deferred and not _same(items, layout.items, seen, end):
-            return None
+        if raised:
+            # Outside the ``except``: an error raised again has no context.
+            for k, mark in enumerate(marks):
+                found = _failure(kind, items[mark - 1], gamma, delta, free, pos)
+                if found:
+                    return _refutation(kind, found, items, mark, given + k)
+        elif found:
+            return _refutation(kind, found, items, end, given + found[0])
         seen = end
         given += len(marks)
     end = len(items)
@@ -523,46 +505,52 @@ def _refutation(kind, found, items: Sequence, mark: int, given: int) -> Verdict:
 
 def _failure(kind, block, gamma, delta, free, pos):
     """The first counterexample in the block ``block``, a `_Block` or a
-    `Structure` (the one-lane block): ``(k, ev, sv, p)``, its lowest failing
-    lane k with that lane's first counterexample in `_chunks` order,
-    the assignment in mask form and the failing conclusion; None if every
-    lane holds.  Each pattern is evaluated once per chunk of the assignments
-    (see `_chunks`).  A miss in lane 0 of a chunk's first copy is the first
-    counterexample there can be, so it is returned at once, the conclusions
-    after the first one missing there left unevaluated, as deciding the
-    lane's structure alone leaves them.  Once lane k fails, later chunks
-    search only the lanes below it."""
+    `Structure` (the one-lane block), as `_sweep` gives it; None if every
+    lane holds.  Local and strong consequence are one sweep of every lane.
+    Global consequence keeps the lanes where every hypothesis is valid and
+    sweeps them once per conclusion, over that conclusion's own free
+    variables; once a conclusion fails at lane k, the later ones are swept
+    only below it, where a failure would come first."""
+    full = block.full
+    if kind is not ConsequenceKind.GLOBAL:
+        return _sweep(block, free, gamma, delta, kind is ConsequenceKind.LOCAL, full, pos)
+    gamma_free, delta_free = free
+    live, width = full, full.bit_length()  # the lanes where every hypothesis is valid
+    for g, f in gamma_free:
+        for wide, count, ev, sv, _ in _chunks(block, f):
+            miss = wide.full & ~_ev(g, wide, ev, sv, pos)
+            if miss:
+                live &= ~block.lanes(_fold(miss, width, count))
+                if not live:
+                    return None
+    found = None
+    for p, f in delta_free:
+        found = _sweep(block, f, (), (p,), False, live, pos) or found
+        if found:
+            if not found[0]:
+                return found
+            live &= (1 << found[0] * block.n) - 1
+    return found
+
+
+def _sweep(block, free, gamma, delta, local, limit, pos):
+    """The first counterexample in the lanes ``limit`` of the block
+    ``block``: ``(k, ev, sv, p)``, its lowest lane k where, under an
+    assignment of the free variables ``free``, the hypotheses ``gamma``
+    hold and a conclusion of ``delta`` misses part of their common value,
+    with that lane's first such assignment in `_chunks` order, in mask
+    form, and its first conclusion missing there; None if there is none.
+    With ``local`` the hypotheses hold where each is satisfied, otherwise
+    their common value is their intersection.  Each pattern is evaluated
+    once per chunk of the assignments (see `_chunks`).  A miss in lane 0 of
+    a chunk's first copy is the first counterexample there can be, so it is
+    returned at once, the conclusions after the first one missing there
+    left unevaluated, as deciding the lane's structure alone leaves them.
+    Once lane k fails, later chunks search only the lanes below it."""
     full = block.full
     n, width = len(block.singletons), full.bit_length()
     lane_full = (1 << n) - 1
-    if kind is ConsequenceKind.GLOBAL:
-        gamma_free, delta_free = free
-        live = full  # the lanes where every hypothesis is valid
-        for g, f in gamma_free:
-            for wide, count, ev, sv, digits in _chunks(block, f):
-                miss = wide.full & ~_ev(g, wide, ev, sv, pos)
-                if miss:
-                    live &= ~block.lanes(_fold(miss, width, count))
-                    if not live:
-                        return None
-        found, limit = None, live
-        for p, f in delta_free:
-            for wide, count, ev, sv, digits in _chunks(block, f):
-                need = wide.full if limit == full else _copies(limit, count, width)
-                miss = need & ~_ev(p, wide, ev, sv, pos)
-                if miss:
-                    if miss & lane_full:
-                        if digits is not None:
-                            ev, sv = _decoded(f, digits[0])
-                        return 0, ev, sv, p
-                    k, a = _lowest(miss, block, count)
-                    found = (k, *_decoded(f, digits[a]), p)
-                    if not k:
-                        return found
-                    limit = live & (1 << k * n) - 1
-        return found
-    local = kind is ConsequenceKind.LOCAL
-    found, limit = None, full
+    found = None
     for wide, count, ev, sv, digits in _chunks(block, free):
         need = wide.full if limit == full else _copies(limit, count, width)
         for g in gamma:
@@ -596,7 +584,7 @@ def _failure(kind, block, gamma, delta, free, pos):
                 found = (k, *_decoded(free, digits[a]), p)
                 if not k:
                     return found
-                limit = full & (1 << k * n) - 1
+                limit &= (1 << k * n) - 1
     return found
 
 
@@ -711,22 +699,6 @@ def _spread(masks: Sequence[int], block: _Block) -> int:
     lanes, n = block.width // block.n, block.n
     digits = {m: format(m, f"0{n}b") * lanes for m in set(masks)}
     return int("".join([digits[m] for m in reversed(masks)]), 2)
-
-
-def _constants(patterns: Iterable[Pattern]) -> set:
-    """The names of the constants occurring in ``patterns``, in one walk
-    (`syntax.subpatterns` would hash every subpattern on the way)."""
-    out, todo = set(), list(patterns)
-    while todo:
-        p = todo.pop()
-        t = type(p)
-        if t is Const:
-            out.add(p.name)
-        elif t is Appl or t is Imp:
-            todo += (p.left, p.right)
-        elif t is Exists or t is Mu:
-            todo.append(p.body)
-    return out
 
 
 _MASKS, _ROWS = attrgetter("masks"), attrgetter("rows")

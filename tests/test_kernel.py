@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import SIG, patterns, structures, valuations
 from aml.model import SuiteSpec, Valuation
-from aml.semantics import consequence, evaluate, fv_assignments
+from aml.semantics import consequence, evaluate, fv_assignments, is_predicate, models
 from aml.syntax import Appl, Const, EVar, Exists, Imp, Mu, SVar, free_vars, is_positive_in
 
 _var = st.integers(0, 2)
@@ -165,6 +165,16 @@ def test_consequence_agrees_with_the_frozenset_oracle(kind, query):
     assert got.structure is want.structure
     assert got.valuation == want.valuation
     assert got.pattern is want.pattern
+
+
+@given(st.sampled_from(pool()), kernel_patterns(max_leaves=5))
+@settings(max_examples=200, deadline=None)
+def test_models_and_is_predicate_agree_with_the_frozenset_oracle(s, p):
+    assume(sweep_cost([p], [s]) <= ORACLE_BUDGET)
+    values = [oracles.eval_frozenset(s, v, p) for v in oracles.fv_assignments(s, [p])]
+    assert models(s, p) == all(value == s.carrier for value in values)
+    assert is_predicate(s, p) == all(value in (frozenset(), s.carrier) for value in values)
+    assert models(s, p) == consequence("global", [], [p], [s]).holds
 
 
 @st.composite

@@ -924,6 +924,10 @@ class TestBlockDifferential:
         got = _agrees_with_the_oracle("global", gamma, [_CLOSED], suite)
         assert got.structure is refuted[0] and got.structures_checked == 34
         assert _agrees_with_the_oracle("global", gamma, [_CLOSED], suite[:33] + holding).holds
+        # A later conclusion that holds below the refuted lane keeps that
+        # refutation.
+        got = _agrees_with_the_oracle("global", gamma, [_CLOSED, TOP], suite)
+        assert got.structure is refuted[0] and got.pattern is _CLOSED
 
     @given(
         st.sampled_from(KINDS),
@@ -997,9 +1001,10 @@ class TestUnassignedConstantInBlocks:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_kept_structure_lacking_d_is_not_decided(self, kind):
-        # The kept layout's two one-lane blocks lack d.  A list of the same
-        # length whose first structure is another is checked before the
-        # kept structure there is decided, which would raise.
+        # The kept layout's two one-lane blocks lack d.  In a list of the
+        # same length whose first structure is another, deciding the kept
+        # structure there raises, so its span is checked, the list is laid
+        # out afresh and its own first structure refutes the query.
         refuting, lacking = self.one([]), self.one(None)
         assert consequence(kind, [], [C], [lacking, lacking]).holds
         got = consequence(kind, *self.QUERY, [refuting, lacking])
@@ -1020,9 +1025,9 @@ class TestUnassignedConstantInBlocks:
     )
     @settings(max_examples=80, deadline=None)
     def test_runs_lacking_d_agree_with_the_oracle(self, kind, gamma, delta, rng):
-        # Two-element structures interpreting only c: where the query uses
-        # d, each is decided alone, so the error comes exactly where the
-        # oracle meets it, or not at all.
+        # Two-element structures interpreting only c: where deciding their
+        # block reaches d, each is decided alone, so the error comes exactly
+        # where the oracle meets it, or not at all.
         suite = [_random_structure(rng, 2, ("c",)) for _ in range(12)]
         try:
             want = oracles.consequence_by_frozensets(kind, gamma, delta, suite)
@@ -1325,6 +1330,28 @@ class TestLayoutReuse:
             semantics._kept[:] = [layout]
         assert _agrees_with_the_oracle(*query, list(suite)).holds
         assert semantics._kept[0] is layout
+
+    def test_a_raising_block_is_checked_whole(self):
+        # The two-element run's block lacks d.  Globally, c (c -> X0) is
+        # valid on no structure up to the twin at 6, which gets no lane;
+        # the first lane after it where it is valid holds c c -> c and so
+        # reaches d.  A fresh structure at 6, where the hypothesis is valid
+        # and c c -> c is not, refutes the query.  Decided lane by lane at
+        # the kept layout's marks, the list would never reach it and raise.
+        gamma, delta = [Appl(C, Imp(C, SVar(0)))], [_CLOSED, Const("d")]
+        suite, at = list(_C_SUITE), 6
+        assert _skipped(suite, at + 1) > _skipped(suite, at)
+        with pytest.raises(UnassignedConstant):
+            oracles.consequence_by_frozensets("global", gamma, delta, suite)
+        fresh = next(s for s in _PAIRS if models(s, gamma[0]) and not models(s, _CLOSED))
+        assert consequence("global", [], [Imp(C, C)], suite).holds
+        [layout] = semantics._kept
+        changed = list(suite)
+        changed[at] = fresh
+        got = _agrees_with_the_oracle("global", gamma, delta, changed)
+        assert got == consequence("global", gamma, delta, iter(changed))
+        assert got.structure is fresh and got.pattern is _CLOSED
+        assert semantics._kept[0] is not layout
 
     def test_a_list_appended_to_and_truncated(self):
         suite = list(_REUSE_POOL[:120])
