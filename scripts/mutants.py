@@ -128,6 +128,44 @@ MUTANTS = [
         "                return (k, *_decoded(free, digits[a]), p)\n",
         (TEST_SEMANTICS,),
     ),
+    # A one-lane block decides its first assignment, with empty maps, before
+    # its chunks, and returns that assignment's defaults as the valuation.
+    Mutant(
+        "first-assignment-skips-the-hypotheses", SEMANTICS,
+        "        for g in gamma:\n            value = _ev(g, block, {}, {}, pos)\n",
+        "        for g in ():\n            value = _ev(g, block, {}, {}, pos)\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "first-assignment-local-goes-on", SEMANTICS,
+        "            if local and need & ~value:\n                break\n",
+        "            if local and need & ~value:\n                need = 0\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "first-assignment-strong-stops-early", SEMANTICS,
+        "            if local and need & ~value:\n",
+        "            if need & ~value:\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "first-assignment-drops-set-variables", SEMANTICS,
+        "dict.fromkeys(free[0], 1), dict.fromkeys(free[1], 0), p\n",
+        "dict.fromkeys(free[0], 1), {}, p\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "first-assignment-at-the-last-element", SEMANTICS,
+        "dict.fromkeys(free[0], 1), dict.fromkeys(free[1], 0), p\n",
+        "dict.fromkeys(free[0], block.singletons[-1]), dict.fromkeys(free[1], 0), p\n",
+        (TEST_SEMANTICS,),
+    ),
+    Mutant(
+        "global-validity-unswept-in-one-lane", SEMANTICS,
+        "    for g, f in free[0]:\n",
+        "    for g, f in free[0] if type(block) is _Block else ():\n",
+        (TEST_SEMANTICS,),
+    ),
     # Global consequence sweeps each conclusion below the lowest lane that
     # an earlier one failed at, and keeps that failure if it finds none.
     Mutant(

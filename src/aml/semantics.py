@@ -56,9 +56,12 @@ lanes, one assignment at a time for a block of one lane, a `Structure`.
 Local and strong consequence sweep a block once, global consequence once per
 conclusion, in the lanes where every hypothesis is valid.  A miss in a
 block's first lane under a chunk's first assignment is the first
-counterexample there can be, and ends the sweep at once.  The suite's first
+counterexample there can be, and ends the sweep at once.  A `Structure`
+decides its first assignment before any chunk, with empty variable maps:
+`_ev` reads an unbound element variable as element 0 and an unbound set
+variable as the empty set, which is that assignment.  The suite's first
 structure is a block alone, so a refutation there, the commonest end of a
-random query, costs little more than evaluating the query there.  Every
+random query, costs about what evaluating the query there costs.  Every
 other run of structures of one size and one set of constant names is one
 block, the first run from its second structure: deciding a block costs about
 as much whatever its lane count, so a holding sweep pays per block.  A block
@@ -78,11 +81,10 @@ structures transposed; `consequence` keeps the last such layout in a single
 slot, which threads share, and reuses it for the next list or tuple that
 holds the same structure objects, checked by identity as far as the decision
 goes, so that many queries of one suite pack it once.  The slot keeps the
-last list's structures alive.  Packed blocks never change.  Each caches its
-wide forms and variable vectors, keyed by the numbers of free element and
-set variables, on itself; the cache only adds values that depend on the
-block and those counts alone, and each query maps them to its own variable
-indices.
+last list's structures alive.  Each block caches its wide forms and variable
+vectors, keyed by the numbers of free element and set variables, on itself;
+the cache only adds values that depend on the block and those counts alone,
+and each query maps them to its own variable indices.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ from .syntax import (
     Mu,
     Pattern,
     SVar,
-    free_vars,
+    _free,
     is_positive_in,
 )
 
@@ -239,12 +241,9 @@ def fv_assignments(
 
 def _free_lists(patterns: Iterable[Pattern]) -> tuple[list, list]:
     """Sorted free element and set variable indices of ``patterns``."""
-    evars: set = set()
-    svars: set = set()
+    evars, svars = set(), set()
     for p in patterns:
-        fe, fs = free_vars(p)
-        evars |= fe
-        svars |= fs
+        _free(p, [], [], evars, svars)
     return sorted(evars), sorted(svars)
 
 
@@ -371,6 +370,7 @@ class Verdict:
         })
 
 
+_KINDS = {k: k for k in ConsequenceKind}  # found by member or by value
 _NOTES = {
     ConsequenceKind.GLOBAL: "hypotheses are valid here but the conclusion is not",
     ConsequenceKind.LOCAL: "hypotheses are satisfied here but the conclusion is not",
@@ -415,7 +415,10 @@ def consequence(
     alive until the next call on a list or tuple replaces them; it holds a
     copy of the suite, not the list or tuple itself.
     """
-    kind = ConsequenceKind(kind)
+    try:
+        kind = _KINDS[kind]
+    except (KeyError, TypeError):  # raises ValueError for any other kind
+        kind = ConsequenceKind(kind)
     gamma = list(gamma)
     delta = list(delta)
     if kind is ConsequenceKind.GLOBAL:
@@ -514,9 +517,8 @@ def _failure(kind, block, gamma, delta, free, pos):
     full = block.full
     if kind is not ConsequenceKind.GLOBAL:
         return _sweep(block, free, gamma, delta, kind is ConsequenceKind.LOCAL, full, pos)
-    gamma_free, delta_free = free
     live, width = full, full.bit_length()  # the lanes where every hypothesis is valid
-    for g, f in gamma_free:
+    for g, f in free[0]:
         for wide, count, ev, sv, _ in _chunks(block, f):
             miss = wide.full & ~_ev(g, wide, ev, sv, pos)
             if miss:
@@ -524,7 +526,7 @@ def _failure(kind, block, gamma, delta, free, pos):
                 if not live:
                     return None
     found = None
-    for p, f in delta_free:
+    for p, f in free[1]:
         found = _sweep(block, f, (), (p,), False, live, pos) or found
         if found:
             if not found[0]:
@@ -546,12 +548,25 @@ def _sweep(block, free, gamma, delta, local, limit, pos):
     a chunk's first copy is the first counterexample there can be, so it is
     returned at once, the conclusions after the first one missing there
     left unevaluated, as deciding the lane's structure alone leaves them.
-    Once lane k fails, later chunks search only the lanes below it."""
+    Once lane k fails, later chunks search only the lanes below it.  A
+    `Structure` decides its first assignment first, with empty maps, which
+    `_ev` reads as that assignment; its chunks then start from the second."""
+    if first := type(block) is not _Block:
+        need = limit
+        for g in gamma:
+            value = _ev(g, block, {}, {}, pos)
+            if local and need & ~value:
+                break
+            need &= value
+        else:
+            for p in delta:
+                if need & ~_ev(p, block, {}, {}, pos):
+                    return 0, dict.fromkeys(free[0], 1), dict.fromkeys(free[1], 0), p
     full = block.full
     n, width = len(block.singletons), full.bit_length()
     lane_full = (1 << n) - 1
     found = None
-    for wide, count, ev, sv, digits in _chunks(block, free):
+    for wide, count, ev, sv, digits in itertools.islice(_chunks(block, free), first, None):
         need = wide.full if limit == full else _copies(limit, count, width)
         for g in gamma:
             value = _ev(g, wide, ev, sv, pos)

@@ -564,8 +564,12 @@ class TestConsequence:
     def test_kind_round_trip(self):
         verdict = consequence(ConsequenceKind.LOCAL, [], [TOP], mini_suite()[:2])
         assert verdict.kind is ConsequenceKind.LOCAL
-        with pytest.raises(ValueError):
-            consequence("sideways", [], [TOP], [])
+        assert consequence("local", [], [TOP], mini_suite()[:2]).kind is ConsequenceKind.LOCAL
+        # Unhashable, absent, of the wrong case or of the wrong type: each
+        # is a ValueError, not a lookup's TypeError or KeyError.
+        for bad in ("sideways", ["local"], None, "LOCAL", 3):
+            with pytest.raises(ValueError):
+                consequence(bad, [], [TOP], [])
 
     def test_multiple_conclusions_all_checked(self):
         suite = mini_suite()
@@ -1039,6 +1043,116 @@ class TestUnassignedConstantInBlocks:
         assert (got.holds, got.structures_checked, got.valuation) == (
             want.holds, want.structures_checked, want.valuation,
         )
+
+
+def _agrees_or_raises_with_the_oracle(kind, gamma, delta, suite):
+    """`_agrees_with_the_oracle`, or None where the oracle meets a constant
+    that a structure lacks, and `consequence` raises too."""
+    try:
+        oracles.consequence_by_frozensets(kind, gamma, delta, suite)
+    except UnassignedConstant:
+        with pytest.raises(UnassignedConstant):
+            consequence(kind, gamma, delta, suite)
+        return None
+    return _agrees_with_the_oracle(kind, gamma, delta, suite)
+
+
+class TestFirstAssignment:
+    """A one-lane block, such as the suite's first structure, decides its
+    first assignment (every element variable at element 0, every set
+    variable empty) before any chunk.  Each query is held against the
+    frozenset oracle on the whole verdict."""
+
+    D = Const("d")
+    # Misses x0 where X0 is empty: refuted at the first assignment anywhere.
+    FIRST = Imp(X0, Appl(SVar(0), C))
+    # The everything that mu X0 . X0 -> X0 is, then X0: misses where X0 is
+    # empty, unless the binder leaves X0 bound.
+    MU = Imp(Mu(0, Imp(SVar(0), SVar(0))), SVar(0))
+    # The everything that exists x0 . x0 is, then x0 -> c: holds at x0 = 0
+    # where c = {0}, unless the binder leaves x0 bound.
+    EXISTS = Imp(Exists(0, X0), Imp(X0, C))
+
+    def pair(self, c, cell=(), d=None):
+        """Two elements, ``c`` as given, the cell 0 0 as ``cell``, and ``d``
+        only if given."""
+        constants = {"c": list(c)} if d is None else {"c": list(c), "d": list(d)}
+        return plain(constants=constants, app=[{"left": "0", "right": "0", "result": list(cell)}])
+
+    def firsts(self):
+        return [self.pair(["0"]), self.pair(["1"], ["0", "1"]), self.pair([]), _TRIPLES[0]]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_refutation_at_the_first_assignment(self, kind):
+        for first in self.firsts():
+            for gamma in ([], [TOP], [Imp(SVar(0), SVar(0))]):
+                got = _agrees_with_the_oracle(kind, gamma, [TOP, self.FIRST], [first, *_PAIRS[:8]])
+                assert (got.structures_checked, got.pattern) == (1, self.FIRST)
+                assert got.valuation == Valuation({0: "0"}, {0: frozenset()})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_common_value_short_of_everything(self, kind):
+        # c c is empty and c is {0}: strongly refuted with no free
+        # variable; c is neither satisfied nor valid.
+        first = self.pair(["0"])
+        got = _agrees_with_the_oracle(kind, [C], [Appl(C, C)], [first, *_PAIRS[:8]])
+        assert (got.structures_checked == 1) == (kind == "strong")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_hypothesis_unsatisfied_at_the_first_assignment(self, kind):
+        # x0 -> c holds at x0 = 1 alone, where x0 -> c c misses.
+        first = self.pair(["1"])
+        gamma, delta = [Imp(X0, C)], [Imp(X0, Appl(C, C))]
+        got = _agrees_with_the_oracle(kind, gamma, delta, [first, *_PAIRS[:8]])
+        if kind != "global":
+            assert got.structures_checked == 1 and got.valuation.element == {0: "1"}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_free_variables_also_bound_by_a_binder(self, kind):
+        first = self.pair(["0"])
+        suite = [first, *_PAIRS[:8]]
+        got = _agrees_with_the_oracle(kind, [], [self.EXISTS], suite)
+        assert got.structures_checked == 1 and got.valuation.element == {0: "1"}
+        got = _agrees_with_the_oracle(kind, [], [self.MU], suite)
+        assert got.structures_checked == 1 and got.valuation.sets == {0: frozenset()}
+        # The first holds at the first assignment, the second misses there.
+        got = _agrees_with_the_oracle(kind, [self.EXISTS], [self.EXISTS, self.MU], suite)
+        assert got.pattern is self.MU
+        for first in self.firsts():
+            _agrees_with_the_oracle(kind, [self.MU], [self.EXISTS, self.FIRST], [first])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "gamma, delta, raises",
+        [
+            # A conclusion refutes at the first assignment before d.
+            ([], ["BOT", "D"], ""),
+            ([], ["TOP", "D"], "global local strong"),
+            # x0 -> c holds at x0 = 0, so d is reached there, but globally
+            # x0 -> c is swept whole first and misses at x0 = 1.
+            ([], ["X0->c", "D"], "local strong"),
+            # An unsatisfied hypothesis ends the assignment locally and
+            # globally; the strong common value still meets d.
+            (["BOT", "D"], ["TOP"], "strong"),
+            (["TOP", "D"], ["BOT"], "global local strong"),
+            (["X0->c", "D"], ["BOT"], "local strong"),
+        ],
+    )
+    def test_a_constant_missing_only_from_a_later_pattern(self, kind, gamma, delta, raises):
+        named = {"BOT": BOT, "TOP": TOP, "D": self.D, "X0->c": Imp(X0, C)}
+        gamma, delta = [named[g] for g in gamma], [named[p] for p in delta]
+        for suite in ([self.pair(["0"])], [self.pair(["0"]), self.pair(["0"], d=["1"])]):
+            got = _agrees_or_raises_with_the_oracle(kind, gamma, delta, suite)
+            assert (got is None) == (kind in raises.split())
+
+    def test_models_refuted_at_the_first_assignment(self):
+        holding = Imp(X0, Exists(0, X0))
+        for s in [*self.firsts(), *_PAIRS[:8]]:
+            for p in (self.FIRST, self.MU, self.EXISTS, holding):
+                values = [oracles.eval_frozenset(s, v, p) for v in oracles.fv_assignments(s, [p])]
+                assert models(s, p) == all(value == s.carrier for value in values)
+            assert not models(s, self.FIRST) and not models(s, self.MU)
+            assert models(s, holding)
 
 
 # ---------------------------------------------------------------------------
