@@ -933,6 +933,17 @@ class TestBlockDifferential:
         got = _agrees_with_the_oracle("global", gamma, [_CLOSED, TOP], suite)
         assert got.structure is refuted[0] and got.pattern is _CLOSED
 
+    def test_global_later_conclusion_failing_only_further_on(self):
+        # The first conclusion fails at lane 2 of the run's block, the
+        # second only at lane 5: the first structure to fail is lane 2's.
+        first, second = _CLOSED, Imp(C, Appl(C, C))
+        both = [s for s in _PAIRS if models(s, first) and models(s, second)]
+        only_first = [s for s in _PAIRS if not models(s, first) and models(s, second)]
+        only_second = [s for s in _PAIRS if models(s, first) and not models(s, second)]
+        suite = both[:3] + only_first[:1] + both[3:5] + only_second[:1] + both[5:9]
+        got = _agrees_with_the_oracle("global", [], [first, second], suite)
+        assert got.structure is only_first[0] and got.pattern is first
+
     @given(
         st.sampled_from(KINDS),
         st.integers(0, 3),
