@@ -81,10 +81,11 @@ structures transposed; `consequence` keeps the last such layout in a single
 slot, which threads share, and reuses it for the next list or tuple that
 holds the same structure objects, checked by identity as far as the decision
 goes, so that many queries of one suite pack it once.  The slot keeps the
-last list's structures alive.  Each block caches its wide forms and variable
-vectors, keyed by the numbers of free element and set variables, on itself;
-the cache only adds values that depend on the block and those counts alone,
-and each query maps them to its own variable indices.
+last list's structures alive.  Packed blocks never change.  Each caches its
+wide forms and variable vectors, keyed by the numbers of free element and
+set variables, on itself; the cache only adds values that depend on the
+block and those counts alone, and each query maps them to its own variable
+indices.
 """
 
 from __future__ import annotations
