@@ -1077,11 +1077,11 @@ class TestFirstAssignment:
     D = Const("d")
     # Misses x0 where X0 is empty: refuted at the first assignment anywhere.
     FIRST = Imp(X0, Appl(SVar(0), C))
-    # The everything that mu X0 . X0 -> X0 is, then X0: misses where X0 is
-    # empty, unless the binder leaves X0 bound.
+    # (mu X0 . X0 -> X0), which is everything, implies X0: misses where X0
+    # is empty, unless the binder leaves X0 bound.
     MU = Imp(Mu(0, Imp(SVar(0), SVar(0))), SVar(0))
-    # The everything that exists x0 . x0 is, then x0 -> c: holds at x0 = 0
-    # where c = {0}, unless the binder leaves x0 bound.
+    # (exists x0 . x0), which is everything, implies x0 -> c: holds at
+    # x0 = 0 where c = {0}, unless the binder leaves x0 bound.
     EXISTS = Imp(Exists(0, X0), Imp(X0, C))
 
     def pair(self, c, cell=(), d=None):
