@@ -180,24 +180,49 @@ MUTANTS = [
         "        found = _sweep(block, f, (), (p,), False, live, pos)\n",
         (TEST_SEMANTICS,),
     ),
-    # A generated `model.Suite`: the samples drawn in bulk from the stream's
-    # words, the columns laid out from a table of its positions.
+    # A generated `model.Suite`, held as its runs' tables of masks: the
+    # exhaustive runs from a cached table, the samples' drawn in bulk from
+    # the stream's words; structure k read from its lane of its run.
     Mutant(
         "suite-digits-reversed", MODEL,
-        "            shifts = range(size * (digits - 1), -1, -size)\n",
-        "            shifts = range(0, size * digits, size)\n",
+        "                   for s in range(size * (digits - 1), -1, -size)]\n",
+        "                   for s in range(0, size * digits, size)]\n",
         (TEST_MODEL,),
     ),
     Mutant(
         "grid-digits-reversed", MODEL,
-        "for t in range(cells - 1, -1, -1)]",
-        "for t in range(cells)]",
+        "        columns = forced + columns[:cells] + ",
+        "        columns = forced + columns[:cells][::-1] + ",
         (TEST_MODEL,),
     ),
     Mutant(
         "twin-skipped-at-its-own-position", MODEL,
-        "map(operator.ge, _swap_images(len(shifts) - 4), range(count))",
-        "map(operator.gt, _swap_images(len(shifts) - 4), range(count))",
+        "keep = list(map(operator.ge, images, range(count)))",
+        "keep = list(map(operator.gt, images, range(count)))",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "runs-give-twins-lanes", MODEL,
+        "        yield from self._lanes\n",
+        "        yield from self._tables\n",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "lane-read-from-the-next-run", MODEL,
+        "    return run[0][-1]\n",
+        "    return run[0][0]\n",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "lane-index-off-by-one", MODEL,
+        "lane, size = k + 1 - marks[0], ",
+        "lane, size = k - marks[0], ",
+        (TEST_MODEL,),
+    ),
+    Mutant(
+        "exhaustive-build-searches-the-samples", MODEL,
+        "        runs = self._tables if k < self._first_sample else self._samples()\n",
+        "        runs = self._tables + self._samples()\n",
         (TEST_MODEL,),
     ),
     Mutant(
@@ -210,8 +235,8 @@ MUTANTS = [
     ),
     Mutant(
         "defined-row-packed-empty", MODEL,
-        "(full * lanes,) * (size * size - cells)",
-        "(bytes(lanes),) * (size * size - cells)",
+        "forced = [bytes([(1 << size) - 1]) * count]",
+        "forced = [bytes(count)]",
         (TEST_MODEL, TEST_SEMANTICS),
     ),
     Mutant(
@@ -222,8 +247,8 @@ MUTANTS = [
     ),
     Mutant(
         "sample-column-stride-off-by-one", MODEL,
-        "joined[t::stride]",
-        "joined[t::stride + 1]",
+        "table[t::stride]",
+        "table[t::stride + 1]",
         (TEST_MODEL,),
     ),
     Mutant(

@@ -15,24 +15,27 @@ of bit positions has 2^n rows.
 
 Structures declaring the reserved constant ``def`` are definedness
 structures and must apply it totally: ``def`` applied to any singleton
-yields the whole universe.  In a suite's exhaustive two-element block, a
+yields the whole universe.  In a suite's exhaustive two-element run, a
 structure whose 0<->1 image came earlier carries that image as its ``twin``,
 found by position, not by hashing; no other structure has one.
 
-A generated suite is a `Suite`, a sequence over its positions: every
-structure of size one, then of size two, each a number whose base-2^n
-digits are its masks (the free application cells row by row, then the free
-constants), then the samples, whose masks are all drawn the first time one
-is needed.  It builds a structure only when asked, and gives `semantics`
-the masks of its lanes by position, so that deciding a suite builds neither
-its twins nor the structures it lays out in blocks.  `enumerate_structures`
-iterates one.
+A generated suite is a `Suite`, a sequence held as its runs, each one
+universe size's table of masks with a lane per structure: every structure
+of size one, then of size two, in the mixed-radix order of their masks
+(Knuth, TAOCP Vol. 4A, 7.2.1.1), the free application cells row by row,
+then the free constants; then the samples, whose masks are all drawn the
+first time one is needed.  It builds a structure only when asked, by
+reading its lane, and gives `semantics` its runs, so that deciding a suite
+builds neither its twins nor the structures it lays out in blocks.
+`enumerate_structures` iterates one.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import math
 import operator
 import random
 import re
@@ -477,26 +480,23 @@ def enumerate_structures(
 
 
 class Suite(Sequence[Structure]):
-    """The structures of a `SuiteSpec`, in stream order, as a sequence.
+    """The structures of a `SuiteSpec`, in stream order, as a sequence held
+    as its runs.
 
-    Its length comes from counts.  Structure k is built the first time it is
-    asked for and kept in ``made``, so ``suite[k] is suite[k]``.  An
-    exhaustive structure is built from its position within the block of its
-    size: the position
-    read in base 2^size, most significant digit first, gives one mask per
-    digit, the free application cells row by row and then the free
-    constants; with ``defined``, ``def`` is the first element and its row is
-    total; structures whose cells agree share one ``rows`` tuple (`_grid`).
-    A two-element structure's ``twin`` is the structure at its swap
-    image's position (`_swap_images`) when that comes earlier.  The
-    samples' masks are drawn, all of them in the stream's order
-    (`_read_samples`), the first time a sample or their runs are asked for,
-    and a sample is built from them.  A slice of a suite is the list of its
-    structures.  `runs` gives the lanes' masks without building any
-    structure: an exhaustive block's columns come from a cached, pure table
-    of its positions (`_positions`), and a run of samples' are slices of
-    their masks joined.  ``layout`` is where `semantics` keeps the suite's
-    lane layout once it has made one."""
+    A run is the structures of one universe size in a row, as one table of
+    their masks, a lane per structure: ``(marks, cells, masks)``, where a
+    lane's mark counts the structures up to and including it, ``cells``
+    holds one column of the lanes' masks per application cell, row by row,
+    and ``masks`` one per constant name.  The exhaustive runs come from a
+    cached table (`_exhaustive`).  The samples' runs are drawn, all of them
+    in the stream's order (`_read_samples`), the first time a sample or the
+    runs are asked for.  Its length comes from counts.  Structure k is
+    built from its lane the first time it is asked for and kept in
+    ``made``, so ``suite[k] is suite[k]``.  A two-element structure's
+    ``twin`` is the structure at its swap image's position (`_swap_images`)
+    when that comes earlier.  A slice of a suite is the list of its
+    structures.  ``layout`` is where `semantics` keeps the suite's lane
+    layout once it has made one."""
 
     def __init__(self, spec: SuiteSpec) -> None:
         if spec.max_size < 1:
@@ -505,22 +505,11 @@ class Suite(Sequence[Structure]):
         names = list(spec.sig.constants)
         if spec.defined and DEFINEDNESS not in names:
             names.append(DEFINEDNESS)
-        self._names, self._defined = names, spec.defined
-        self._free_names = [n for n in names if n != DEFINEDNESS] if spec.defined else names
-        # Each exhaustive block: its start, size, count, free cells, the
-        # shifts that read a position's digits, most significant first, and
-        # the swap images of its positions where it has twins.
-        self._blocks: list[tuple] = []
-        start = 0
-        for size in range(1, min(spec.max_size, 2) + 1):
-            cells = (size - spec.defined) * size
-            digits = cells + len(self._free_names)
-            shifts = range(size * (digits - 1), -1, -size)
-            images = _swap_images(len(self._free_names)) if size == 2 and not spec.defined else None
-            self._blocks.append((start, size, 1 << size * digits, cells, shifts, images))
-            start += 1 << size * digits
-        self._first_sample, self._spec = start, spec
-        self._length = start + (max(spec.samples, 0) if spec.max_size >= 3 else 0)
+        self._names, self._spec = names, spec
+        self._tables, self._lanes, self._images = _exhaustive(
+            tuple(names), spec.defined, min(spec.max_size, 2))
+        self._first_sample = self._tables[-1][0][-1]
+        self._length = self._first_sample + (max(spec.samples, 0) if spec.max_size >= 3 else 0)
         self.made: dict[int, Structure] = {}
         self.layout = None
 
@@ -545,49 +534,32 @@ class Suite(Sequence[Structure]):
         return map(self.__getitem__, range(self._length))
 
     def _build(self, k: int) -> Structure:
-        for start, size, count, cells, shifts, images in self._blocks:
-            if k < start + count:
-                p = k - start
-                full = (1 << size) - 1
-                # The cells' digits are the high ones: structures that share
-                # them share their rows.
-                grid, choice = divmod(p, 1 << size * (len(shifts) - cells))
-                masks = {DEFINEDNESS: 1} if self._defined else {}
-                masks.update(zip(self._free_names, [choice >> s & full for s in shifts[cells:]]))
-                twin = self[start + images[p]] if images and images[p] < p else None
-                return Structure(_universe(size), _grid(size, self._defined, grid), masks, twin)
-        size, values = self._samples()[k - self._first_sample]
-        cells = size * size
-        return Structure(_universe(size), _rows(values[:cells], size),
-                         dict(zip(self._names, values[cells:])))
+        # Only the samples' runs read the stream.
+        runs = self._tables if k < self._first_sample else self._samples()
+        marks, cells, masks = runs[bisect.bisect_right(runs, k, key=_last_mark)]
+        lane, size = k + 1 - marks[0], math.isqrt(len(cells))
+        images = self._images if size == 2 else ()
+        twin = self[k - lane + images[lane]] if images and images[lane] < lane else None
+        return Structure(_universe(size), _rows([c[lane] for c in cells], size),
+                         {name: c[lane] for name, c in masks.items()}, twin)
 
     def runs(self) -> Iterator[tuple]:
-        """The lanes of each run of structures of one size, building none:
-        ``(marks, cells, masks)``, where a lane's mark counts the
-        structures up to and including it, ``cells`` holds one column of the
-        lanes' masks per application cell, row by row, and ``masks`` one per
-        constant name.  A structure whose twin comes earlier gets no lane."""
-        for start, size, count, cells, shifts, images in self._blocks:
-            marks, digits = _positions(start, size, shifts, images is not None)
-            full, lanes = bytes([(1 << size) - 1]), len(marks)
-            masks = {DEFINEDNESS: b"\1" * lanes} if self._defined else {}
-            masks.update(zip(self._free_names, digits[cells:]))
-            yield marks, (full * lanes,) * (size * size - cells) + digits[:cells], masks
-        drawn = enumerate(self._samples(), self._first_sample + 1)
-        for size, run in itertools.groupby(drawn, key=lambda d: d[1][0]):
-            marks, samples = zip(*run)
-            values = [v for _, v in samples]
-            joined = b"".join(values) if size <= 8 else list(itertools.chain.from_iterable(values))
-            stride = len(values[0])
-            columns = [joined[t::stride] for t in range(stride)]
-            yield marks, columns[:size * size], dict(zip(self._names, columns[size * size:]))
+        """The runs, building no structure, where a structure whose twin
+        comes earlier gets no lane."""
+        yield from self._lanes
+        yield from self._samples()
 
     def _samples(self) -> list[tuple]:
-        """Each sample's size and values, drawn the first time asked for."""
+        """The samples' runs, drawn the first time asked for."""
         count = self._length - self._first_sample
         # setdefault: of two threads drawing at once, both keep the first.
         return self.__dict__.get("drawn") or self.__dict__.setdefault(
-            "drawn", _read_samples(self._spec, self._names, count) if count else [])
+            "drawn", _read_samples(self._spec, self._names, self._first_sample, count)
+            if count else [])
+
+
+def _last_mark(run: tuple) -> int:
+    return run[0][-1]
 
 
 @lru_cache(maxsize=None)
@@ -601,18 +573,43 @@ def _rows(cells: Sequence[int], size: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _grid(size: int, defined: bool, index: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of the exhaustive structures of ``size`` whose free cells,
-    row by row, are the base-2^size digits of ``index``, most significant
-    first; with ``defined``, the first row, which is ``def``'s, is total."""
-    full, cells = (1 << size) - 1, (size - defined) * size
-    rows = _rows([index >> size * t & full for t in range(cells - 1, -1, -1)], size)
-    return ((full,) * size,) * defined + rows
+def _exhaustive(names: tuple[str, ...], defined: bool, largest: int) -> tuple[list, list, tuple]:
+    """The exhaustive runs of a suite over the constant ``names``, of one to
+    ``largest`` elements: as tables of every structure (see `Suite`), as
+    the lanes that `Suite.runs` gives, where a structure whose swap image
+    comes earlier has none, and the two-element run's swap images, if it
+    has twins.  Position p of the run of ``size`` elements,
+    read in base 2^size, most significant digit first, gives one mask per
+    digit: the free application cells row by row, then the free constants.
+    So digit t of the positions in order is a period, each digit value
+    repeated 2^shift times.  With ``defined``, ``def`` is the first element
+    and its row is total: columns like any other, of one mask."""
+    free = [n for n in names if n != DEFINEDNESS] if defined else list(names)
+    named = [DEFINEDNESS] * defined + free
+    tables, lanes, images, start = [], [], (), 0
+    for size in range(1, largest + 1):
+        cells = (size - defined) * size  # the free ones
+        digits = cells + len(free)
+        count = 1 << size * digits
+        columns = [b"".join([bytes([d]) * (1 << s) for d in range(1 << size)]) * (count >> s + size)
+                   for s in range(size * (digits - 1), -1, -size)]
+        forced = [bytes([(1 << size) - 1]) * count] * (size * defined)  # def's row
+        columns = forced + columns[:cells] + [b"\1" * count] * defined + columns[cells:]
+        marks, split = range(start + 1, start + count + 1), size * size
+        tables.append((marks, columns[:split], dict(zip(named, columns[split:]))))
+        if size == 2 and not defined:
+            images = _swap_images(len(free))
+            keep = list(map(operator.ge, images, range(count)))
+            marks = tuple(itertools.compress(marks, keep))
+            columns = [bytes(itertools.compress(c, keep)) for c in columns]
+        lanes.append((marks, columns[:split], dict(zip(named, columns[split:]))))
+        start += count
+    return tables, lanes, images
 
 
 @lru_cache(maxsize=None)
 def _swap_images(free: int) -> tuple[int, ...]:
-    """Where each two-element structure's 0<->1 image sits in its block: a
+    """Where each two-element structure's 0<->1 image sits in its run: a
     position reads in base 4, a mask per digit, cells first, then ``free``
     constants; the swap exchanges each mask's bits and reverses the cells."""
     swap, images = (0, 2, 1, 3), [0]
@@ -624,31 +621,14 @@ def _swap_images(free: int) -> tuple[int, ...]:
     return tuple(images)
 
 
-@lru_cache(maxsize=None)
-def _positions(start: int, size: int, shifts: range, twins: bool) -> tuple:
-    """The lane marks of the exhaustive block of ``size`` that starts at
-    ``start``, and one ``bytes`` column per digit of its positions, read at
-    ``shifts``.  Digit t of the positions in order is a period: each digit
-    value repeated 2^shift times.  With ``twins``, the positions whose swap
-    image comes earlier are dropped."""
-    count = 1 << size * len(shifts)
-    digits = [b"".join([bytes([d]) * (1 << s) for d in range(1 << size)]) * (count >> s + size)
-              for s in shifts]
-    marks = range(start + 1, start + count + 1)
-    if twins:
-        keep = list(map(operator.ge, _swap_images(len(shifts) - 4), range(count)))
-        marks = tuple(itertools.compress(marks, keep))
-        digits = [bytes(itertools.compress(d, keep)) for d in digits]
-    return marks, tuple(digits)
-
-
 # The most words one read of a sample stream takes; a longer stream is read
 # again, the words left over carried into the next read.
 _READ = 1 << 13
 
 
-def _read_samples(spec: SuiteSpec, names: list[str], count: int) -> list[tuple]:
-    """The first ``count`` samples' sizes and values, as `random.Random`
+def _read_samples(spec: SuiteSpec, names: list[str], first: int, count: int) -> list[tuple]:
+    """The runs of the first ``count`` samples, the first of them at
+    position ``first`` of the suite (see `Suite`), as `random.Random`
     seeded with ``spec.seed`` draws them a call at a time: ``randint(3,
     max_size)``, then ``getrandbits(size)`` per cell, row by row, per name
     in ``names`` and, with ``defined``, once more for ``def``.  Each call
@@ -658,7 +638,9 @@ def _read_samples(spec: SuiteSpec, names: list[str], count: int) -> list[tuple]:
     max_size - 2, are below it.  So the words are read in a few bulk
     ``getrandbits(32 * W)`` calls, first word lowest, and parsed in order.
     A sample of up to 8 elements is a ``bytes`` slice of the plane of top
-    bytes shifted down to its size; a wider one reads whole words."""
+    bytes shifted down to its size; a wider one reads whole words.  Each
+    sample's masks go on the end of its run's, which are cut into columns
+    once every sample is drawn."""
     rng, top = random.Random(spec.seed), spec.max_size
     below = top - 2
     drop = 8 - below.bit_length()  # of a top byte, the k bits randint reads
@@ -666,14 +648,13 @@ def _read_samples(spec: SuiteSpec, names: list[str], count: int) -> list[tuple]:
     defined = spec.defined
     extra = len(names) + defined
     most = top * top + extra  # the words of the largest sample
-    drawn: list[tuple] = []
-    append = drawn.append
+    tables: list[tuple] = []  # each run's size and its samples' masks, one after another
     buf = tops = b""
-    p = end = 0
-    while len(drawn) < count:
+    p = end = drawn = last = 0
+    while drawn < count:
         if p + most >= end:
             # The samples left at the largest size, three words each for the size draw.
-            words = max(min((count - len(drawn)) * (most + 3), _READ), most + 1)
+            words = max(min((count - drawn) * (most + 3), _READ), most + 1)
             buf = buf[4 * p:] + rng.getrandbits(32 * words).to_bytes(4 * words, "little")
             tops, planes, wide, p = buf[3::4], {}, None, 0
             end = len(tops)
@@ -694,10 +675,22 @@ def _read_samples(spec: SuiteSpec, names: list[str], count: int) -> list[tuple]:
                 # def holds the first element and maybe more; that element's row is total.
                 fixed = [(1 << size) - 1] * size + list(values[size:-1])
                 fixed[cells + names.index(DEFINEDNESS)] = 1 | values[-1]
-                values = fixed if size > 8 else bytes(fixed)
-            append((size, values))
+                values = fixed
+            if size != last:
+                last, table = size, bytearray() if size <= 8 else []
+                tables.append((size, table))
+            table.extend(values)
+            drawn += 1
             p = q
-    return drawn
+    runs = []
+    for size, table in tables:
+        stride = size * size + len(names)
+        columns = [table[t::stride] for t in range(stride)]
+        lanes = len(columns[0])
+        runs.append((range(first + 1, first + lanes + 1), columns[:size * size],
+                     dict(zip(names, columns[size * size:]))))
+        first += lanes
+    return runs
 
 
 @lru_cache(maxsize=None)

@@ -73,9 +73,9 @@ a lane earlier gets none, though it still counts in ``structures_checked``.
 A suite is laid out once, every block packed, and the layout never changes
 after that.  A block is packed from its lanes' masks in columns, one per
 application cell and one per constant, which come from one of two sources.
-A generated `model.Suite` gives them from its structures' positions and
-drawn masks, its twins skipped by position, so that no structure is built
-but the one-lane blocks' and a counterexample's; the suite owns its layout,
+A generated `model.Suite` holds them already, as its runs' tables of
+masks, its twins skipped by position, so that no structure is built but
+the one-lane blocks' and a counterexample's; the suite owns its layout,
 made on its first decision.  Any other suite is read whole and its
 structures transposed; `consequence` keeps the last such layout in a single
 slot, which threads share, and reuses it for the next list or tuple that

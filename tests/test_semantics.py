@@ -1673,7 +1673,7 @@ class TestLayoutReuse:
 
 
 # ---------------------------------------------------------------------------
-# A generated `Suite` owns its layout, laid out from positions and drawn masks.
+# A generated `Suite` owns its layout, laid out from its runs' tables of masks.
 
 _SUITE_SPEC = SuiteSpec(Signature(("c",)), max_size=3, seed=3, samples=30)
 # 66 exhaustive structures, then samples of sizes 3, 3, 4, 3, 3, 4, ...
