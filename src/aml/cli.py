@@ -166,13 +166,14 @@ def _suite(
 
 
 def _spec(args, sig: Signature) -> SuiteSpec:
-    """The generated suite that the suite flags name."""
+    """The generated suite that the suite flags name; a signature that
+    declares ``def`` gets definedness structures, ``--defined`` or not."""
     return SuiteSpec(
         sig=sig,
         max_size=args.max_size,
         seed=args.seed,
         samples=args.samples,
-        defined=args.defined,
+        defined=args.defined or "def" in sig,
     )
 
 

@@ -243,6 +243,20 @@ class TestConsequence:
         assert doc["holds"] is True and doc["kind"] == "strong"
         assert doc["structures_checked"] == 258
 
+    def test_a_def_signature_counterexample_replays(self, tmp_path, capsys):
+        # The suite over a signature declaring def is a definedness suite,
+        # so the structure it refutes the query at loads back for eval,
+        # which finds the pattern unsatisfied there.
+        sig = write(tmp_path, "s.txt", "def\n")
+        delta = write(tmp_path, "d.pat", "x0\n")
+        outdir = tmp_path / "cex"
+        assert main(["consequence", "--sig", sig, "--out", str(outdir), delta]) == 1
+        assert "(exhaustive |A|<=2, definedness): fails" in capsys.readouterr().out
+        code = main(["eval", "--sig", sig, "--model", str(outdir / "structure.json"),
+                     "--valuation", str(outdir / "valuation.json"), delta])
+        assert code == 1
+        assert "satisfied: no" in capsys.readouterr().out
+
     def test_models_directory_round_trip(self, tmp_path, capsys):
         suite_dir = tmp_path / "suite"
         sig = write(tmp_path, "s.txt", "c\n")
@@ -327,6 +341,32 @@ class TestGenModels:
         for f in sorted(outdir.glob("structure-*.json")):
             s = load_structure(f)
             assert "def" in s.constants
+
+    @pytest.mark.parametrize("constants, max_size, samples, count", [
+        ("def\n", 2, 0, 17), ("c\ndef\n", 3, 5, 2 + 64 + 5),
+    ])
+    def test_a_signature_declaring_def_gets_definedness_structures(
+        self, tmp_path, capsys, constants, max_size, samples, count
+    ):
+        # Without --defined too: a structure declaring def must apply it
+        # totally, so each file loads back and the suite decides the law.
+        sig = write(tmp_path, "s.txt", constants)
+        outdir = tmp_path / "gm"
+        argv = ["gen-models", "--sig", sig, "--max-size", str(max_size),
+                "--samples", str(samples), "--out", str(outdir)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("definedness)\n")
+        manifest = json.loads((outdir / "suite.json").read_text())
+        assert manifest["defined"] is True and manifest["count"] == count
+        files = sorted(outdir.glob("structure-*.json"))
+        assert len(files) == count
+        for f in files:
+            aml.model.load_structure(f)
+        law = write(tmp_path, "law.pat", "def x0\n")
+        assert main(["consequence", "--models", str(outdir), "--sig", sig, law]) == 0
+        assert main(["consequence", "--sig", sig, "--max-size", str(max_size),
+                     "--samples", str(samples), law]) == 0
+        assert "holds" in capsys.readouterr().out
 
     def test_models_is_not_an_option(self, tmp_path, sig_file, capsys):
         argv = ["gen-models", "--sig", sig_file, "--models", "nowhere", "--max-size", "1",
