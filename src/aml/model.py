@@ -559,6 +559,7 @@ class Suite(Sequence[Structure]):
 
 
 def _last_mark(run: tuple) -> int:
+    """One past the position of a run's last structure."""
     return run[0][-1]
 
 
@@ -578,10 +579,11 @@ def _exhaustive(names: tuple[str, ...], defined: bool, largest: int) -> tuple[li
     ``largest`` elements: as tables of every structure (see `Suite`), as
     the lanes that `Suite.runs` gives, where a structure whose swap image
     comes earlier has none, and the two-element run's swap images, if it
-    has twins.  Position p of the run of ``size`` elements,
-    read in base 2^size, most significant digit first, gives one mask per
-    digit: the free application cells row by row, then the free constants.
-    So digit t of the positions in order is a period, each digit value
+    has twins.  Every suite of the same shape shares them, so they are
+    never changed.  Position p of the run of ``size`` elements, read in
+    base 2^size, most significant digit first, gives one mask per digit:
+    the free application cells row by row, then the free constants.  So
+    digit t of the positions in order is a period, each digit value
     repeated 2^shift times.  With ``defined``, ``def`` is the first element
     and its row is total: columns like any other, of one mask."""
     free = [n for n in names if n != DEFINEDNESS] if defined else list(names)
